@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from csv import writer as _csv_writer
 from dataclasses import dataclass
 
 from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
@@ -46,10 +45,12 @@ from .evaluators import (
 from .harness import (
     check_suite,
     emit_report,
+    open_destination,
     reproduce_table1,
     reproduce_table2,
     reproduce_table3,
     table2_convention_report,
+    write_csv,
 )
 
 __all__ = ["CliConfig", "cmd_check", "cmd_coeffs", "cmd_eval", "cmd_table", "main"]
@@ -311,11 +312,7 @@ def _print_evaluation(evaluation: Evaluation, config: CliConfig, handle) -> None
         json.dump(record, handle, indent=2, allow_nan=False)
         handle.write("\n")
         return
-    out = _csv_writer(handle, lineterminator="\n")
-    out.writerow(EVAL_CSV_HEADER)
-    out.writerow(
-        [repr(v) if isinstance(v, float) else str(v) for v in record.values()]
-    )
+    write_csv(handle, EVAL_CSV_HEADER, [record.values()])
 
 
 def cmd_eval(config: CliConfig) -> int:
@@ -326,7 +323,7 @@ def cmd_eval(config: CliConfig) -> int:
     if method is None:
         method = "full" if config.mu < 1.0 else "oracle"
     evaluation = _run_method(method, params, config)
-    with _destination(config.output) as handle:
+    with open_destination(config.output) as handle:
         _print_evaluation(evaluation, config, handle)
     return 0
 
@@ -365,38 +362,16 @@ def cmd_coeffs(config: CliConfig) -> int:
         "Bhat": bhat_coefficients,
     }[config.kind]
     table = generate(config.lam, config.K)
-    with _destination(config.output) as handle:
-        out = _csv_writer(handle, lineterminator="\n")
-        out.writerow(COEFFS_CSV_HEADER)
-        for k, value in enumerate(table.values):
-            out.writerow([table.kind, k, repr(table.lam), repr(value)])
+    records = [
+        (table.kind, k, table.lam, value) for k, value in enumerate(table.values)
+    ]
+    with open_destination(config.output) as handle:
+        write_csv(handle, COEFFS_CSV_HEADER, records)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-class _destination:
-    """Context manager: open a path for writing, or hand out stdout."""
-
-    def __init__(self, output: str | None):
-        self.output = output
-        self.handle = None
-
-    def __enter__(self):
-        if self.output is None or self.output == "-":
-            return sys.stdout
-        try:
-            self.handle = open(self.output, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise OSError(f"cannot write to {self.output!r}: {exc}") from exc
-        return self.handle
-
-    def __exit__(self, *exc_info):
-        if self.handle is not None:
-            self.handle.close()
-        return False
-
 
 _DISPATCH = {
     "eval": cmd_eval,

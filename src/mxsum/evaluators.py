@@ -162,7 +162,6 @@ def _lambda0_plus_direct(p: SeriesParams, tol: float) -> Evaluation:
     a2 = p.a * p.a
     n_head = max(50, math.ceil(3.0 * abs(p.a)) + 50)
 
-    head = math.fsum if p.real_a else _csum
     if p.real_a:
         ar2 = p.a.real * p.a.real
         head_val: complex = math.fsum(
@@ -172,7 +171,6 @@ def _lambda0_plus_direct(p: SeriesParams, tol: float) -> Evaluation:
         head_val = _csum(
             cmath.exp(-mu * cmath.log(n * n + a2)) for n in range(n_head)
         )
-    del head
 
     nf = float(n_head)
     # tail integral: sum_j (-1)^j (mu)_j/j! a^(2j) N^(1-2mu-2j)/(2mu+2j-1)
@@ -758,14 +756,14 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     if p.real_a:
         ar2 = p.a.real * p.a.real
 
-        def f_r(t: float) -> float:
+        def f_r(t: float, _dl: float, _du: float) -> float:
             return math.exp(-lam * t) * (t * t + ar2) ** (-mu)
 
         res = integrate(f_r, QuadratureSpec(0.0, math.inf, 0.0, tol))
     else:
         a2 = p.a * p.a
 
-        def f_c(t: float) -> complex:
+        def f_c(t: float, _dl: float, _du: float) -> complex:
             return math.exp(-lam * t) * cmath.exp(-mu * cmath.log(t * t + a2))
 
         res = integrate(f_c, QuadratureSpec(0.0, math.inf, 0.0, tol))

@@ -25,10 +25,6 @@ against the independently measured defect S - 1/(2 a^(2 mu)) - H,
 from a high-precision remainder (expected -pi for sign -, -2 pi for
 sign +), and ``emit_report`` writes rows as CSV or JSON with
 round-trip float formatting.
-
-Grid cells are independent; ``MXSUM_THREADS`` (> 1) evaluates them in
-a thread pool, with results always collected in input order, so
-reports are byte-identical regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -36,10 +32,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import sys
-import warnings
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from csv import writer as _csv_writer
 from dataclasses import dataclass
 
@@ -61,6 +55,7 @@ __all__ = [
     "check_suite",
     "decay_rate_fit",
     "emit_report",
+    "open_destination",
     "reproduce_table1",
     "reproduce_table2",
     "reproduce_table3",
@@ -68,6 +63,7 @@ __all__ = [
     "table2_convention_report",
     "table_spec",
     "tail_agreement_check",
+    "write_csv",
 ]
 
 CSV_HEADER = (
@@ -231,28 +227,6 @@ def table_spec(table_id: int, convention: str = "pi_phi") -> TableSpec:
 # ---------------------------------------------------------------------------
 # grid evaluation
 
-def _thread_count() -> int:
-    raw = os.environ.get("MXSUM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"MXSUM_THREADS={raw!r} is not an integer; running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0
-    return max(n, 0)
-
-
-def _map_ordered(fn, items):
-    n = _thread_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _cell_tolerance(table_id: int, row_id: str, k: int | None) -> float:
     if k is None:
         return _VALUE_CELL_TOL
@@ -294,7 +268,7 @@ def _reproduce(spec: TableSpec) -> list[ReportRow]:
         (spec.table_id, rid, params, k, ref_by_id[rid])
         for rid, params, k in spec.parameter_grid
     ]
-    return _map_ordered(_evaluate_cell, jobs)
+    return [_evaluate_cell(job) for job in jobs]
 
 
 def reproduce_table1() -> list[ReportRow]:
@@ -528,9 +502,6 @@ def check_suite() -> list[ReportRow]:
     a = 5 .. 10 at 2 percent; recurrence discrepancy of
     S_{mu+1} = -(1/(2 mu a)) dS_mu/da at (mu, lam, a) = (1/2, 1, 4)
     with step 1e-4, bounded by 1e-7.
-
-    Runs serially regardless of MXSUM_THREADS: the fits share one
-    global-precision arbitrary-precision context.
     """
 
     rows = [tail_agreement_check(3.0), tail_agreement_check(4.0)]
@@ -606,6 +577,33 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def open_destination(destination):
+    """Yield standard output for None or "-", else the file opened for writing.
+
+    errors: OSError, carrying the destination path, when the file cannot
+        be opened or written.
+    """
+
+    if destination is None or destination == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise OSError(f"cannot write report to {destination!r}: {exc}") from exc
+
+
+def write_csv(handle, header, records) -> None:
+    """Header line, then one line per record (a sequence of cells)."""
+
+    out = _csv_writer(handle, lineterminator="\n")
+    out.writerow(header)
+    for record in records:
+        out.writerow([_csv_cell(value) for value in record])
+
+
 def emit_report(rows, format: str = "csv", destination=None) -> None:
     """Write rows sorted by (table, row_id) as CSV or JSON.
 
@@ -621,23 +619,10 @@ def emit_report(rows, format: str = "csv", destination=None) -> None:
     if format not in ("csv", "json"):
         raise PreconditionError(f"format must be 'csv' or 'json', got {format!r}")
     ordered = sorted(rows, key=lambda r: (r.table, r.row_id))
-    if destination is None or destination == "-":
-        _write_report(sys.stdout, ordered, format)
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_report(handle, ordered, format)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination!r}: {exc}") from exc
-
-
-def _write_report(handle, rows, format: str) -> None:
-    if format == "csv":
-        out = _csv_writer(handle, lineterminator="\n")
-        out.writerow(CSV_HEADER)
-        for row in rows:
-            record = row_record(row)
-            out.writerow([_csv_cell(record[key]) for key in CSV_HEADER])
-    else:
-        json.dump([row_record(r) for r in rows], handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    records = [row_record(r) for r in ordered]
+    with open_destination(destination) as handle:
+        if format == "csv":
+            write_csv(handle, CSV_HEADER, (record.values() for record in records))
+        else:
+            json.dump(records, handle, indent=2, allow_nan=False)
+            handle.write("\n")

@@ -4,13 +4,12 @@ zeta. Everything above this layer builds on these primitives.
 """
 
 from .bessel import kv_complex
-from .hyper import gamma_real, pfq_series, pochhammer
+from .hyper import gamma_real, pfq_series
 from .quadrature import QuadratureSpec, integrate
 from .summation import (
     KahanSum,
     SeriesSum,
     accelerated_alternating_complex,
-    alternating_accelerated_sum,
     sum_terms,
 )
 from .zeta import bernoulli_even, hurwitz_zeta
@@ -20,13 +19,11 @@ __all__ = [
     "SeriesSum",
     "QuadratureSpec",
     "accelerated_alternating_complex",
-    "alternating_accelerated_sum",
     "bernoulli_even",
     "gamma_real",
     "hurwitz_zeta",
     "integrate",
     "kv_complex",
     "pfq_series",
-    "pochhammer",
     "sum_terms",
 ]

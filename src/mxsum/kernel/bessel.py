@@ -130,11 +130,11 @@ def _trapezoid(nu: float, z: complex) -> complex:
 
 def _rotated(nu: float, z: complex, phi: float) -> complex:
     arc = integrate(
-        lambda u: cmath.exp(-z * math.cos(u)) * math.cos(nu * u),
+        lambda u, _dl, _du: cmath.exp(-z * math.cos(u)) * math.cos(nu * u),
         QuadratureSpec(0.0, phi, 0.0, 1e-14, 12),
     )
 
-    def ray(s: float) -> complex:
+    def ray(s: float, _dl: float, _du: float) -> complex:
         if s > 700.0:
             return 0j  # cosh would overflow; integrand long dead by here
         w = cmath.cosh(complex(s, -phi))

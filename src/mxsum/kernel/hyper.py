@@ -16,7 +16,7 @@ import math
 from ..errors import NonConvergenceError, PreconditionError
 from .summation import KahanSum, SeriesSum
 
-__all__ = ["gamma_real", "pochhammer", "pfq_series"]
+__all__ = ["gamma_real", "pfq_series"]
 
 
 def gamma_real(x: float) -> float:
@@ -28,17 +28,6 @@ def gamma_real(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         raise PreconditionError(f"gamma pole at nonpositive integer x = {x}")
     return math.gamma(x)
-
-
-def pochhammer(x: complex, n: int) -> complex:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-
-    if n < 0:
-        raise PreconditionError("pochhammer needs n >= 0")
-    out: complex = 1.0
-    for m in range(n):
-        out *= x + m
-    return out
 
 
 def pfq_series(

@@ -5,14 +5,14 @@ Endpoint handling is the whole point of this module. A node close to
 an endpoint cannot be represented accurately as an abscissa ``t``
 (``lower + 1e-40`` rounds to ``lower`` in binary64), so each node is
 delivered to the integrand together with its exact distances to the
-two endpoints. Integrands with an endpoint singularity accept the
-three-argument form
+two endpoints. Every integrand takes the three-argument form
 
     f(t, d_lower, d_upper)
 
-and evaluate the singular factor from the exact distance, e.g.
-``(1 - t*t)**-mu`` becomes ``(d_upper * (1 + t))**-mu`` near ``t = 1``.
-Plain one-argument integrands are wrapped automatically.
+(``d_upper`` is ``math.inf`` on a semi-infinite range). Integrands with
+an endpoint singularity evaluate the singular factor from the exact
+distance, e.g. ``(1 - t*t)**-mu`` becomes ``(d_upper * (1 + t))**-mu``
+near ``t = 1``; regular integrands ignore the two distances.
 
 For the tanh-sinh map ``x = 1/(1 + exp(-2y))``, ``y = (pi/2) sinh s``,
 the distances in unit coordinates are
@@ -30,7 +30,6 @@ double-exponential weight decay swallows any algebraic blow-up.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -79,22 +78,6 @@ class QuadratureSpec:
             raise PreconditionError("target_rel_tol must lie in (0, 1)")
         if self.max_levels < 2:
             raise PreconditionError("max_levels must be at least 2")
-
-
-def _needs_distances(f: Callable) -> bool:
-    # three required positional parameters -> distance-aware protocol
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return False
-    required = 0
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-            if p.default is p.empty:
-                required += 1
-        elif p.kind is p.VAR_POSITIONAL:
-            return True
-    return required >= 3
 
 
 def _check_value(fv: complex, t: float) -> complex:
@@ -214,7 +197,7 @@ class _ExpSinhRule(_LevelRule):
 
 
 def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:
-    """Integrate ``f`` over ``(spec.lower, spec.upper)``.
+    """Integrate ``f(t, d_lower, d_upper)`` over ``(spec.lower, spec.upper)``.
 
     Returns a SeriesSum whose ``value`` is the integral, ``terms_used``
     the number of integrand evaluations and ``last_term_magnitude`` the
@@ -223,13 +206,8 @@ def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:
     exhausted and IntegrandError when the integrand yields NaN/inf.
     """
 
-    if _needs_distances(f):
-        g = f
-    else:
-        g = lambda t, _dl, _du: f(t)
-
     if math.isinf(spec.upper):
-        rule: _LevelRule = _ExpSinhRule(g, spec.lower)
+        rule: _LevelRule = _ExpSinhRule(f, spec.lower)
     else:
-        rule = _TanhSinhRule(g, spec.lower, spec.upper - spec.lower)
+        rule = _TanhSinhRule(f, spec.lower, spec.upper - spec.lower)
     return rule.run(spec.target_rel_tol, spec.max_levels)

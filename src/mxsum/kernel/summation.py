@@ -16,7 +16,6 @@ from ..errors import NonConvergenceError, PreconditionError
 __all__ = [
     "KahanSum",
     "SeriesSum",
-    "alternating_accelerated_sum",
     "sum_terms",
 ]
 
@@ -144,62 +143,6 @@ def _cvz_core(magnitudes: Sequence[complex], n: int) -> complex:
         acc.add(c * magnitudes[k])
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
     return acc.value / d
-
-
-def alternating_accelerated_sum(
-    term: Callable[[int], float] | Sequence[float],
-    tol: float = 1e-15,
-) -> SeriesSum:
-    """Accelerated value of sum_{k>=0} term(k) for alternating term(k).
-
-    ``term`` is either a callable k -> signed term or a pre-computed
-    sequence of signed terms. Signs must strictly alternate and the
-    magnitudes must be eventually decreasing; a non-alternating or
-    non-decaying input raises PreconditionError. Convergence is judged
-    by comparing two acceleration orders (n and n+4 stages).
-    """
-
-    n = _cvz_stages(tol)
-    n_hi = n + 4
-    if callable(term):
-        raw = [float(term(k)) for k in range(n_hi)]
-    else:
-        raw = [float(t) for t in term]
-        if len(raw) < 4:
-            raise PreconditionError(
-                "alternating sum needs at least 4 terms to accelerate"
-            )
-        n_hi = len(raw)
-        n = max(4, n_hi - 4)
-
-    first_sign = math.copysign(1.0, raw[0]) if raw[0] != 0.0 else 1.0
-    mags = []
-    for k, t in enumerate(raw):
-        expected = first_sign * (-1.0) ** k
-        if t != 0.0 and math.copysign(1.0, t) != expected:
-            raise PreconditionError(
-                f"terms do not alternate in sign at index {k}"
-            )
-        mags.append(abs(t))
-    tail = mags[-6:]
-    if all(m > 0 for m in tail) and not any(
-        tail[i + 1] < tail[i] for i in range(len(tail) - 1)
-    ):
-        raise PreconditionError(
-            "term magnitudes do not decay; acceleration would be meaningless"
-        )
-
-    lo = _cvz_core(mags, n)
-    hi = _cvz_core(mags, n_hi)
-    value = first_sign * hi
-    delta = abs(hi - lo)
-    scale = max(abs(hi), 1e-300)
-    return SeriesSum(
-        complex(value),
-        n_hi,
-        delta,
-        delta <= 10.0 * tol * scale + 1e-300,
-    )
 
 
 def accelerated_alternating_complex(

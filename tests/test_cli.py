@@ -219,3 +219,30 @@ def test_coeffs_domain_exit(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["coeffs", "C", "--K", "2"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "B", "--lambda", "1", "--K", "8"],
+        ["eval", "--mu", "0.5", "--a", "3", "--method", "tail", "--format", "csv"],
+        ["table", "3"],
+    ],
+    ids=["coeffs", "eval-csv", "table"],
+)
+def test_output_file_matches_stdout(argv, tmp_path, capsys):
+    rc = main(argv)
+    printed = capsys.readouterr().out
+    dest = tmp_path / "out.txt"
+    assert main(argv + ["--output", str(dest)]) == rc == 0
+    assert capsys.readouterr().out == ""
+    assert dest.read_bytes() == printed.encode("utf-8")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    dest = str(tmp_path / "no" / "file.csv")
+    for argv in (["coeffs", "A", "--K", "2"], ["table", "1"]):
+        assert main(argv + ["--output", dest]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err, argv

@@ -215,15 +215,3 @@ def test_emit_errors(tmp_path):
     with pytest.raises(OSError) as e:
         emit_report([], format="csv", destination=str(tmp_path / "no" / "dir.csv"))
     assert "cannot write report" in str(e.value)
-
-
-def test_thread_env(monkeypatch):
-    monkeypatch.setenv("MXSUM_THREADS", "4")
-    threaded = reproduce_table1()
-    monkeypatch.delenv("MXSUM_THREADS")
-    serial = reproduce_table1()
-    assert threaded == serial
-    monkeypatch.setenv("MXSUM_THREADS", "lots")
-    with pytest.warns(RuntimeWarning):
-        fallback = reproduce_table1()
-    assert fallback == serial

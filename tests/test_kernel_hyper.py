@@ -1,11 +1,11 @@
-"""Gamma, Pochhammer, and generalized hypergeometric series."""
+"""Gamma function and generalized hypergeometric series."""
 
 import math
 
 import pytest
 
 from mxsum.errors import NonConvergenceError, PreconditionError
-from mxsum.kernel import gamma_real, pfq_series, pochhammer
+from mxsum.kernel import gamma_real, pfq_series
 
 
 def test_gamma_values():
@@ -24,15 +24,6 @@ def test_gamma_domain():
             gamma_real(x)
     with pytest.raises(PreconditionError):
         gamma_real(51.0)
-
-
-def test_pochhammer():
-    assert pochhammer(2.5, 0) == 1.0
-    assert pochhammer(3.0, 4) == 360.0
-    assert pochhammer(0.5, 3) == 1.875
-    assert pochhammer(0.0, 3) == 0.0
-    got = pochhammer(1 + 2j, 2)
-    assert abs(got - (-2 + 6j)) < 1e-14
 
 
 def test_pfq_closed_forms():

@@ -32,7 +32,7 @@ def test_moment_integral():
 
 
 def test_semi_infinite_exponential():
-    r = integrate(lambda t: math.exp(-t), QuadratureSpec(0.0, math.inf))
+    r = integrate(lambda t, dl, du: math.exp(-t), QuadratureSpec(0.0, math.inf))
     assert r.converged
     assert abs(r.value.real - 1.0) < 1e-13
     assert r.terms_used > 0
@@ -65,7 +65,7 @@ def test_beta_function_grid():
 
 def test_complex_integrand():
     r = integrate(
-        lambda t: complex(math.cos(t), math.sin(t)), QuadratureSpec(0.0, 1.0)
+        lambda t, dl, du: complex(math.cos(t), math.sin(t)), QuadratureSpec(0.0, 1.0)
     )
     exact = complex(math.sin(1.0), 1.0 - math.cos(1.0))
     assert abs(r.value - exact) < 1e-13
@@ -73,12 +73,15 @@ def test_complex_integrand():
 
 def test_nan_integrand_raises():
     with pytest.raises(IntegrandError):
-        integrate(lambda t: math.nan, QuadratureSpec(0.0, 1.0))
+        integrate(lambda t, dl, du: math.nan, QuadratureSpec(0.0, 1.0))
 
 
 def test_level_budget_exhaustion_raises():
     with pytest.raises(NonConvergenceError):
-        integrate(lambda t: math.sin(40.0 * t), QuadratureSpec(0.0, 1.0, max_levels=2))
+        integrate(
+            lambda t, dl, du: math.sin(40.0 * t),
+            QuadratureSpec(0.0, 1.0, max_levels=2),
+        )
 
 
 def test_spec_validation():
