@@ -78,10 +78,6 @@ class UPolynomial:
             acc = acc * u + c
         return acc
 
-    def evaluate(self, u: float) -> float:
-        # exact Horner; a float loop would overflow/cancel for m ~ 100
-        return float(self.evaluate_exact(Fraction(u)))
-
 
 _DERIV_COEFFS: list[tuple[int, ...]] = [(0, 1)]  # p_0(u) = u
 

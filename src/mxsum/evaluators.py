@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
@@ -50,6 +51,7 @@ from .kernel import (
 
 _PI = math.pi
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -706,13 +708,20 @@ def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
 # full representations
 
 
+def _rounding_floor(*parts: complex) -> float:
+    # each part carries about one rounding error of its own size, so a
+    # sum of parts is no better than eps * sum |part|
+    return _EPS * sum(abs(x) for x in parts)
+
+
 def full_minus(p: SeriesParams) -> Evaluation:
     """Exact representation: 1/(2a^(2mu)) + H^- + tail.
 
     Not an asymptotic truncation; closes against direct_sum to
     combined component tolerance. Requires 0 < mu < 1 (tail); lam = 0
     collapses H to zero and reproduces the classical alternating
-    lam = 0 formula.
+    lam = 0 formula. The error estimate is the sum of the parts'
+    estimates, floored at eps * (|lead| + |H| + |tail|).
     """
 
     if p.mu == 0.0:
@@ -737,7 +746,10 @@ def full_minus(p: SeriesParams) -> Evaluation:
     return Evaluation(
         complex(value),
         "full-minus",
-        h.error_estimate + tail.error_estimate,
+        max(
+            h.error_estimate + tail.error_estimate,
+            _rounding_floor(lead, h.value, tail.value),
+        ),
         tail_terms_used=tail.tail_terms_used,
         notes=h.notes,
     )
@@ -780,7 +792,8 @@ def full_plus(p: SeriesParams) -> Evaluation:
 
     Requires 0 < mu < 1 and lam > 0 (the lam = 0 case has its own
     closed form, see lambda0_plus; mu = 0 is served exactly by
-    algebraic_plus).
+    algebraic_plus). The error estimate is the sum of the parts'
+    estimates, floored at eps * (|lead| + |J| + |H| + |tail|).
     """
 
     if p.mu == 0.0:
@@ -812,7 +825,10 @@ def full_plus(p: SeriesParams) -> Evaluation:
     return Evaluation(
         complex(value),
         "full-plus",
-        j.error_estimate + h.error_estimate + tail.error_estimate,
+        max(
+            j.error_estimate + h.error_estimate + tail.error_estimate,
+            _rounding_floor(lead, j.value, h.value, tail.value),
+        ),
         tail_terms_used=tail.tail_terms_used,
     )
 

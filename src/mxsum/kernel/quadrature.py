@@ -20,7 +20,24 @@ the distances in unit coordinates are
     d_lower = 1/(1 + exp(-2y)),   d_upper = exp(-2y)/(1 + exp(-2y)),
 
 and the weight is ``2 * d_lower * d_upper * (pi/2) cosh s``; none of
-these cancels catastrophically even when the distance is 1e-280.
+these cancels catastrophically even when the distance is 1e-280. An
+interval (lower, upper) scales them by its width. The exp-sinh map
+``t = lower + exp(y)`` has ``d_lower = exp(y)`` and the weight
+``exp(y) (pi/2) cosh s``.
+
+Shared node tables. Unit-interval distances and weights depend only on
+the map and on s, never on the integrand or the interval, so they are
+computed once per process and kept in module-level tables, one per
+(map, level, side), holding ``(d_lower, d_upper, weight)`` in scan
+order (exp-sinh stores ``d_upper = inf`` and is scanned with width 1).
+A table grows lazily, as far as the longest scan so far has reached,
+and is complete at the node that would round onto an endpoint or
+overflow. The s of each node is generated by repeated ``s += step``,
+as a scan without tables would, so every abscissa, weight, value,
+node count and exception is the same whatever was integrated before.
+The refinement budget is capped at 12 levels, so the tables hold at
+most about 51k tanh-sinh and 56k exp-sinh nodes (14 MB); typical use
+stays far below that.
 
 Declared singularities must sit at the LEFT endpoint (flip the variable
 before building the spec if yours is on the right); exponents alpha < 1
@@ -30,12 +47,14 @@ double-exponential weight decay swallows any algebraic blow-up.
 
 from __future__ import annotations
 
+import cmath
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import IntegrandError, NonConvergenceError, PreconditionError
-from .summation import KahanSum, SeriesSum
+from .summation import SeriesSum
 
 __all__ = ["QuadratureSpec", "integrate"]
 
@@ -45,6 +64,10 @@ _HALF_PI = 0.5 * math.pi
 # drops below this fraction of the accumulated absolute mass
 _TRUNC_FRACTION = 1e-19
 _TRUNC_STREAK = 2
+
+# each level doubles the nodes of the shared tables; 12 halvings reach
+# h = 2^-12, far finer than binary64 integrands need
+_MAX_LEVELS = 12
 
 
 @dataclass
@@ -56,7 +79,7 @@ class QuadratureSpec:
     left_singularity_exponent: alpha with integrand ~ (t-lower)^-alpha
         as t -> lower (0.0 for a regular integrand); must be < 1
     target_rel_tol: requested relative accuracy
-    max_levels: refinement budget (mesh halvings)
+    max_levels: refinement budget (mesh halvings), 2 .. 12
     """
 
     lower: float
@@ -76,124 +99,153 @@ class QuadratureSpec:
             )
         if not 0.0 < self.target_rel_tol < 1.0:
             raise PreconditionError("target_rel_tol must lie in (0, 1)")
-        if self.max_levels < 2:
-            raise PreconditionError("max_levels must be at least 2")
+        if not 2 <= self.max_levels <= _MAX_LEVELS:
+            raise PreconditionError(
+                f"max_levels must lie in 2 .. {_MAX_LEVELS}, got {self.max_levels}"
+            )
 
 
-def _check_value(fv: complex, t: float) -> complex:
-    z = complex(fv)
-    if z != z:
-        raise IntegrandError(f"integrand returned NaN at t = {t!r}")
-    if abs(z.real) == math.inf or abs(z.imag) == math.inf:
-        raise IntegrandError(f"integrand returned an infinity at t = {t!r}")
-    return z
+class _NodeTable:
+    """Nodes of one side of one level of one map, in scan order.
 
-
-class _LevelRule:
-    """Shared level/refinement driver for both maps.
-
-    Subclass supplies ``node(s)`` returning the weighted integrand value
-    at transform parameter s (or None once s is out of representable
-    range). The driver sums h * sum(node(j*h)) over successively halved
-    h, reusing previous nodes, and stops when two successive level
-    estimates agree to the target.
+    ``nodes`` holds one ``(dl, du, w)`` tuple per node and only grows;
+    ``_s`` is the transform parameter of the next node, generated by
+    repeated ``s += step`` exactly as a scan from ``start`` would, and
+    None once the side is complete (the next node would round onto an
+    endpoint or overflow).
     """
 
-    def __init__(self) -> None:
-        self.acc = KahanSum()
-        self.abs_mass = 0.0
-        self.evals = 0
+    __slots__ = ("nodes", "_node", "_s", "_step")
 
-    def node(self, s: float) -> complex | None:
-        raise NotImplementedError
+    def __init__(self, node: Callable, start: float | None, step: float) -> None:
+        self.nodes: list[tuple[float, float, float]] = []
+        self._node = node
+        self._s = start
+        self._step = step
 
-    def _scan_side(self, start: float, step: float) -> None:
-        s = start
-        streak = 0
-        while True:
-            v = self.node(s)
-            if v is None:
-                return
-            self.evals += 1
-            self.acc.add(v)
-            mag = abs(v)
-            self.abs_mass += mag
-            if mag <= _TRUNC_FRACTION * self.abs_mass:
-                streak += 1
-                if streak >= _TRUNC_STREAK:
-                    return
-            else:
-                streak = 0
-            s += step
+    def grow(self, i: int) -> tuple[float, float, float] | None:
+        """Node ``i`` for a scan that found ``i == len(nodes)``; None
+        once the side is complete."""
 
-    def run(self, rel_tol: float, max_levels: int) -> SeriesSum:
-        # level 0: h = 1, nodes at all integers
-        v0 = self.node(0.0)
-        if v0 is not None:
-            self.evals += 1
-            self.acc.add(v0)
-            self.abs_mass += abs(v0)
-        self._scan_side(1.0, 1.0)
-        self._scan_side(-1.0, -1.0)
-        estimate = self.acc.value
-        delta = math.inf
-
-        h = 1.0
-        for _level in range(1, max_levels + 1):
-            h *= 0.5
-            self._scan_side(h, 2.0 * h)
-            self._scan_side(-h, -2.0 * h)
-            new_estimate = h * self.acc.value
-            delta = abs(new_estimate - estimate)
-            estimate = new_estimate
-            scale = max(abs(estimate), 1e-300)
-            if _level >= 2 and delta <= max(rel_tol, 4e-16) * scale:
-                return SeriesSum(estimate, self.evals, delta, True)
-        raise NonConvergenceError(
-            f"quadrature did not reach rel tol {rel_tol:.1e} within "
-            f"{max_levels} refinements (last delta {delta:.3e}, "
-            f"estimate {estimate!r})"
-        )
+        with _GROW_LOCK:
+            nodes = self.nodes
+            if i == len(nodes):  # else another thread appended it
+                if self._s is None:
+                    return None
+                node = self._node(self._s)
+                if node is None:
+                    self._s = None
+                    return None
+                nodes.append(node)
+                self._s += self._step
+            return nodes[i]
 
 
-class _TanhSinhRule(_LevelRule):
-    def __init__(self, f, lo: float, width: float) -> None:
-        super().__init__()
-        self.f = f
-        self.lo = lo
-        self.width = width
+def _tanh_sinh_node(s: float) -> tuple[float, float, float] | None:
+    # x = 1/(1 + exp(-2y)) on the unit interval, y = (pi/2) sinh s
+    y = _HALF_PI * math.sinh(s)
+    q = math.exp(-2.0 * abs(y))
+    if q == 0.0:
+        return None  # node indistinguishable from the endpoint
+    near = q / (1.0 + q)
+    far = 1.0 / (1.0 + q)
+    if y >= 0.0:
+        dl, du = far, near
+    else:
+        dl, du = near, far
+    return dl, du, 2.0 * dl * du * _HALF_PI * math.cosh(s)
 
-    def node(self, s: float) -> complex | None:
-        y = _HALF_PI * math.sinh(s)
-        q = math.exp(-2.0 * abs(y))
-        if q == 0.0:
-            return None  # node indistinguishable from the endpoint
-        near = q / (1.0 + q)
-        far = 1.0 / (1.0 + q)
-        if y >= 0.0:
-            dl, du = far, near
+
+def _exp_sinh_node(s: float) -> tuple[float, float, float] | None:
+    # t = lower + exp(y), y = (pi/2) sinh s; scanned with width 1
+    y = _HALF_PI * math.sinh(s)
+    if y > 700.0 or y < -740.0:
+        return None  # abscissa would overflow / hit the endpoint
+    ey = math.exp(y)
+    return ey, math.inf, ey * _HALF_PI * math.cosh(s)
+
+
+_GROW_LOCK = threading.Lock()
+_TABLES: dict[tuple[Callable, int], tuple[_NodeTable, ...]] = {}
+
+
+def _level_tables(node: Callable, level: int) -> tuple[_NodeTable, ...]:
+    """The tables scanned at ``level``: level 0 is the centre s = 0 and
+    the integers on each side, level L the odd multiples of 2^-L."""
+
+    tables = _TABLES.get((node, level))
+    if tables is None:
+        if level == 0:
+            # a complete one-node table: the truncation rule needs two
+            # negligible nodes in a row, so it never cuts the centre
+            centre = _NodeTable(node, None, 0.0)
+            centre.nodes.append(node(0.0))
+            tables = (
+                centre,
+                _NodeTable(node, 1.0, 1.0),
+                _NodeTable(node, -1.0, -1.0),
+            )
         else:
-            dl, du = near, far
-        w = 2.0 * dl * du * _HALF_PI * math.cosh(s)
-        t = self.lo + self.width * dl
-        fv = self.f(t, self.width * dl, self.width * du)
-        return self.width * w * _check_value(fv, t)
+            h = 0.5**level
+            tables = (_NodeTable(node, h, 2.0 * h), _NodeTable(node, -h, -2.0 * h))
+        tables = _TABLES.setdefault((node, level), tables)
+    return tables
 
 
-class _ExpSinhRule(_LevelRule):
-    def __init__(self, f, lo: float) -> None:
-        super().__init__()
-        self.f = f
-        self.lo = lo
+def _scan(
+    table: _NodeTable, f: Callable, lo: float, width: float, acc: tuple
+) -> tuple:
+    """Add the weighted values of ``table``'s nodes to ``acc`` until the
+    side is exhausted or two nodes in a row are negligible.
 
-    def node(self, s: float) -> complex | None:
-        y = _HALF_PI * math.sinh(s)
-        if y > 700.0 or y < -740.0:
-            return None  # abscissa would overflow / hit the endpoint
-        ey = math.exp(y)
-        t = self.lo + ey
-        fv = self.f(t, ey, math.inf)
-        return ey * _HALF_PI * math.cosh(s) * _check_value(fv, t)
+    ``acc`` is (real total, real carry, imaginary total, imaginary carry,
+    absolute mass, evaluations); the two sums are Neumaier-compensated.
+    """
+
+    re_total, re_carry, im_total, im_carry, abs_mass, evals = acc
+    nodes = table.nodes
+    i = 0
+    streak = 0
+    while True:
+        try:
+            dl, du, w = nodes[i]
+        except IndexError:
+            node = table.grow(i)
+            if node is None:
+                break
+            dl, du, w = node
+        i += 1
+        d_lower = width * dl
+        t = lo + d_lower
+        z = complex(f(t, d_lower, width * du))
+        if not cmath.isfinite(z):
+            what = "NaN" if z != z else "an infinity"
+            raise IntegrandError(f"integrand returned {what} at t = {t!r}")
+        v = width * w * z
+        evals += 1
+        x = v.real
+        total = re_total + x
+        if abs(re_total) >= abs(x):
+            re_carry += (re_total - total) + x
+        else:
+            re_carry += (x - total) + re_total
+        re_total = total
+        x = v.imag
+        total = im_total + x
+        if abs(im_total) >= abs(x):
+            im_carry += (im_total - total) + x
+        else:
+            im_carry += (x - total) + im_total
+        im_total = total
+        mag = abs(v)
+        abs_mass += mag
+        if mag <= _TRUNC_FRACTION * abs_mass:
+            streak += 1
+            if streak >= _TRUNC_STREAK:
+                break
+        else:
+            streak = 0
+    return re_total, re_carry, im_total, im_carry, abs_mass, evals
 
 
 def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:
@@ -204,10 +256,36 @@ def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:
     difference between the last two refinement levels (the error
     estimate). Raises NonConvergenceError when the refinement budget is
     exhausted and IntegrandError when the integrand yields NaN/inf.
+
+    The sum h * sum(weighted values) runs over successively halved h,
+    reusing the nodes of earlier levels, and stops when two successive
+    level estimates agree to the target.
     """
 
     if math.isinf(spec.upper):
-        rule: _LevelRule = _ExpSinhRule(f, spec.lower)
+        node, width = _exp_sinh_node, 1.0
     else:
-        rule = _TanhSinhRule(f, spec.lower, spec.upper - spec.lower)
-    return rule.run(spec.target_rel_tol, spec.max_levels)
+        node, width = _tanh_sinh_node, spec.upper - spec.lower
+    lo = spec.lower
+    acc = (0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    for table in _level_tables(node, 0):
+        acc = _scan(table, f, lo, width, acc)
+    estimate = complex(acc[0] + acc[1], acc[2] + acc[3])
+    delta = math.inf
+
+    h = 1.0
+    for level in range(1, spec.max_levels + 1):
+        h *= 0.5
+        for table in _level_tables(node, level):
+            acc = _scan(table, f, lo, width, acc)
+        new_estimate = h * complex(acc[0] + acc[1], acc[2] + acc[3])
+        delta = abs(new_estimate - estimate)
+        estimate = new_estimate
+        scale = max(abs(estimate), 1e-300)
+        if level >= 2 and delta <= max(spec.target_rel_tol, 4e-16) * scale:
+            return SeriesSum(estimate, acc[5], delta, True)
+    raise NonConvergenceError(
+        f"quadrature did not reach rel tol {spec.target_rel_tol:.1e} within "
+        f"{spec.max_levels} refinements (last delta {delta:.3e}, "
+        f"estimate {estimate!r})"
+    )

@@ -1,8 +1,10 @@
 """Compensated summation and series-acceleration primitives.
 
-Everything downstream (quadrature levels, hypergeometric series, the
-evaluation routines) funnels floating-point accumulation through the
-helpers here so that rounding behavior is uniform and testable.
+Everything downstream (hypergeometric series, the evaluation routines)
+funnels floating-point accumulation through the helpers here so that
+rounding behavior is uniform and testable. The quadrature scan, the
+hottest loop of the package, writes the same Neumaier steps as
+``_NeumaierFloat.add`` inline, in the same order.
 """
 
 from __future__ import annotations

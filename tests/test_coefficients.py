@@ -51,9 +51,9 @@ def test_derivative_polynomials_match_calculus():
     x = 0.7
     u = math.tanh(x)
     sech2 = 1.0 - u * u
-    p1 = tanh_derivative_poly(1).evaluate(u)
+    p1 = float(tanh_derivative_poly(1).evaluate_exact(Fraction(u)))
     assert abs(p1 - sech2) < 1e-15
-    p2 = tanh_derivative_poly(2).evaluate(u)
+    p2 = float(tanh_derivative_poly(2).evaluate_exact(Fraction(u)))
     assert abs(p2 - (-2.0 * u * sech2)) < 1e-15
     # exact evaluation stays rational
     v = tanh_derivative_poly(1).evaluate_exact(Fraction(3, 5))

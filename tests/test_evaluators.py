@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import sys
 from dataclasses import FrozenInstanceError
 
+import mpmath
 import pytest
 
 from mxsum.errors import NonConvergenceError, PreconditionError
@@ -220,6 +222,47 @@ def test_full_routes_match_direct():
     ref_c = direct_sum(pc).value
     got_c = full_minus(pc).value
     assert abs(got_c - ref_c) <= 1e-10 * abs(ref_c)
+
+
+def _explicit_sum(mu, lam, a, sign):
+    """sum (+-1)^n e^(-lam n) / (n^2 + a^2)^mu at 40 digits, mpmath only.
+
+    The omitted tail is below e^-95 / (1 - e^-lam).
+    """
+
+    with mpmath.workdps(40):
+        mu, lam, a = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpc(a)
+        s = -1 if sign == "minus" else 1
+        return mpmath.fsum(
+            s**n * mpmath.exp(-lam * n) / (n * n + a * a) ** mu
+            for n in range(int(95 / lam) + 10)
+        )
+
+
+def test_full_error_estimate_covers_actual_error():
+    # the estimate carries a rounding floor eps * sum |part|; without it
+    # full_plus reported 1.7e-18 at (1/2, 1, 6), against an actual error
+    # of 1.6e-17
+    cases = [
+        (0.5, 1.0, 6.0, "plus"),
+        (0.5, 1.0, 6.0, "minus"),
+        (0.9, 8.0, 1.5, "minus"),
+        (0.25, 0.3, 12.0, "plus"),
+        (0.75, 4.0, 2.0, "plus"),
+        (0.1, 1.0, 2.0, "minus"),
+        (0.5, 1.0, 3 + 1j, "minus"),
+        (0.75, 8.0, 3 + 1j, "minus"),
+        (0.3, 0.3, 6 - 2j, "plus"),
+        (0.9, 1.0, 10 + 4j, "plus"),
+    ]
+    for mu, lam, a, sign in cases:
+        fn = full_minus if sign == "minus" else full_plus
+        got = fn(SeriesParams(mu, lam, a, sign))
+        ref = _explicit_sum(mu, lam, a, sign)
+        with mpmath.workdps(40):
+            actual = float(abs(mpmath.mpc(got.value) - ref))
+        assert actual <= 2.0 * got.error_estimate, (mu, lam, a, sign, actual)
+        assert got.error_estimate >= sys.float_info.epsilon * abs(got.value)
 
 
 def test_full_lam0_minus_reduction():

@@ -1,0 +1,157 @@
+"""Frozen bits: exact reprs of quadrature-backed results.
+
+Every value below was recorded from the straightforward scan that
+recomputed each double-exponential node from its transform parameter.
+The shared node tables of ``kernel.quadrature`` must reproduce each one
+bit for bit: the same abscissae, weights, sums, node counts and error
+messages, so the comparisons are exact string equality, not tolerances.
+"""
+
+import math
+
+import pytest
+
+from mxsum.evaluators import (
+    SeriesParams,
+    full_minus,
+    full_plus,
+    h_minus_quadrature,
+    h_plus_quadrature,
+    j_mu_quadrature,
+)
+from mxsum.kernel import QuadratureSpec, integrate, kv_complex
+
+# (mu, lam, a, route) -> (repr(value), repr(error_estimate), notes); the
+# full routes pin tail_terms_used instead of the estimate, which carries a
+# rounding floor (see test_evaluators); notes give the integrand evaluations
+ROUTES = {
+    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "6.938893903907228e-18", "247 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.01368078495450979+0j)", "1.734723475976807e-18", "212 integrand evaluations"),
+    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "0.0", "204 integrand evaluations"),
+    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "247 integrand evaluations"),
+    (0.5, 1.0, 6.0, "full_plus"): ("(0.25981041933403903+0j)", 3, ""),
+    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330803+0j)", "4.1092263567114427e-16", "132 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "0.0", "243 integrand evaluations"),
+    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501214+0j)", "0.0", "422 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "247 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_plus"): ("(6.659924057193618+0j)", 5, ""),
+    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.09607649986371068+0j)", "1.6024689053196365e-17", "278 integrand evaluations"),
+    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.6024689053196365e-17", "269 integrand evaluations"),
+    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.023994706532053215+0j)", "3.469446951953614e-18", "102 integrand evaluations"),
+    (0.75, 8.0, 3.0, "full_minus"): ("(0.19239045153446388+0j)", 4, "278 integrand evaluations"),
+    (0.75, 8.0, 3.0, "full_plus"): ("(0.1925097607999111+0j)", 4, ""),
+    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240316+0j)", "1.0997405711512485e-17", "421 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431373+0j)", "1.0997405711512485e-17", "264 integrand evaluations"),
+    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "0.0", "99 integrand evaluations"),
+    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 2, "421 integrand evaluations"),
+    (0.4, 10.0, 10.0, "full_plus"): ("(0.15849648638993075+0j)", 2, ""),
+    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "0.0", "255 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093929j)", "8.673617379884035e-19", "242 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.22673275152522182-0.05256934453435507j)", "0.0", "204 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_minus"): ("(0.1725075642355919-0.04347917041106391j)", 3, "255 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_plus"): ("(0.36370957015461075-0.08684116109610586j)", 3, ""),
+    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.031638201602113114j)", "3.401808448569556e-17", "244 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.05554241685756446+0.012938760983731912j)", "1.700904224284778e-17", "226 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.17682878930142512+0.04047658421494795j)", "0.0", "200 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167095j)", 3, "244 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_plus"): ("(0.4097217833969945+0.09462362219598912j)", 3, ""),
+    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "1.3656500884821101e-15", "143 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.9785465292076182e-19", "265 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "1.3145040611561853e-13", "218 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.28033493125565806-0.12713194707309494j)", 6, "268 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.9147221925073663-0.4043762032119788j)", 6, ""),
+    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368582-0.030081998560883942j)", "7.109386066284364e-17", "464 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059968-0.020368158134486895j)", "6.2838688719285336e-18", "400 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.06992832921559348-0.0100976406523348j)", "5.575456304969596e-17", "103 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_minus"): ("(0.4185763423179702-0.060486830206756124j)", 2, "464 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.060783107244500714j)", 2, ""),
+}
+# (nu, z) -> K_nu(z)
+KV = {
+    (0.25, (3+1j)): (0.013869634313956812-0.031284303892194595j),
+    (0.1, (0.5+0.2j)): (0.8498931609814644-0.31389243802748645j),
+    (0.4, (12+10j)): (-1.1765063502929396e-06+1.5477350369026261e-06j),
+    (0.25, (1+3j)): (-0.2298017779912459+0.11326594158693562j),
+    (0.3, (5+15j)): (-0.002111867840522327-0.0001866223130275041j),
+    (0.45, (0.3+2j)): (-0.588342938792449-0.27753723061030744j),
+}
+
+# name -> (integrand, spec); covers both maps, a zero at the centre node,
+# an integrand that is zero on half the interval, a shifted interval,
+# budget exhaustion and the NaN/infinity messages
+INTEGRANDS = {
+    "centre-zero": (lambda t, dl, du: t - 0.5, QuadratureSpec(0.0, 1.0)),
+    "left-half-only": (
+        lambda t, dl, du: 0.0 if t > 0.5 else math.sqrt(t),
+        QuadratureSpec(0.0, 1.0),
+    ),
+    "shifted-sqrt": (lambda t, dl, du: 1.0 / math.sqrt(du), QuadratureSpec(-1.0, 3.0)),
+    "slow-power": (lambda t, dl, du: (1.0 + t) ** -1.5, QuadratureSpec(2.0, math.inf)),
+    "oscillating-exp": (
+        lambda t, dl, du: complex(math.cos(t), math.sin(t)) * math.exp(-t),
+        QuadratureSpec(0.5, math.inf),
+    ),
+    "zero": (lambda t, dl, du: 0.0, QuadratureSpec(0.0, math.inf)),
+    "budget": (
+        lambda t, dl, du: math.sin(40.0 * t),
+        QuadratureSpec(0.0, 1.0, max_levels=3),
+    ),
+    "inf-far": (
+        lambda t, dl, du: math.inf if t > 4.0 else 1.0,
+        QuadratureSpec(0.0, math.inf),
+    ),
+    "nan-near": (
+        lambda t, dl, du: math.nan if t < 1e-3 else 1.0,
+        QuadratureSpec(0.0, 1.0),
+    ),
+}
+
+# name -> (repr(value), terms_used, repr(last_term_magnitude)), or
+# (exception type, message)
+INTEGRALS = {
+    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 5.459e-19, estimate (1.4267819091825689e-18+0j))"),
+    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 6.780e-05, estimate (0.2357700555756232+0j))"),
+    "shifted-sqrt": ("(4+0j)", 75, "6.217248937900877e-15"),
+    "slow-power": ("(1.1547005383792515+0j)", 161, "0.0"),
+    "oscillating-exp": ("(0.12074722100148944+0.4115335092141813j)", 389, "5.551115123125783e-17"),
+    "zero": ("0j", 13, "0.0"),
+    "budget": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 3 refinements (last delta 4.218e-01, estimate (0.04214858350948762+0j))"),
+    "inf-far": ("IntegrandError", "integrand returned an infinity at t = 6.334441939256981"),
+    "nan-near": ("IntegrandError", "integrand returned NaN at t = 1.1261403769203559e-05"),
+}
+
+ROUTE_FUNCTIONS = {
+    "h_minus_quadrature": h_minus_quadrature,
+    "h_plus_quadrature": h_plus_quadrature,
+    "j_mu_quadrature": j_mu_quadrature,
+    "full_minus": full_minus,
+    "full_plus": full_plus,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRALS))
+def test_integrate_bits(name):
+    f, spec = INTEGRANDS[name]
+    try:
+        r = integrate(f, spec)
+        got = (repr(r.value), r.terms_used, repr(r.last_term_magnitude))
+    except Exception as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == INTEGRALS[name]
+
+
+def test_route_bits():
+    for (mu, lam, a, route), want in ROUTES.items():
+        e = ROUTE_FUNCTIONS[route](SeriesParams(mu, lam, a))
+        if route.startswith("full"):
+            got = (repr(e.value), e.tail_terms_used, e.notes)
+        else:
+            got = (repr(e.value), repr(e.error_estimate), e.notes)
+        assert got == want, (mu, lam, a, route)
+
+
+def test_kv_complex_bits():
+    # trapezoid regime (|z| < 20, |arg z| <= pi/4) and rotated contour
+    # (|arg z| > pi/4), which runs on both quadrature maps
+    for (nu, z), want in KV.items():
+        assert repr(kv_complex(nu, z)) == repr(want), (nu, z)

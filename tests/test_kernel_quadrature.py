@@ -1,11 +1,17 @@
 """Double-exponential quadrature: values, endpoint handling, failure modes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mxsum.errors import IntegrandError, NonConvergenceError, PreconditionError
 from mxsum.kernel import QuadratureSpec, integrate
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_arcsin_integral_with_declared_singularity():
@@ -92,7 +98,130 @@ def test_spec_validation():
         dict(lower=0.0, upper=1.0, target_rel_tol=0.0),
         dict(lower=0.0, upper=1.0, target_rel_tol=2.0),
         dict(lower=0.0, upper=1.0, max_levels=1),
+        dict(lower=0.0, upper=1.0, max_levels=13),
     ]
     for kwargs in bad:
         with pytest.raises(PreconditionError):
             QuadratureSpec(**kwargs)
+
+
+@pytest.mark.parametrize("upper", [1.0, math.inf], ids=["tanh-sinh", "exp-sinh"])
+def test_infinite_integrand_raises(upper):
+    spec = QuadratureSpec(0.0, upper)
+    with pytest.raises(IntegrandError, match="infinity"):
+        integrate(lambda t, dl, du: -math.inf, spec)
+    with pytest.raises(IntegrandError, match="infinity"):
+        integrate(lambda t, dl, du: complex(1.0, math.inf), spec)
+
+
+def test_nan_integrand_raises_on_half_line():
+    with pytest.raises(IntegrandError, match="NaN"):
+        integrate(lambda t, dl, du: math.nan, QuadratureSpec(0.0, math.inf))
+    with pytest.raises(IntegrandError, match="NaN"):
+        integrate(
+            lambda t, dl, du: complex(0.0, math.nan) if t > 3.0 else 1.0,
+            QuadratureSpec(0.0, math.inf),
+        )
+
+
+# Runs the slowly decaying integrals, after the early-truncating ones
+# when argv[1] == "grown"; prints each result and the number of nodes in
+# the shared tables after the call.
+_ORDER_SCRIPT = """
+import math, sys
+from mxsum.kernel import QuadratureSpec, integrate, quadrature
+
+SLOW = [
+    (lambda t, dl, du: (1.0 + t) ** -1.5, QuadratureSpec(0.0, math.inf)),
+    (
+        lambda t, dl, du: dl ** -0.5 * (1.0 + t),
+        QuadratureSpec(0.0, 1.0, left_singularity_exponent=0.5),
+    ),
+]
+EARLY = [
+    (lambda t, dl, du: math.exp(-50.0 * t), QuadratureSpec(0.0, math.inf)),
+    (lambda t, dl, du: t * (1.0 - t), QuadratureSpec(0.0, 1.0)),
+]
+for f, spec in (EARLY if sys.argv[1] == "grown" else []) + SLOW:
+    r = integrate(f, spec)
+    nodes = sum(len(t.nodes) for ts in quadrature._TABLES.values() for t in ts)
+    print(repr(r.value), r.terms_used, repr(r.last_term_magnitude), nodes)
+"""
+
+
+def _run_script(script, *args):
+    # a fresh interpreter, so the shared node tables start empty
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.splitlines()
+
+
+def test_results_do_not_depend_on_call_order():
+    fresh = [line.rsplit(" ", 1) for line in _run_script(_ORDER_SCRIPT, "fresh")]
+    grown = [line.rsplit(" ", 1) for line in _run_script(_ORDER_SCRIPT, "grown")]
+    assert [r for r, _ in grown[2:]] == [r for r, _ in fresh]
+    # the slow integrals extended tables that the early ones had started
+    sizes = [int(n) for _, n in grown]
+    assert sizes[2] > sizes[1] and sizes[3] > sizes[2]
+
+
+# Three rounds of four threads that integrate the same integrals while
+# the shared tables are still empty, under a very short switch interval:
+# a slowly decaying one and a kink that runs all 12 levels and fails, so
+# the tables grow by thousands of nodes while the threads interleave.
+# Prints how many thread results differ from a serial run (a thread that
+# died leaves None, which differs too).
+_THREADS_SCRIPT = """
+import math, sys, threading
+from mxsum.kernel import QuadratureSpec, integrate, quadrature
+
+CASES = [
+    (lambda t, dl, du: (1.0 + t) ** -1.5, QuadratureSpec(0.0, math.inf)),
+    (lambda t, dl, du: abs(t - 0.3), QuadratureSpec(0.0, 1.0)),
+]
+
+def run():
+    out = []
+    for f, spec in CASES:
+        try:
+            r = integrate(f, spec)
+            out.append((repr(r.value), r.terms_used, repr(r.last_term_magnitude)))
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+serial = run()
+differ = 0
+old = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for _ in range(3):
+        quadrature._TABLES.clear()
+        results = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(k):
+            start.wait()
+            results[k] = run()
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        differ += sum(r != serial for r in results)
+finally:
+    sys.setswitchinterval(old)
+print(differ)
+"""
+
+
+def test_concurrent_table_growth_gives_the_same_bits():
+    assert _run_script(_THREADS_SCRIPT) == ["0"]
