@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from .errors import NonConvergenceError, PreconditionError
@@ -53,7 +52,7 @@ from .harness import (
     write_csv,
 )
 
-__all__ = ["CliConfig", "cmd_check", "cmd_coeffs", "cmd_eval", "cmd_table", "main"]
+__all__ = ["cmd_check", "cmd_coeffs", "cmd_eval", "cmd_table", "main"]
 
 _METHODS = (
     "oracle",
@@ -77,26 +76,6 @@ EVAL_CSV_HEADER = (
 )
 
 COEFFS_CSV_HEADER = ("kind", "k", "lambda", "value")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed command line, one instance per invocation."""
-
-    subcommand: str
-    sign: str = "minus"
-    mu: float = 0.5
-    lam: float = 1.0
-    a_re: float = 1.0
-    a_im: float = 0.0
-    method: str | None = None
-    K: int | None = None
-    tol: float = 1e-12
-    format: str = "text"
-    output: str | None = None
-    table_id: int | None = None
-    convention: str | None = None
-    kind: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -222,33 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> CliConfig:
-    fields = dict(
-        subcommand=ns.subcommand,
-        sign=getattr(ns, "sign", "minus"),
-        mu=getattr(ns, "mu", 0.5),
-        lam=getattr(ns, "lam", 1.0),
-        a_re=getattr(ns, "a", 1.0),
-        a_im=getattr(ns, "a_im", 0.0),
-        method=getattr(ns, "method", None),
-        K=getattr(ns, "K", None),
-        tol=getattr(ns, "tol", 1e-12),
-        format=getattr(ns, "format", "text"),
-        output=getattr(ns, "output", None),
-        table_id=getattr(ns, "table_id", None),
-        convention=getattr(ns, "convention", None),
-        kind=getattr(ns, "kind", None),
-    )
-    return CliConfig(**fields)
-
-
 # ---------------------------------------------------------------------------
 # eval
 
-def _run_method(method: str, p: SeriesParams, config: CliConfig) -> Evaluation:
-    K = config.K
+def _run_method(method: str, p: SeriesParams, ns: argparse.Namespace) -> Evaluation:
+    K = ns.K
     if method == "oracle":
-        return direct_sum(p, tol=config.tol)
+        return direct_sum(p, tol=ns.tol)
     if method == "small-a":
         if p.sign != "minus":
             raise PreconditionError(
@@ -268,7 +227,7 @@ def _run_method(method: str, p: SeriesParams, config: CliConfig) -> Evaluation:
     if method == "j-mu":
         if K is not None:
             return j_mu_asymptotic(p, K=K)
-        return j_mu_quadrature(p, tol=config.tol)
+        return j_mu_quadrature(p, tol=ns.tol)
     if method == "integer-mu":
         return integer_mu_closed_form(int(round(p.mu)), p)
     # lambda0
@@ -288,9 +247,9 @@ def _scalar(value) -> float | complex:
     return value.real if value.imag == 0.0 else value
 
 
-def _print_evaluation(evaluation: Evaluation, config: CliConfig, handle) -> None:
+def _print_evaluation(evaluation: Evaluation, fmt: str, handle) -> None:
     value = complex(evaluation.value)
-    if config.format == "text":
+    if fmt == "text":
         print(f"value = {_scalar(value)!r}", file=handle)
         print(f"method = {evaluation.method}", file=handle)
         print(f"error_estimate = {evaluation.error_estimate!r}", file=handle)
@@ -308,64 +267,62 @@ def _print_evaluation(evaluation: Evaluation, config: CliConfig, handle) -> None
         "tail_terms_used": evaluation.tail_terms_used,
         "notes": evaluation.notes,
     }
-    if config.format == "json":
+    if fmt == "json":
         json.dump(record, handle, indent=2, allow_nan=False)
         handle.write("\n")
         return
     write_csv(handle, EVAL_CSV_HEADER, [record.values()])
 
 
-def cmd_eval(config: CliConfig) -> int:
-    params = SeriesParams(
-        config.mu, config.lam, complex(config.a_re, config.a_im), config.sign
-    )
-    method = config.method
+def cmd_eval(ns: argparse.Namespace) -> int:
+    params = SeriesParams(ns.mu, ns.lam, complex(ns.a, ns.a_im), ns.sign)
+    method = ns.method
     if method is None:
-        method = "full" if config.mu < 1.0 else "oracle"
-    evaluation = _run_method(method, params, config)
-    with open_destination(config.output) as handle:
-        _print_evaluation(evaluation, config, handle)
+        method = "full" if ns.mu < 1.0 else "oracle"
+    evaluation = _run_method(method, params, ns)
+    with open_destination(ns.output) as handle:
+        _print_evaluation(evaluation, ns.format, handle)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # table / check / coeffs
 
-def cmd_table(config: CliConfig) -> int:
-    if config.table_id == 1:
+def cmd_table(ns: argparse.Namespace) -> int:
+    if ns.table_id == 1:
         rows = reproduce_table1()
         ok = all(r.passed for r in rows)
-    elif config.table_id == 3:
+    elif ns.table_id == 3:
         rows = reproduce_table3()
         ok = all(r.passed for r in rows)
-    elif config.convention is not None:
-        rows = reproduce_table2(config.convention)
+    elif ns.convention is not None:
+        rows = reproduce_table2(ns.convention)
         ok = all(r.passed for r in rows)
     else:
         rows = table2_convention_report()
         marker = next(r for r in rows if r.row_id.startswith("matching-"))
         ok = marker.passed
-    emit_report(rows, config.format, config.output)
+    emit_report(rows, ns.format, ns.output)
     return 0 if ok else 1
 
 
-def cmd_check(config: CliConfig) -> int:
+def cmd_check(ns: argparse.Namespace) -> int:
     rows = check_suite()
-    emit_report(rows, config.format, config.output)
+    emit_report(rows, ns.format, ns.output)
     return 0 if all(r.passed for r in rows) else 1
 
 
-def cmd_coeffs(config: CliConfig) -> int:
+def cmd_coeffs(ns: argparse.Namespace) -> int:
     generate = {
         "A": a_coefficients,
         "B": b_coefficients,
         "Bhat": bhat_coefficients,
-    }[config.kind]
-    table = generate(config.lam, config.K)
+    }[ns.kind]
+    table = generate(ns.lam, ns.K)
     records = [
         (table.kind, k, table.lam, value) for k, value in enumerate(table.values)
     ]
-    with open_destination(config.output) as handle:
+    with open_destination(ns.output) as handle:
         write_csv(handle, COEFFS_CSV_HEADER, records)
     return 0
 
@@ -384,9 +341,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    config = _config(ns)
     try:
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[ns.subcommand](ns)
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3

@@ -20,30 +20,28 @@ Numerical notes that shape the implementation:
   sensitivity (through the rounding of coth itself) is harmless for
   moderate k.
 * A_k comes from dividing the even power series of sin(lam x)/(lam x)
-  by that of sinh(pi x)/(pi x) in the exact bivariate ring Q[lam^2,
-  pi^2]; each A_k is homogeneous of degree k in (lam^2, pi^2) and is
-  evaluated in float only at the very end.
+  by that of sinh(pi x)/(pi x). Each A_k is homogeneous of degree k in
+  (lam^2, pi^2), so it is kept as one row of exact rationals, indexed by
+  the power of lam^2, and evaluated in float only at the very end.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import NonConvergenceError, PreconditionError
 from .kernel.zeta import bernoulli_even
 
 __all__ = [
     "CoefficientTable",
-    "PowerSeries",
     "UPolynomial",
     "a_coefficients",
     "b_coefficients",
     "bhat_coefficients",
-    "coth_derivative_poly",
     "tanh_derivative_poly",
 ]
 
@@ -59,14 +57,12 @@ _MAX_A_INDEX = 60
 class UPolynomial:
     """Polynomial p(u) with exact rational coefficients.
 
-    Represents the m-th derivative of tanh (kind 'tanh', u = tanh x) or
-    coth (kind 'coth', u = coth x); both satisfy the same recurrence
-    p_{m+1}(u) = (1 - u^2) p_m'(u), differing only in the evaluation
-    point, so the coefficient tuples coincide.
+    Represents the m-th derivative of tanh at u = tanh x, and equally
+    that of coth at u = coth x: both satisfy the recurrence
+    p_{m+1}(u) = (1 - u^2) p_m'(u) from p_0(u) = u.
     """
 
     coeffs: tuple[Fraction, ...]  # coeffs[j] multiplies u^j
-    kind: str = "tanh"
 
     @property
     def degree(self) -> int:
@@ -109,144 +105,38 @@ def tanh_derivative_poly(m: int) -> UPolynomial:
     """p_m with (d/dx)^m tanh x = p_m(tanh x)."""
 
     _check_order(m)
-    return UPolynomial(tuple(Fraction(c) for c in _derivative_coeffs(m)), "tanh")
-
-
-def coth_derivative_poly(m: int) -> UPolynomial:
-    """p_m with (d/dx)^m coth x = p_m(coth x); same tuple as tanh's."""
-
-    _check_order(m)
-    return UPolynomial(tuple(Fraction(c) for c in _derivative_coeffs(m)), "coth")
+    return UPolynomial(tuple(Fraction(c) for c in _derivative_coeffs(m)))
 
 
 # ---------------------------------------------------------------------------
-# power series with exact coefficients
+# exact A_k rows
 
 
-@dataclass
-class PowerSeries:
-    """Finite list of exact coefficients of an even (or explicitly
-    noted odd) power series; the ring of coefficients just needs + - *.
+# _A_ROWS[k][i] is the exact coefficient of L^i P^(k-i) in A_k, with
+# L = lam^2 and P = pi^2 (A_k is homogeneous of degree k in L and P)
+_A_ROWS: list[list[Fraction]] = []
+_A_LOCK = threading.Lock()
 
-    scale_note records what index k means (e.g. 'coefficient of x^(2k)').
+
+def _a_rows(k_max: int) -> list[list[Fraction]]:
+    """Rows 0..k_max of the exact A_k; a larger k_max extends the cache.
+
+    With y = -x^2, sum A_k y^k = N(y)/D(y) for N = sum L^k y^k/(2k+1)!
+    (sin(lam x)/(lam x)) and D = sum (-P)^j y^j/(2j+1)! (sinh(pi x)/(pi x)).
+    D has constant term 1, so 1/D = sum e_n P^n y^n follows from the
+    triangular recurrence e_n = -sum_{j=1..n} (-1)^j e_(n-j)/(2j+1)!,
+    and A_k[i] = e_(k-i)/(2i+1)!. Column 0 of the rows holds e_n.
     """
 
-    coeffs: list
-    scale_note: str = "coefficient k multiplies x^(2k)"
-
-    def divide(self, other: "PowerSeries", k_max: int) -> "PowerSeries":
-        """Cauchy division self/other through index k_max.
-
-        Requires other.coeffs[0] == 1 (multiplicative identity), which
-        keeps the recurrence division-free and exact in any ring.
-        """
-
-        if not other.coeffs or not other.coeffs[0] == 1:
-            raise PreconditionError(
-                "series division requires a unit leading denominator "
-                "coefficient"
-            )
-        out: list = []
-        for k in range(k_max + 1):
-            term = self.coeffs[k] if k < len(self.coeffs) else None
-            acc = term
+    with _A_LOCK:  # row k is built from rows 0..k-1, so extend in order
+        for k in range(len(_A_ROWS), k_max + 1):
+            e = [row[0] for row in _A_ROWS]
+            e_k = Fraction(k == 0)
             for j in range(1, k + 1):
-                if j >= len(other.coeffs) or k - j >= len(out):
-                    continue
-                prod = other.coeffs[j] * out[k - j]
-                acc = -prod if acc is None else acc - prod
-            if acc is None:
-                raise PreconditionError(
-                    f"numerator series too short for index {k}"
-                )
-            out.append(acc)
-        return PowerSeries(out, self.scale_note)
-
-
-# ---------------------------------------------------------------------------
-# exact bivariate ring Q[L, P] with L = lam^2, P = pi^2
-
-
-class _Poly2:
-    """Sparse exact polynomial in (L, P); keys are (i, j) exponents."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: dict[tuple[int, int], Fraction] | None = None):
-        self.data = data or {}
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: Fraction) -> "_Poly2":
-        return cls({(i, j): c} if c else {})
-
-    def __add__(self, other: "_Poly2") -> "_Poly2":
-        out = dict(self.data)
-        for key, c in other.data.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _Poly2(out)
-
-    def __sub__(self, other: "_Poly2") -> "_Poly2":
-        return self + (-other)
-
-    def __neg__(self) -> "_Poly2":
-        return _Poly2({k: -c for k, c in self.data.items()})
-
-    def __mul__(self, other: "_Poly2") -> "_Poly2":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.data.items():
-            for (i2, j2), c2 in other.data.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _Poly2(out)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.data == ({} if other == 0 else {(0, 0): Fraction(other)})
-        if isinstance(other, _Poly2):
-            return self.data == other.data
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.data.items()))
-
-    def evaluate(self, lam_sq: float, pi_sq: float) -> float:
-        return math.fsum(
-            float(c) * lam_sq**i * pi_sq**j for (i, j), c in self.data.items()
-        )
-
-
-_A_EXACT: list[_Poly2] = []
-
-
-def _a_exact(k_max: int) -> list[_Poly2]:
-    if len(_A_EXACT) <= k_max:
-        num = PowerSeries(
-            [
-                _Poly2.monomial(k, 0, Fraction((-1) ** k, math.factorial(2 * k + 1)))
-                for k in range(k_max + 1)
-            ]
-        )
-        den = PowerSeries(
-            [
-                _Poly2.monomial(0, k, Fraction(1, math.factorial(2 * k + 1)))
-                for k in range(k_max + 1)
-            ]
-        )
-        ratio = num.divide(den, k_max)
-        _A_EXACT.clear()
-        # sin(lam x)/sinh(pi x) = (lam/pi) sum (-1)^k A_k x^(2k)
-        _A_EXACT.extend(
-            -p if k % 2 else p for k, p in enumerate(ratio.coeffs)
-        )
-    return _A_EXACT[: k_max + 1]
+                e_k -= Fraction((-1) ** j, math.factorial(2 * j + 1)) * e[k - j]
+            e.append(e_k)
+            _A_ROWS.append([e[k - i] / math.factorial(2 * i + 1) for i in range(k + 1)])
+        return _A_ROWS[: k_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +177,13 @@ def b_coefficients(lam: float, K: int) -> CoefficientTable:
     return CoefficientTable("B", lam, K, values)
 
 
-def _coth_minus_inv_series(m_top: int) -> PowerSeries:
-    """coth x - 1/x = sum_{m>=1} q_m x^(2m-1); coeffs[m-1] = q_m."""
+def _coth_minus_inv_series(m_top: int) -> list[Fraction]:
+    """coth x - 1/x = sum_{m>=1} q_m x^(2m-1); element m-1 is q_m."""
 
-    qs = [
+    return [
         Fraction(4) ** m * bernoulli_even(m) / math.factorial(2 * m)
         for m in range(1, m_top + 1)
     ]
-    return PowerSeries(qs, "coefficient m multiplies x^(2m+1) (odd series)")
 
 
 def _frac_log2(x: Fraction) -> int:
@@ -312,9 +201,9 @@ def _bhat_series(x: Fraction, K: int) -> list[float]:
 
     def q(m: int) -> Fraction:
         nonlocal series
-        while m - 1 >= len(series.coeffs):
-            series = _coth_minus_inv_series(2 * len(series.coeffs))
-        return series.coeffs[m - 1]
+        while m - 1 >= len(series):
+            series = _coth_minus_inv_series(2 * len(series))
+        return series[m - 1]
 
     for k in range(K + 1):
         acc = Fraction(0)
@@ -362,7 +251,8 @@ def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
         u = Fraction(1.0 / math.tanh(0.5 * lam))
         values = []
         for k in range(K + 1):
-            poly = coth_derivative_poly(2 * k)
+            # coth's derivatives share tanh's polynomials, at u = coth x
+            poly = tanh_derivative_poly(2 * k)
             exact = poly.evaluate_exact(u) - Fraction(
                 math.factorial(2 * k)
             ) / x ** (2 * k + 1)
@@ -377,9 +267,12 @@ def a_coefficients(lam: float, K: int) -> CoefficientTable:
     if not lam >= 0.0 or math.isnan(lam):
         raise PreconditionError("a_coefficients needs lam >= 0")
     _check_k(K, _MAX_A_INDEX)
-    polys = _a_exact(K)
     lam_sq = lam * lam
     pi_sq = math.pi * math.pi
-    return CoefficientTable(
-        "A", lam, K, [p.evaluate(lam_sq, pi_sq) for p in polys]
-    )
+    # fsum rounds the exact sum of the terms once, so the value does not
+    # depend on their order (no entry of a row is zero)
+    values = [
+        math.fsum(float(c) * lam_sq**i * pi_sq ** (k - i) for i, c in enumerate(row))
+        for k, row in enumerate(_a_rows(K))
+    ]
+    return CoefficientTable("A", lam, K, values)

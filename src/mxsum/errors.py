@@ -9,8 +9,9 @@ command-line interface) map them to different exit statuses:
 * ``NonConvergenceError``: the request was legal but the algorithm did
   not reach its target accuracy within its iteration budget, or the
   underlying series/integral genuinely diverges.
-* ``IntegrandError``: an integrand returned NaN; reported separately so
-  quadrature failures point at the integrand rather than the rule.
+* ``IntegrandError``: an integrand returned NaN or an infinity, or
+  overflowed; reported separately so quadrature failures point at the
+  integrand rather than the rule.
 """
 
 from __future__ import annotations
@@ -25,4 +26,5 @@ class NonConvergenceError(ArithmeticError):
 
 
 class IntegrandError(NonConvergenceError):
-    """An integrand evaluated to NaN inside a quadrature rule."""
+    """An integrand evaluated to NaN or an infinity, or overflowed, inside
+    a quadrature rule."""

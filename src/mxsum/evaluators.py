@@ -321,7 +321,7 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
                 base *= math.exp(-_PI * ar * t)
             return base * (dl * (2.0 - dl)) ** (-mu)
 
-        res = integrate(f_r, QuadratureSpec(0.0, 1.0, mu, tol))
+        res = integrate(f_r, QuadratureSpec(0.0, 1.0, tol))
     else:
         a = p.a
 
@@ -332,7 +332,7 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
                 base *= cmath.exp(-_PI * a * t)
             return base * (dl * (2.0 - dl)) ** (-mu)
 
-        res = integrate(f_c, QuadratureSpec(0.0, 1.0, mu, tol))
+        res = integrate(f_c, QuadratureSpec(0.0, 1.0, tol))
 
     pref = _apow(p.a, 1.0 - 2.0 * mu)
     return Evaluation(
@@ -771,14 +771,14 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         def f_r(t: float, _dl: float, _du: float) -> float:
             return math.exp(-lam * t) * (t * t + ar2) ** (-mu)
 
-        res = integrate(f_r, QuadratureSpec(0.0, math.inf, 0.0, tol))
+        res = integrate(f_r, QuadratureSpec(0.0, math.inf, tol))
     else:
         a2 = p.a * p.a
 
         def f_c(t: float, _dl: float, _du: float) -> complex:
             return math.exp(-lam * t) * cmath.exp(-mu * cmath.log(t * t + a2))
 
-        res = integrate(f_c, QuadratureSpec(0.0, math.inf, 0.0, tol))
+        res = integrate(f_c, QuadratureSpec(0.0, math.inf, tol))
     return Evaluation(
         res.value,
         "j-mu-quadrature",

@@ -131,7 +131,7 @@ def _trapezoid(nu: float, z: complex) -> complex:
 def _rotated(nu: float, z: complex, phi: float) -> complex:
     arc = integrate(
         lambda u, _dl, _du: cmath.exp(-z * math.cos(u)) * math.cos(nu * u),
-        QuadratureSpec(0.0, phi, 0.0, 1e-14, 12),
+        QuadratureSpec(0.0, phi, 1e-14),
     )
 
     def ray(s: float, _dl: float, _du: float) -> complex:
@@ -143,7 +143,7 @@ def _rotated(nu: float, z: complex, phi: float) -> complex:
             return 0j
         return cmath.exp(ex) * cmath.cosh(complex(nu * s, -nu * phi))
 
-    tail = integrate(ray, QuadratureSpec(0.0, math.inf, 0.0, 1e-14, 12))
+    tail = integrate(ray, QuadratureSpec(0.0, math.inf, 1e-14))
     return -1j * arc.value + tail.value
 
 

@@ -5,8 +5,10 @@ ratio recurrence
 
     t_0 = 1,   t_{m+1} = t_m * prod(a_i + m) / prod(b_j + m) * z / (m + 1)
 
-under compensated accumulation. Inside |z| < 1 this converges for any
-parameter choice with no denominator at a nonpositive integer.
+under compensated accumulation, in complex arithmetic throughout (with
+real parameters and real z every term has a zero imaginary part, so the
+value is exactly real). Inside |z| < 1 this converges for any parameter
+choice with no denominator at a nonpositive integer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from ..errors import NonConvergenceError, PreconditionError
 from .summation import KahanSum, SeriesSum
 
 __all__ = ["gamma_real", "pfq_series"]
+
+_TOL = 1e-15
+_MAX_TERMS = 200_000
 
 
 def gamma_real(x: float) -> float:
@@ -34,14 +39,10 @@ def pfq_series(
     numerator_params: list[complex],
     denominator_params: list[complex],
     z: complex,
-    tol: float = 1e-15,
-    max_terms: int = 200_000,
 ) -> SeriesSum:
     """Sum of the pFq series at z, |z| < 1.
 
-    Stops once two successive terms fall below tol * |partial sum|.
-    Real parameters with real z stay on the real path, so the imaginary
-    part of the result is exactly 0.0 there.
+    Stops once two successive terms fall below 1e-15 |partial sum|.
     """
 
     if abs(z) >= 1.0:
@@ -55,25 +56,15 @@ def pfq_series(
                 f"denominator parameter {b} hits a pole of the series"
             )
 
-    real_path = (
-        (not isinstance(z, complex) or z.imag == 0.0)
-        and all(complex(p).imag == 0.0 for p in numerator_params)
-        and all(complex(p).imag == 0.0 for p in denominator_params)
-    )
-    if real_path:
-        nums = [float(complex(p).real) for p in numerator_params]
-        dens = [float(complex(p).real) for p in denominator_params]
-        zz: complex = float(complex(z).real)
-    else:
-        nums = [complex(p) for p in numerator_params]
-        dens = [complex(p) for p in denominator_params]
-        zz = complex(z)
+    nums = [complex(p) for p in numerator_params]
+    dens = [complex(p) for p in denominator_params]
+    zz = complex(z)
 
     acc = KahanSum()
     term: complex = 1.0
     acc.add(term)
     small_streak = 0
-    for m in range(max_terms):
+    for m in range(_MAX_TERMS):
         for p in nums:
             term *= p + m
         for q in dens:
@@ -81,15 +72,12 @@ def pfq_series(
         term *= zz / (m + 1)
         acc.add(term)
         mag = abs(term)
-        if mag <= tol * abs(acc.value):
+        if mag <= _TOL * abs(acc.value):
             small_streak += 1
             if small_streak >= 2:
-                value = acc.value
-                if real_path:
-                    value = complex(value.real, 0.0)
-                return SeriesSum(value, m + 2, mag, True)
+                return SeriesSum(acc.value, m + 2, mag, True)
         else:
             small_streak = 0
     raise NonConvergenceError(
-        f"pFq series did not converge in {max_terms} terms at z = {z!r}"
+        f"pFq series did not converge in {_MAX_TERMS} terms at z = {z!r}"
     )

@@ -117,6 +117,21 @@ def test_eval_nonconvergence_exits_4(capsys):
     assert capsys.readouterr().err.startswith("non-convergence: ")
 
 
+def test_eval_overflowing_integrand_exits_4(capsys):
+    # near mu = 1 the H integrand overflows at subnormal node distances;
+    # that is a refusal (exit 4), not a crash with a traceback
+    for sign in ("minus", "plus"):
+        rc = main(
+            ["eval", "--sign", sign, "--mu", "0.97", "--lambda", "1", "--a", "3",
+             "--method", "full"]
+        )
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("non-convergence: integrand overflowed at t = ")
+        assert "Traceback" not in captured.err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["eval", "--mu", "0.5", "--no-such-flag"])

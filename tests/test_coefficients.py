@@ -13,7 +13,6 @@ from mxsum.coefficients import (
     a_coefficients,
     b_coefficients,
     bhat_coefficients,
-    coth_derivative_poly,
     tanh_derivative_poly,
 )
 from mxsum.errors import PreconditionError
@@ -30,11 +29,6 @@ def test_derivative_polynomials_low_orders():
     for m, coeffs in want.items():
         p = tanh_derivative_poly(m)
         assert p.coeffs == tuple(Fraction(c) for c in coeffs), (m, p.coeffs)
-        assert p.kind == "tanh"
-    # coth shares the coefficient tuples, only the kind label differs
-    for m in range(8):
-        assert coth_derivative_poly(m).coeffs == tanh_derivative_poly(m).coeffs
-    assert coth_derivative_poly(2).kind == "coth"
 
 
 def test_derivative_polynomial_structure():
@@ -64,8 +58,6 @@ def test_derivative_polynomial_domain():
     for m in (-1, 201, 2.5):
         with pytest.raises(PreconditionError):
             tanh_derivative_poly(m)
-        with pytest.raises(PreconditionError):
-            coth_derivative_poly(m)
 
 
 def test_b_frozen_values():

@@ -265,6 +265,31 @@ def test_full_error_estimate_covers_actual_error():
         assert got.error_estimate >= sys.float_info.epsilon * abs(got.value)
 
 
+def test_full_routes_near_mu_one_refuse_or_meet_estimate():
+    # for mu >~ 0.96 the singular factor (d (2 - d))^-mu of H overflows
+    # at subnormal node distances; that must surface as a refusal
+    # (IntegrandError is a NonConvergenceError), never as OverflowError
+    refused = 0
+    for mu in (0.96, 0.99, 0.999):
+        for lam in (1.0, 5.0):
+            for mod in (1.5, 3.0, 10.0, 30.0):
+                for a in (mod, mod * cmath.exp(0.3j)):
+                    for sign in ("minus", "plus"):
+                        fn = full_minus if sign == "minus" else full_plus
+                        try:
+                            got = fn(SeriesParams(mu, lam, a, sign))
+                        except NonConvergenceError:
+                            refused += 1
+                            continue
+                        ref = _explicit_sum(mu, lam, a, sign)
+                        with mpmath.workdps(40):
+                            actual = float(abs(mpmath.mpc(got.value) - ref))
+                        assert actual <= 2.0 * got.error_estimate, (
+                            mu, lam, a, sign, actual, got.error_estimate,
+                        )
+    assert 0 < refused < 96
+
+
 def test_full_lam0_minus_reduction():
     p = SeriesParams(0.75, 0.0, 5.0)
     got = full_minus(p).value.real
