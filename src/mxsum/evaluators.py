@@ -52,6 +52,8 @@ from .kernel import (
 _PI = math.pi
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = sys.float_info.epsilon
+# term budget of direct_sum at lam > 0
+_MAX_TERMS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -144,15 +146,11 @@ def _apow(a: complex, p: float) -> complex | float:
     return a**p
 
 
-def _half_inv_a2mu(p: SeriesParams) -> complex | float:
-    return 0.5 * _apow(p.a, -2.0 * p.mu)
-
-
 # ---------------------------------------------------------------------------
 # reference summation
 
 
-def _lambda0_plus_direct(p: SeriesParams, tol: float) -> Evaluation:
+def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
     """lam = 0, non-alternating: head sum + Euler-Maclaurin tail.
 
     Needs mu > 1/2 for convergence. The tail integral
@@ -219,36 +217,36 @@ def _csum(terms) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
-def direct_sum(
-    p: SeriesParams, tol: float = 1e-15, max_terms: int = 5_000_000
-) -> Evaluation:
+def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
     """Brute-force reference value of the sum.
 
     For lam > 0 this is plain compensated summation, stopped when
-    |term| <= tol * |partial sum| twice in a row. For lam = 0 the
-    alternating case is accelerated (30-stage scheme) and the
-    non-alternating case uses a head sum with an Euler-Maclaurin tail
-    (mu > 1/2 required; the series diverges for mu <= 1/2).
+    |term| <= tol * |partial sum| twice in a row (NonConvergenceError
+    after 5 million terms). For lam = 0 the alternating case is
+    accelerated (30-stage scheme) and the non-alternating case uses a
+    head sum with an Euler-Maclaurin tail (mu > 1/2 required; the
+    series diverges for mu <= 1/2).
     """
 
     mu, lam = p.mu, p.lam
     if lam > 0.0:
         s = p.sign_factor
+        # two formulas: float ** rounds differently from exp(-mu log) on
+        # the principal branch, which complex a needs
         if p.real_a:
             ar2 = p.a.real * p.a.real
 
-            def term_r(n: int) -> float:
+            def term(n: int) -> complex | float:
                 return s**n * math.exp(-lam * n) * (n * n + ar2) ** (-mu)
 
-            res = sum_terms(term_r, tol, max_terms)
         else:
             a2 = p.a * p.a
 
-            def term_c(n: int) -> complex:
+            def term(n: int) -> complex | float:
                 w = s**n * math.exp(-lam * n)
                 return w * cmath.exp(-mu * cmath.log(n * n + a2))
 
-            res = sum_terms(term_c, tol, max_terms)
+        res = sum_terms(term, tol, _MAX_TERMS)
         # omitted tail is bounded by a geometric series in exp(-lam)
         geo = math.exp(-lam) / (1.0 - math.exp(-lam))
         return Evaluation(
@@ -263,25 +261,23 @@ def direct_sum(
             raise PreconditionError(
                 "lam = 0 alternating sum needs mu > 0 (the terms must decay)"
             )
-        a2 = p.a * p.a
         if p.real_a:
             ar2 = p.a.real * p.a.real
             res = accelerated_alternating_complex(
                 lambda n: (n * n + ar2) ** (-mu), tol, stages=30
             )
-            value: complex = complex(res.value).real
         else:
+            a2 = p.a * p.a
             res = accelerated_alternating_complex(
                 lambda n: cmath.exp(-mu * cmath.log(n * n + a2)), tol, stages=30
             )
-            value = res.value
         if not res.converged:
             raise NonConvergenceError(
                 "alternating acceleration did not settle at lam = 0 "
                 f"(order-to-order delta {res.last_term_magnitude:.3e})"
             )
         return Evaluation(
-            complex(value),
+            complex(res.value.real) if p.real_a else res.value,
             "direct-sum",
             res.last_term_magnitude,
             truncation_index=res.terms_used - 1,
@@ -292,7 +288,7 @@ def direct_sum(
         raise PreconditionError(
             "sum_{n} 1/(n^2+a^2)^mu diverges for lam = 0 and mu <= 1/2"
         )
-    return _lambda0_plus_direct(p, tol)
+    return _lambda0_plus_direct(p)
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +304,20 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
         return Evaluation(0j, tag, 0.0, notes="integrand vanishes when lam = 0")
 
     mu, lam = p.mu, p.lam
+    # real a stays on the float path of the same expression
+    m, a = (math, p.a.real) if p.real_a else (cmath, p.a)
+
     # integrate over s = 1 - t so the algebraic singularity sits at the
     # left endpoint; du is then the exact distance t from the original
     # lower endpoint, which keeps sin/sinh well conditioned near t = 0
-    if p.real_a:
-        ar = p.a.real
+    def f(s: float, dl: float, du: float) -> complex | float:
+        t = du
+        base = m.sin(lam * a * t) / m.sinh(_PI * a * t)
+        if with_exp:
+            base *= m.exp(-_PI * a * t)
+        return base * (dl * (2.0 - dl)) ** (-mu)
 
-        def f_r(s: float, dl: float, du: float) -> float:
-            t = du
-            base = math.sin(lam * ar * t) / math.sinh(_PI * ar * t)
-            if with_exp:
-                base *= math.exp(-_PI * ar * t)
-            return base * (dl * (2.0 - dl)) ** (-mu)
-
-        res = integrate(f_r, QuadratureSpec(0.0, 1.0, tol))
-    else:
-        a = p.a
-
-        def f_c(s: float, dl: float, du: float) -> complex:
-            t = du
-            base = cmath.sin(lam * a * t) / cmath.sinh(_PI * a * t)
-            if with_exp:
-                base *= cmath.exp(-_PI * a * t)
-            return base * (dl * (2.0 - dl)) ** (-mu)
-
-        res = integrate(f_c, QuadratureSpec(0.0, 1.0, tol))
-
+    res = integrate(f, QuadratureSpec(0.0, 1.0, tol))
     pref = _apow(p.a, 1.0 - 2.0 * mu)
     return Evaluation(
         complex(pref * res.value),
@@ -347,8 +331,9 @@ def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     """H contribution of the alternating sum.
 
     H = a^(1-2 mu) * int_0^1 sin(lam a t)/sinh(pi a t) (1-t^2)^(-mu) dt,
-    evaluated by tanh-sinh quadrature with the endpoint exponent mu
-    declared at t = 1. Requires 0 <= mu < 1.
+    evaluated by tanh-sinh quadrature; the singular factor at t = 1 is
+    formed from each node's exact distance to that endpoint. Requires
+    0 <= mu < 1.
     """
 
     return _h_quadrature(p, tol, False, "h-minus-quadrature")
@@ -462,6 +447,31 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
 # large-a algebraic expansions
 
 
+def _inverse_a2_terms(
+    p: SeriesParams, coeffs: list[float], K: int, alternating: bool
+) -> tuple[list[complex], float, int]:
+    """Terms 1/2, c_0 f_0, .., c_K f_K of an expansion in 1/a^2, with
+    f_k = (mu)_k/(k! a^(2k)) and the sign (-1)^k if ``alternating``.
+
+    Also returns |c_(K+1) f_(K+1)|, the first omitted term, and the
+    first k >= 1 whose term outgrows the one before it (0 if none does).
+    """
+
+    inv_a2 = 1.0 / (p.a * p.a)
+    terms: list[complex] = [0.5]
+    factor: complex = 1.0
+    grow_at = 0
+    for k in range(K + 1):
+        t = factor * coeffs[k]
+        if alternating and k % 2:
+            t = -t
+        terms.append(t)
+        if k >= 1 and abs(t) > abs(terms[-2]) and grow_at == 0:
+            grow_at = k
+        factor *= (p.mu + k) * inv_a2 / (k + 1.0)
+    return terms, abs(factor * coeffs[K + 1]), grow_at
+
+
 def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     """Large-a expansion 1/(2a^(2mu)) + a^(-2mu) sum (mu)_k B_k/(k! a^(2k)).
 
@@ -474,28 +484,11 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bvals = b_coefficients(p.lam, K + 1).values
-    mu = p.mu
-    inv_a2 = 1.0 / (p.a.real * p.a.real) if p.real_a else 1.0 / (p.a * p.a)
-
-    terms: list[complex] = [0.5]
-    factor: complex = 1.0  # (mu)_k / k! * a^(-2k)
-    grow_at = 0
-    for k in range(K + 1):
-        t = factor * bvals[k]
-        terms.append(t)
-        if k >= 1 and abs(t) > abs(terms[-2]) and grow_at == 0:
-            grow_at = k
-        factor *= (mu + k) * inv_a2 / (k + 1.0)
-    omitted = abs(factor * bvals[K + 1])
-
-    pref = _apow(p.a, -2.0 * mu)
-    if p.real_a:
-        value: complex = pref * math.fsum(terms)
-    else:
-        value = pref * _csum(terms)
+    terms, omitted, grow_at = _inverse_a2_terms(p, bvals, K, False)
+    pref = _apow(p.a, -2.0 * p.mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
     return Evaluation(
-        complex(value),
+        complex(pref * _csum(terms)),
         "algebraic-minus",
         abs(pref) * omitted,
         truncation_index=K,
@@ -513,7 +506,7 @@ def j_mu_asymptotic(p: SeriesParams, K: int = 5) -> Evaluation:
     if p.lam <= 0.0:
         raise PreconditionError("asymptotic J needs lam > 0")
     mu = p.mu
-    half_la = 0.5 * p.lam * (p.a.real if p.real_a else p.a)
+    half_la = 0.5 * p.lam * p.a
     inv2 = 1.0 / (half_la * half_la)
 
     terms: list[complex] = []
@@ -527,13 +520,9 @@ def j_mu_asymptotic(p: SeriesParams, K: int = 5) -> Evaluation:
     omitted = abs(t)
 
     pref = 0.5 * _apow(p.a, 1.0 - 2.0 * mu)
-    if p.real_a:
-        value: complex = pref * math.fsum(terms)  # type: ignore[arg-type]
-    else:
-        value = pref * _csum(terms)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
     return Evaluation(
-        complex(value),
+        complex(pref * _csum(terms)),
         "j-mu-asymptotic",
         abs(pref) * omitted,
         truncation_index=K,
@@ -551,24 +540,11 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bhat = bhat_coefficients(p.lam, K + 1).values
-    mu = p.mu
-    inv_a2 = 1.0 / (p.a.real * p.a.real) if p.real_a else 1.0 / (p.a * p.a)
-
-    terms: list[complex] = [0.5]
-    factor: complex = 1.0
-    for k in range(K + 1):
-        terms.append((-1.0) ** k * factor * bhat[k])
-        factor *= (mu + k) * inv_a2 / (k + 1.0)
-    omitted = abs(factor * bhat[K + 1])
-
+    terms, omitted, _ = _inverse_a2_terms(p, bhat, K, True)
     jpart = j_mu_asymptotic(p, K)
-    pref = _apow(p.a, -2.0 * mu)
-    if p.real_a:
-        value: complex = pref * math.fsum(terms) + complex(jpart.value).real
-    else:
-        value = pref * _csum(terms) + jpart.value
+    pref = _apow(p.a, -2.0 * p.mu)
     return Evaluation(
-        complex(value),
+        complex(pref * _csum(terms) + jpart.value),
         "algebraic-plus",
         abs(pref) * omitted + jpart.error_estimate,
         truncation_index=K,
@@ -708,10 +684,41 @@ def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
 # full representations
 
 
-def _rounding_floor(*parts: complex) -> float:
+def _check_full_mu(p: SeriesParams, at_zero: str) -> None:
+    if p.mu == 0.0:
+        raise PreconditionError(f"full representation needs 0 < mu < 1; {at_zero}")
+    if not p.mu < 1.0:
+        raise PreconditionError(
+            f"full representation needs 0 < mu < 1 (Bessel-tail validity); "
+            f"got mu = {p.mu}. Use direct_sum for mu >= 1"
+        )
+
+
+def _full(
+    p: SeriesParams, tag: str, parts: list[Evaluation], notes: str = ""
+) -> Evaluation:
+    """1/(2a^(2mu)) + the parts, the Bessel tail last.
+
+    Real a sums the real parts with one rounding (fsum); complex a adds
+    left to right. The estimate is the sum of the parts' estimates,
+    floored at the rounding level of the sum.
+    """
+
+    values = [0.5 * _apow(p.a, -2.0 * p.mu)] + [e.value for e in parts]
+    if p.real_a:
+        value: complex = math.fsum([complex(v).real for v in values])
+    else:
+        value = sum(values[1:], values[0])
     # each part carries about one rounding error of its own size, so a
     # sum of parts is no better than eps * sum |part|
-    return _EPS * sum(abs(x) for x in parts)
+    floor = _EPS * sum(abs(v) for v in values)
+    return Evaluation(
+        complex(value),
+        tag,
+        max(sum(e.error_estimate for e in parts), floor),
+        tail_terms_used=parts[-1].tail_terms_used,
+        notes=notes,
+    )
 
 
 def full_minus(p: SeriesParams) -> Evaluation:
@@ -724,35 +731,10 @@ def full_minus(p: SeriesParams) -> Evaluation:
     estimates, floored at eps * (|lead| + |H| + |tail|).
     """
 
-    if p.mu == 0.0:
-        raise PreconditionError(
-            "full representation needs 0 < mu < 1; use algebraic_minus "
-            "at mu = 0, where it is exact"
-        )
-    if not p.mu < 1.0:
-        raise PreconditionError(
-            f"full representation needs 0 < mu < 1 (Bessel-tail validity); "
-            f"got mu = {p.mu}. Use direct_sum for mu >= 1"
-        )
+    _check_full_mu(p, "use algebraic_minus at mu = 0, where it is exact")
     h = h_minus_quadrature(p, 1e-14)
     tail, _ = bessel_tail_minus(p)
-    lead = _half_inv_a2mu(p)
-    if p.real_a:
-        value: complex = math.fsum(
-            [lead, complex(h.value).real, complex(tail.value).real]
-        )
-    else:
-        value = lead + h.value + tail.value
-    return Evaluation(
-        complex(value),
-        "full-minus",
-        max(
-            h.error_estimate + tail.error_estimate,
-            _rounding_floor(lead, h.value, tail.value),
-        ),
-        tail_terms_used=tail.tail_terms_used,
-        notes=h.notes,
-    )
+    return _full(p, "full-minus", [h, tail], h.notes)
 
 
 def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
@@ -765,20 +747,20 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
     mu, lam = p.mu, p.lam
+    # two formulas, as in direct_sum
     if p.real_a:
         ar2 = p.a.real * p.a.real
 
-        def f_r(t: float, _dl: float, _du: float) -> float:
+        def f(t: float, _dl: float, _du: float) -> complex | float:
             return math.exp(-lam * t) * (t * t + ar2) ** (-mu)
 
-        res = integrate(f_r, QuadratureSpec(0.0, math.inf, tol))
     else:
         a2 = p.a * p.a
 
-        def f_c(t: float, _dl: float, _du: float) -> complex:
+        def f(t: float, _dl: float, _du: float) -> complex | float:
             return math.exp(-lam * t) * cmath.exp(-mu * cmath.log(t * t + a2))
 
-        res = integrate(f_c, QuadratureSpec(0.0, math.inf, tol))
+    res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
     return Evaluation(
         res.value,
         "j-mu-quadrature",
@@ -796,41 +778,13 @@ def full_plus(p: SeriesParams) -> Evaluation:
     estimates, floored at eps * (|lead| + |J| + |H| + |tail|).
     """
 
-    if p.mu == 0.0:
-        raise PreconditionError(
-            "full representation needs 0 < mu < 1; use algebraic_plus at mu = 0"
-        )
-    if not p.mu < 1.0:
-        raise PreconditionError(
-            f"full representation needs 0 < mu < 1 (Bessel-tail validity); "
-            f"got mu = {p.mu}. Use direct_sum for mu >= 1"
-        )
+    _check_full_mu(p, "use algebraic_plus at mu = 0")
     if p.lam <= 0.0:
         raise PreconditionError("full representation needs lam > 0")
     j = j_mu_quadrature(p, 1e-14)
     h = h_plus_quadrature(p, 1e-14)
     tail, _ = bessel_tail_plus(p)
-    lead = _half_inv_a2mu(p)
-    if p.real_a:
-        value: complex = math.fsum(
-            [
-                lead,
-                complex(j.value).real,
-                complex(h.value).real,
-                complex(tail.value).real,
-            ]
-        )
-    else:
-        value = lead + j.value + h.value + tail.value
-    return Evaluation(
-        complex(value),
-        "full-plus",
-        max(
-            j.error_estimate + h.error_estimate + tail.error_estimate,
-            _rounding_floor(lead, j.value, h.value, tail.value),
-        ),
-        tail_terms_used=tail.tail_terms_used,
-    )
+    return _full(p, "full-plus", [j, h, tail])
 
 
 # ---------------------------------------------------------------------------

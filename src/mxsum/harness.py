@@ -235,8 +235,9 @@ def _cell_tolerance(table_id: int, row_id: str, k: int | None) -> float:
     return _ERROR_CELL_TOL
 
 
-def _evaluate_cell(job) -> ReportRow:
-    table_id, row_id, params, k, reference = job
+def _evaluate_cell(
+    table_id: int, row_id: str, params: SeriesParams, k: int | None, reference: float
+) -> ReportRow:
     if k is None:
         computed = direct_sum(params, tol=1e-15).value.real
     else:
@@ -264,11 +265,10 @@ def _evaluate_cell(job) -> ReportRow:
 
 def _reproduce(spec: TableSpec) -> list[ReportRow]:
     ref_by_id = dict(spec.reference_values)
-    jobs = [
-        (spec.table_id, rid, params, k, ref_by_id[rid])
+    return [
+        _evaluate_cell(spec.table_id, rid, params, k, ref_by_id[rid])
         for rid, params, k in spec.parameter_grid
     ]
-    return [_evaluate_cell(job) for job in jobs]
 
 
 def reproduce_table1() -> list[ReportRow]:

@@ -80,32 +80,18 @@ def _trapezoid(nu: float, z: complex) -> complex:
             return 0j
         return cmath.exp(ex)
 
-    h = 0.5
+    h = 1.0
     total = 0.5 * f(0.0)
     abs_mass = abs(total)
-    # level 0 scan
-    k = 1
-    streak = 0
-    while True:
-        v = f(k * h)
-        total += v
-        abs_mass += abs(v)
-        if abs(v) <= 1e-18 * abs_mass:
-            streak += 1
-            if streak >= 2:
-                break
-        else:
-            streak = 0
-        k += 1
-        if k * h > 60.0:
-            break
-    estimate = h * total
-
-    for _level in range(10):
+    estimate = 0j
+    for level in range(11):
         h *= 0.5
+        # level 0 scans every multiple of h = 1/2, later levels the odd
+        # multiples of their h; a scan stops at two negligible nodes
         s = h
+        step = h if level == 0 else 2.0 * h
         streak = 0
-        while True:
+        while s <= 60.0:
             v = f(s)
             total += v
             abs_mass += abs(v)
@@ -115,13 +101,11 @@ def _trapezoid(nu: float, z: complex) -> complex:
                     break
             else:
                 streak = 0
-            s += 2.0 * h
-            if s > 60.0:
-                break
+            s += step
         new_estimate = h * total
         delta = abs(new_estimate - estimate)
         estimate = new_estimate
-        if delta <= 5e-15 * max(abs(estimate), 1e-300) and _level >= 1:
+        if level >= 2 and delta <= 5e-15 * max(abs(estimate), 1e-300):
             return estimate
     raise NonConvergenceError(
         f"cosh-kernel trapezoid for K_nu did not converge at nu={nu}, z={z!r}"

@@ -56,7 +56,8 @@ __all__ = ["QuadratureSpec", "integrate"]
 _HALF_PI = 0.5 * math.pi
 
 # side-scan control: a node is negligible once its |weighted value|
-# drops below this fraction of the accumulated absolute mass
+# drops below this fraction of the accumulated absolute mass and is no
+# larger than the node before it on the same side
 _TRUNC_FRACTION = 1e-19
 _TRUNC_STREAK = 2
 
@@ -178,7 +179,9 @@ def _scan(
     table: _NodeTable, f: Callable, lo: float, width: float, acc: tuple
 ) -> tuple:
     """Add the weighted values of ``table``'s nodes to ``acc`` until the
-    side is exhausted or two nodes in a row are negligible.
+    side is exhausted or two nodes in a row are negligible. A refined
+    level restarts at the centre, where an integrand peaked near an
+    endpoint is still rising, hence the falling-side condition.
 
     ``acc`` is (real total, real carry, imaginary total, imaginary carry,
     absolute mass, evaluations); the two sums are Neumaier-compensated.
@@ -188,6 +191,7 @@ def _scan(
     nodes = table.nodes
     i = 0
     streak = 0
+    prev_mag = math.inf
     while True:
         try:
             dl, du, w = nodes[i]
@@ -224,12 +228,13 @@ def _scan(
         im_total = total
         mag = abs(v)
         abs_mass += mag
-        if mag <= _TRUNC_FRACTION * abs_mass:
+        if mag <= _TRUNC_FRACTION * abs_mass and mag <= prev_mag:
             streak += 1
             if streak >= _TRUNC_STREAK:
                 break
         else:
             streak = 0
+        prev_mag = mag
     return re_total, re_carry, im_total, im_carry, abs_mass, evals
 
 

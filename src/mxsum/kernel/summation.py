@@ -83,16 +83,11 @@ class KahanSum:
     def value(self) -> complex:
         return complex(self._re.value, self._im.value)
 
-    @property
-    def real(self) -> float:
-        return self._re.value
-
 
 def sum_terms(
     term: Callable[[int], complex],
     tol: float,
     max_terms: int,
-    min_terms: int = 2,
 ) -> SeriesSum:
     """Sum term(0) + term(1) + ... until two successive terms are small.
 
@@ -108,7 +103,7 @@ def sum_terms(
         t = term(n)
         acc.add(t)
         last_mag = abs(t)
-        if n + 1 >= min_terms:
+        if n >= 1:
             scale = abs(acc.value)
             if last_mag <= tol * scale:
                 small_streak += 1
@@ -120,11 +115,6 @@ def sum_terms(
         f"series did not converge within {max_terms} terms "
         f"(last |term| = {last_mag:.3e})"
     )
-
-
-def _cvz_stages(tol: float) -> int:
-    # error decays like (3 + sqrt 8)^(-n); pad by a few stages
-    return max(6, math.ceil(-math.log(max(tol, 1e-18)) / 1.7627) + 3)
 
 
 def _cvz_core(magnitudes: Sequence[complex], n: int) -> complex:
@@ -150,21 +140,20 @@ def _cvz_core(magnitudes: Sequence[complex], n: int) -> complex:
 def accelerated_alternating_complex(
     magnitude: Callable[[int], complex],
     tol: float = 1e-15,
-    stages: int | None = None,
+    *,
+    stages: int,
 ) -> SeriesSum:
-    """CVZ acceleration of sum (-1)^k c_k for complex c_k.
+    """CVZ acceleration of sum (-1)^k c_k, with c_k = ``magnitude(k)``.
 
-    Internal variant used where the c_k are constructed directly (so no
-    sign validation is possible or needed). ``magnitude(k)`` returns c_k.
-    ``stages`` pins the acceleration order; default derives it from tol.
+    The error decays like (3 + sqrt 8)^(-stages); the value is taken at
+    stages + 4, and its distance from the value at ``stages`` is the delta.
     """
 
-    n = stages if stages is not None else _cvz_stages(tol)
-    if n < 4:
+    if stages < 4:
         raise PreconditionError("acceleration needs at least 4 stages")
-    n_hi = n + 4
+    n_hi = stages + 4
     cs = [complex(magnitude(k)) for k in range(n_hi)]
-    lo = _cvz_core(cs, n)
+    lo = _cvz_core(cs, stages)
     hi = _cvz_core(cs, n_hi)
     delta = abs(hi - lo)
     scale = max(abs(hi), 1e-300)

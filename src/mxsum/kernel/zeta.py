@@ -1,5 +1,6 @@
 """Hurwitz zeta at odd integer s >= 3 by Euler-Maclaurin summation,
-plus the exact Bernoulli numbers the correction terms need.
+plus the exact Bernoulli numbers B_2m that its correction terms and
+the coth series of ``mxsum.coefficients`` need, cached per process.
 
 zeta(s, q) = sum_{n<N} (n+q)^-s + (N+q)^{1-s}/(s-1) + (N+q)^{-s}/2
              + sum_j B_{2j}/(2j)! (s)_{2j-1} (N+q)^{-s-2j+1}
@@ -11,6 +12,7 @@ remainder safely below 1e-15 relative for every s >= 3.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 from ..errors import PreconditionError
@@ -19,26 +21,27 @@ __all__ = ["bernoulli_even", "hurwitz_zeta"]
 
 # growable cache of B_0, B_2, B_4, ... as exact Fractions
 _BERN_EVEN: list[Fraction] = [Fraction(1)]
-# full list B_0, B_1, B_2, ... used by the recurrence
-_BERN_ALL: list[Fraction] = [Fraction(1)]
+_BERN_LOCK = threading.Lock()
 
 
 def bernoulli_even(m: int) -> Fraction:
-    """Exact Bernoulli number B_{2m} (B_1 convention irrelevant here)."""
+    """Exact Bernoulli number B_{2m}; a larger m extends the cache.
+
+    sum_{j=0}^{n} C(n+1, j) B_j = 0 at n = 2m, with B_1 = -1/2 and the
+    odd B_j beyond it zero, gives
+    B_2m = -(1 - (2m+1)/2 + sum_{0<i<m} C(2m+1, 2i) B_2i) / (2m+1).
+    """
 
     if m < 0:
         raise PreconditionError("bernoulli_even needs m >= 0")
-    while len(_BERN_EVEN) <= m:
-        n = len(_BERN_ALL)
-        # sum_{j=0}^{n} C(n+1, j) B_j = 0  =>  solve for B_n
-        total = Fraction(0)
-        for j in range(n):
-            total += math.comb(n + 1, j) * _BERN_ALL[j]
-        b_n = -total / (n + 1)
-        _BERN_ALL.append(b_n)
-        if n % 2 == 0:
-            _BERN_EVEN.append(b_n)
-    return _BERN_EVEN[m]
+    with _BERN_LOCK:  # B_2m is built from B_0 .. B_2(m-1), so extend in order
+        for j in range(len(_BERN_EVEN), m + 1):
+            n1 = 2 * j + 1
+            total = Fraction(1) - Fraction(n1, 2)
+            for i in range(1, j):
+                total += math.comb(n1, 2 * i) * _BERN_EVEN[i]
+            _BERN_EVEN.append(-total / n1)
+        return _BERN_EVEN[m]
 
 
 _EM_TERMS = 12

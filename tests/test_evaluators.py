@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 from dataclasses import FrozenInstanceError
 
@@ -288,6 +289,56 @@ def test_full_routes_near_mu_one_refuse_or_meet_estimate():
                             mu, lam, a, sign, actual, got.error_estimate,
                         )
     assert 0 < refused < 96
+
+
+def _large_a_grid():
+    # seeded: |a| in [10, 40], mu in (0.05, 0.95), lam in [0.5, 8]; odd
+    # points rotate a by up to 0.35 rad, which keeps the tail arguments
+    # in the right half-plane at lam = 8
+    rng = random.Random(1)
+    cases = []
+    for i in range(60):
+        mod = rng.uniform(10.0, 40.0)
+        mu = rng.uniform(0.05, 0.95)
+        lam = rng.uniform(0.5, 8.0)
+        a = mod if i % 2 == 0 else mod * cmath.exp(1j * rng.uniform(-0.35, 0.35))
+        cases += [(mu, lam, a, "minus"), (mu, lam, a, "plus")]
+    return cases
+
+
+LARGE_A_GRID = _large_a_grid()
+# points of LARGE_A_GRID where the H quadrature still refuses: the side
+# scan stops at a zero of sin(lam a t) (ROADMAP item 1)
+LARGE_A_REFUSALS = (13,)
+
+
+def _check_full_route(mu, lam, a, sign):
+    fn = full_minus if sign == "minus" else full_plus
+    got = fn(SeriesParams(mu, lam, a, sign))
+    ref = _explicit_sum(mu, lam, a, sign)
+    with mpmath.workdps(40):
+        actual = float(abs(mpmath.mpc(got.value) - ref))
+    assert actual <= 2.0 * got.error_estimate, (mu, lam, a, sign, actual)
+
+
+def test_full_routes_large_a_grid():
+    # at |a| >~ 10 the H integrand is concentrated within ~1/(pi |a|) of
+    # t = 0; a side scan that stopped at the small values near the
+    # interval centre used to leave every refinement level empty, so the
+    # quadrature refused at 55 of these 120 cases
+    for i, case in enumerate(LARGE_A_GRID):
+        if i not in LARGE_A_REFUSALS:
+            _check_full_route(*case)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="ROADMAP item 1: the side scan stops at a zero of sin(lam a t)",
+)
+@pytest.mark.parametrize("index", LARGE_A_REFUSALS)
+def test_full_routes_large_a_grid_refusals(index):
+    _check_full_route(*LARGE_A_GRID[index])
 
 
 def test_full_lam0_minus_reduction():

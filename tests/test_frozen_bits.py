@@ -1,23 +1,32 @@
-"""Frozen bits: exact reprs of quadrature-backed results.
+"""Frozen bits: exact reprs of quadrature-backed and expansion results.
 
-Every value below was recorded from the straightforward scan that
+The quadrature values were recorded from the straightforward scan that
 recomputed each double-exponential node from its transform parameter.
 The shared node tables of ``kernel.quadrature`` must reproduce each one
 bit for bit: the same abscissae, weights, sums, node counts and error
 messages, so the comparisons are exact string equality, not tolerances.
+
+The expansion values were recorded while the routes still had separate
+float code for real a; one path for real and complex a must keep them.
 """
 
+import hashlib
 import math
 
 import pytest
 
+from mxsum.coefficients import bhat_coefficients
 from mxsum.evaluators import (
     SeriesParams,
+    algebraic_minus,
+    algebraic_plus,
     full_minus,
     full_plus,
     h_minus_quadrature,
     h_plus_quadrature,
+    j_mu_asymptotic,
     j_mu_quadrature,
+    small_a_minus,
 )
 from mxsum.kernel import QuadratureSpec, integrate, kv_complex
 
@@ -116,12 +125,68 @@ INTEGRALS = {
     "nan-near": ("IntegrandError", "integrand returned NaN at t = 1.1261403769203559e-05"),
 }
 
+# (mu, lam, a, K, route) -> (repr(value), repr(error_estimate), notes);
+# algebraic_plus runs with sign plus, the other two with sign minus
+EXPANSIONS = {
+    (0.5, 1.0, 6.0, 0, "algebraic_minus"): ("(0.12184309643833414+0j)", "0.0002103188603540472", ""),
+    (0.5, 1.0, 6.0, 0, "algebraic_plus"): ("(0.26366278447822106+0j)", "0.004647465816840307", ""),
+    (0.5, 1.0, 6.0, 0, "j_mu_asymptotic"): ("(0.16666666666666666+0j)", "0.004629629629629629", ""),
+    (0.5, 1.0, 6.0, 5, "algebraic_minus"): ("(0.12205970255144044+0j)", "2.3153448207891613e-09", ""),
+    (0.5, 1.0, 6.0, 5, "algebraic_plus"): ("(0.2580373075162329+0j)", "0.00827337543276587", "terms grow from k = 4"),
+    (0.5, 1.0, 6.0, 5, "j_mu_asymptotic"): ("(0.1610231892289666+0j)", "0.008273375432241653", "terms grow from k = 4"),
+    (0.5, 1.0, 6.0, 8, "algebraic_minus"): ("(0.1220596982737214+0j)", "2.3164268004602217e-10", ""),
+    (0.5, 1.0, 6.0, 8, "algebraic_plus"): ("(0.47021491495617374+0j)", "1.9486879315495491", "terms grow from k = 4"),
+    (0.5, 1.0, 6.0, 8, "j_mu_asymptotic"): ("(0.37320079666833067+0j)", "1.948687931549549", "terms grow from k = 4"),
+    (0.3, 2.5, (5-2j), 0, "algebraic_minus"): ("(0.3277941704463999+0.07616458420506969j)", "0.00022401958656086222", ""),
+    (0.3, 2.5, (5-2j), 0, "algebraic_plus"): ("(0.3864204789601009+0.08978669470612974j)", "0.0005317353153259755", ""),
+    (0.3, 2.5, (5-2j), 0, "j_mu_asymptotic"): ("(0.14188046179056588+0.03296662159789307j)", "0.0004821851455015071", ""),
+    (0.3, 2.5, (5-2j), 5, "algebraic_minus"): ("(0.3279175147087879+0.07635088800346994j)", "4.946049508332919e-10", ""),
+    (0.3, 2.5, (5-2j), 5, "algebraic_plus"): ("(0.3861807334084855+0.08944444341850763j)", "1.8438675573440878e-07", ""),
+    (0.3, 2.5, (5-2j), 5, "j_mu_asymptotic"): ("(0.14161355265809564+0.0325826839365648j)", "1.8438588674917537e-07", ""),
+    (0.3, 2.5, (5-2j), 8, "algebraic_minus"): ("(0.32791751450826084+0.0763508876178115j)", "1.571152066778375e-11", ""),
+    (0.3, 2.5, (5-2j), 8, "algebraic_plus"): ("(0.38618082532180276+0.089444377189069j)", "3.134791470598798e-07", "terms grow from k = 8"),
+    (0.3, 2.5, (5-2j), 8, "j_mu_asymptotic"): ("(0.14161364457152775+0.032582617706218606j)", "3.134791440099371e-07", "terms grow from k = 8"),
+    (0.75, 6.0, 9.0, 0, "algebraic_minus"): ("(0.03694545840160612+0j)", "8.416707117216384e-07", ""),
+    (0.75, 6.0, 9.0, 0, "algebraic_plus"): ("(0.037129070802105354+0j)", "5.492130252486901e-06", ""),
+    (0.75, 6.0, 9.0, 0, "j_mu_asymptotic"): ("(0.006172839506172839+0j)", "3.175328964080678e-06", ""),
+    (0.75, 6.0, 9.0, 5, "algebraic_minus"): ("(0.03694629133669429+0j)", "1.023783670386105e-15", ""),
+    (0.75, 6.0, 9.0, 5, "algebraic_plus"): ("(0.03712822170696664+0j)", "2.4881750988581793e-15", ""),
+    (0.75, 6.0, 9.0, 5, "j_mu_asymptotic"): ("(0.006169675505061886+0j)", "2.4693864637926716e-15", ""),
+    (0.75, 6.0, 9.0, 8, "algebraic_minus"): ("(0.036946291336695275+0j)", "2.338462700993344e-19", ""),
+    (0.75, 6.0, 9.0, 8, "algebraic_plus"): ("(0.03712822170696896+0j)", "1.2109703311001448e-18", ""),
+    (0.75, 6.0, 9.0, 8, "j_mu_asymptotic"): ("(0.006169675505064219+0j)", "1.2089645108601365e-18", ""),
+    (1.5, 0.5, (8+3j), 0, "algebraic_minus"): ("(0.00047362444838078787-0.0008784453451386911j)", "1.8961850155135943e-06", ""),
+    (1.5, 0.5, (8+3j), 0, "algebraic_plus"): ("(0.0019338030174282674-0.0035866819478652663j)", "0.0005272480229500318", ""),
+    (1.5, 0.5, (8+3j), 0, "j_mu_asymptotic"): ("(0.0015217843950264384-0.0028224987596943063j)", "0.0005271134420542567", ""),
+    (1.5, 0.5, (8+3j), 5, "algebraic_minus"): ("(0.00047315350835784944-0.0008803287878536389j)", "7.72379640229932e-12", ""),
+    (1.5, 0.5, (8+3j), 5, "algebraic_plus"): ("(0.0012921280170216762-0.016874282126784206j)", "0.12191603568397544", "terms grow from k = 3"),
+    (1.5, 0.5, (8+3j), 5, "j_mu_asymptotic"): ("(0.000880140048792776-0.016109967062344292j)", "0.12191603568397441", "terms grow from k = 3"),
+    (1.5, 0.5, (8+3j), 8, "algebraic_minus"): ("(0.00047315351503230725-0.0008803287816799518j)", "4.939776996632292e-14", ""),
+    (1.5, 0.5, (8+3j), 8, "algebraic_plus"): ("(14.468839276582086-9.41546311473602j)", "322.1436240660426", "terms grow from k = 3"),
+    (1.5, 0.5, (8+3j), 8, "j_mu_asymptotic"): ("(14.468427288613857-9.414698799671582j)", "322.1436240660426", "terms grow from k = 3"),
+}
+# (mu, lam, a) -> (repr(value), repr(error_estimate), truncation_index)
+# of small_a_minus at K = 40: plain summation for |a| <= 0.7, the
+# accelerated branch near |a| = 1
+SMALL_A = {
+    (0.5, 1.0, 0.5): ("(0.4076831964154203+0j)", "5.770567803758841e-19", 28),
+    (0.25, 3.0, (0.4+0.3j)): ("(0.7209519077787515+0.028984641340626865j)", "1.0396430202392945e-18", 28),
+    (0.7, 0.5, 0.95): ("(0.18499285068239846+0j)", "2.697801216093078e-17", 39),
+    (0.4, 2.0, (0.8+0.4j)): ("(0.4838174662946712-0.1747072575183332j)", "1.498411747425604e-12", 39),
+    (0.5, 1.0, 1.0): ("(0.264187808260733+0j)", "3.131881329541987e-17", 39),
+}
+# sha256 of the reprs of bhat_coefficients(lam, 20).values, lam = 0.2, 1, 3
+BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
+
 ROUTE_FUNCTIONS = {
     "h_minus_quadrature": h_minus_quadrature,
     "h_plus_quadrature": h_plus_quadrature,
     "j_mu_quadrature": j_mu_quadrature,
     "full_minus": full_minus,
     "full_plus": full_plus,
+    "algebraic_minus": algebraic_minus,
+    "algebraic_plus": algebraic_plus,
+    "j_mu_asymptotic": j_mu_asymptotic,
 }
 
 
@@ -151,3 +216,24 @@ def test_kv_complex_bits():
     # (|arg z| > pi/4), which runs on both quadrature maps
     for (nu, z), want in KV.items():
         assert repr(kv_complex(nu, z)) == repr(want), (nu, z)
+
+
+def test_expansion_bits():
+    for (mu, lam, a, K, route), want in EXPANSIONS.items():
+        sign = "plus" if route == "algebraic_plus" else "minus"
+        e = ROUTE_FUNCTIONS[route](SeriesParams(mu, lam, a, sign), K)
+        got = (repr(e.value), repr(e.error_estimate), e.notes)
+        assert got == want, (mu, lam, a, K, route)
+
+
+def test_small_a_bits():
+    for (mu, lam, a), want in SMALL_A.items():
+        e = small_a_minus(SeriesParams(mu, lam, a))
+        assert (repr(e.value), repr(e.error_estimate), e.truncation_index) == want, a
+
+
+def test_bhat_bits():
+    h = hashlib.sha256()
+    for lam in (0.2, 1.0, 3.0):
+        h.update(repr(bhat_coefficients(lam, 20).values).encode())
+    assert h.hexdigest() == BHAT_SHA256

@@ -20,7 +20,7 @@ def test_kahan_survives_cancellation():
     for t in (1.0, 1e100, 1.0, -1e100):
         acc.add(t)
     assert acc.value == 2.0
-    assert acc.real == 2.0
+    assert acc.value.real == 2.0
 
 
 def test_kahan_complex_parts_independent():
@@ -67,13 +67,13 @@ def test_sum_terms_divergence_raises():
 def test_complex_acceleration_matches_oracle():
     # sum (-1)^k (k^2 + 3 + 4i)^(-1/2), oracle from 30-digit arithmetic
     oracle = 0.19830425161292795 - 0.09961237199047437j
-    r = accelerated_alternating_complex(lambda k: (k * k + 3 + 4j) ** -0.5)
+    r = accelerated_alternating_complex(lambda k: (k * k + 3 + 4j) ** -0.5, stages=23)
     assert r.converged
     assert abs(r.value - oracle) < 1e-13, r.value
 
     # sum (-1)^k (k^2 + 25)^(-1/2): real terms decaying like 1/k only,
     # far too slow for direct summation
-    r = accelerated_alternating_complex(lambda k: (k * k + 25.0) ** -0.5)
+    r = accelerated_alternating_complex(lambda k: (k * k + 25.0) ** -0.5, stages=23)
     assert r.converged
     assert abs(r.value.real - 0.1000000945791869) < 1e-13, r.value
 
