@@ -247,12 +247,13 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
                 return w * cmath.exp(-mu * cmath.log(n * n + a2))
 
         res = sum_terms(term, tol, _MAX_TERMS)
-        # omitted tail is bounded by a geometric series in exp(-lam)
+        # omitted tail is bounded by a geometric series in exp(-lam), and
+        # each term's rounding error by about eps * |term|
         geo = math.exp(-lam) / (1.0 - math.exp(-lam))
         return Evaluation(
             res.value,
             "direct-sum",
-            res.last_term_magnitude * geo,
+            max(res.last_term_magnitude * geo, _EPS * res.abs_sum),
             truncation_index=res.terms_used - 1,
         )
 
@@ -303,22 +304,24 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
     if p.lam == 0.0:
         return Evaluation(0j, tag, 0.0, notes="integrand vanishes when lam = 0")
 
-    mu, lam = p.mu, p.lam
     # real a stays on the float path of the same expression
     m, a = (math, p.a.real) if p.real_a else (cmath, p.a)
+    sin, sinh, exp = m.sin, m.sinh, m.exp
+    # loop invariants: lam*a*t parses as (lam*a)*t, so each product
+    # rounds as it did when formed per node
+    la, pa, npa, nmu = p.lam * a, _PI * a, -_PI * a, -p.mu
 
     # integrate over s = 1 - t so the algebraic singularity sits at the
     # left endpoint; du is then the exact distance t from the original
     # lower endpoint, which keeps sin/sinh well conditioned near t = 0
     def f(s: float, dl: float, du: float) -> complex | float:
-        t = du
-        base = m.sin(lam * a * t) / m.sinh(_PI * a * t)
+        base = sin(la * du) / sinh(pa * du)
         if with_exp:
-            base *= m.exp(-_PI * a * t)
-        return base * (dl * (2.0 - dl)) ** (-mu)
+            base *= exp(npa * du)
+        return base * (dl * (2.0 - dl)) ** nmu
 
     res = integrate(f, QuadratureSpec(0.0, 1.0, tol))
-    pref = _apow(p.a, 1.0 - 2.0 * mu)
+    pref = _apow(p.a, 1.0 - 2.0 * p.mu)
     return Evaluation(
         complex(pref * res.value),
         tag,
@@ -746,19 +749,20 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         return Evaluation(
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
-    mu, lam = p.mu, p.lam
+    nlam, nmu = -p.lam, -p.mu
+    exp, cexp, clog = math.exp, cmath.exp, cmath.log
     # two formulas, as in direct_sum
     if p.real_a:
         ar2 = p.a.real * p.a.real
 
         def f(t: float, _dl: float, _du: float) -> complex | float:
-            return math.exp(-lam * t) * (t * t + ar2) ** (-mu)
+            return exp(nlam * t) * (t * t + ar2) ** nmu
 
     else:
         a2 = p.a * p.a
 
         def f(t: float, _dl: float, _du: float) -> complex | float:
-            return math.exp(-lam * t) * cmath.exp(-mu * cmath.log(t * t + a2))
+            return exp(nlam * t) * cexp(nmu * clog(t * t + a2))
 
     res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
     return Evaluation(

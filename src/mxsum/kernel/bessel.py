@@ -54,28 +54,32 @@ def _asymptotic(nu: float, z: complex) -> tuple[complex, float]:
         return 0j, 0.0  # K underflows; the true value is below 1e-300
     four_nu2 = 4.0 * nu * nu
     term = 1.0 + 0j
-    partials = [term]
-    mags = [1.0]
     acc = term
+    best = math.inf
     for k in range(1, 41):
         term = term * ((four_nu2 - (2.0 * k - 1.0) ** 2) / (8.0 * k)) / z
         acc += term
-        partials.append(acc)
-        mags.append(abs(term))
-        if mags[-1] <= 1e-17 * abs(acc):
-            return pref * acc, mags[-1] / max(abs(acc), 1e-300)
-    # no convergence: truncate at the smallest term (optimal truncation)
-    k_best = min(range(1, len(mags)), key=mags.__getitem__)
-    value = partials[k_best]
-    omitted = mags[k_best + 1] if k_best + 1 < len(mags) else mags[k_best]
+        mag = abs(term)
+        if mag <= 1e-17 * abs(acc):
+            return pref * acc, mag / max(abs(acc), 1e-300)
+        if mag < best or k == 1:  # the first smallest term wins a tie
+            best, k_best, value = mag, k, acc
+        elif k == k_best + 1:
+            omitted = mag
+    # no convergence: truncate at the smallest term (optimal truncation);
+    # the estimate is the first omitted term (the smallest one at k = 40)
+    if k_best == 40:
+        omitted = best
     return pref * value, omitted / max(abs(value), 1e-300)
 
 
 def _trapezoid(nu: float, z: complex) -> complex:
     """Half-line trapezoid for the cosh-kernel integral, |arg z| <= pi/4."""
 
+    nz = -z
+
     def f(t: float) -> complex:
-        ex = -z * math.cosh(t) + _log_cosh(nu * t)
+        ex = nz * math.cosh(t) + _log_cosh(nu * t)
         if ex.real < -745.0:
             return 0j
         return cmath.exp(ex)
@@ -113,19 +117,20 @@ def _trapezoid(nu: float, z: complex) -> complex:
 
 
 def _rotated(nu: float, z: complex, phi: float) -> complex:
+    nz, nphi, nnu_phi = -z, -phi, -nu * phi
+    cos, cexp, ccosh = math.cos, cmath.exp, cmath.cosh
     arc = integrate(
-        lambda u, _dl, _du: cmath.exp(-z * math.cos(u)) * math.cos(nu * u),
+        lambda u, _dl, _du: cexp(nz * cos(u)) * cos(nu * u),
         QuadratureSpec(0.0, phi, 1e-14),
     )
 
     def ray(s: float, _dl: float, _du: float) -> complex:
         if s > 700.0:
             return 0j  # cosh would overflow; integrand long dead by here
-        w = cmath.cosh(complex(s, -phi))
-        ex = -z * w
+        ex = nz * ccosh(complex(s, nphi))
         if ex.real < -745.0:
             return 0j
-        return cmath.exp(ex) * cmath.cosh(complex(nu * s, -nu * phi))
+        return cexp(ex) * ccosh(complex(nu * s, nnu_phi))
 
     tail = integrate(ray, QuadratureSpec(0.0, math.inf, 1e-14))
     return -1j * arc.value + tail.value

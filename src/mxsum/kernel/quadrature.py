@@ -9,7 +9,9 @@ two endpoints. Every integrand takes the three-argument form
 
     f(t, d_lower, d_upper)
 
-(``d_upper`` is ``math.inf`` on a semi-infinite range). Integrands with
+(``d_upper`` is ``math.inf`` on a semi-infinite range) and returns a
+float, an int or a complex, used as it is: a float's ``.real``,
+``.imag`` and ``abs`` are those of its complex value. Integrands with
 an endpoint singularity evaluate the singular factor from the exact
 distance, e.g. ``(1 - t*t)**-mu`` becomes ``(d_upper * (1 + t))**-mu``
 near ``t = 1``; regular integrands ignore the two distances.
@@ -189,6 +191,7 @@ def _scan(
 
     re_total, re_carry, im_total, im_carry, abs_mass, evals = acc
     nodes = table.nodes
+    isfinite = cmath.isfinite
     i = 0
     streak = 0
     prev_mag = math.inf
@@ -204,14 +207,14 @@ def _scan(
         d_lower = width * dl
         t = lo + d_lower
         try:
-            z = complex(f(t, d_lower, width * du))
+            z = f(t, d_lower, width * du)
+            finite = isfinite(z)  # an int beyond float range overflows here
         except OverflowError as exc:
             raise IntegrandError(f"integrand overflowed at t = {t!r}") from exc
-        if not cmath.isfinite(z):
+        if not finite:
             what = "NaN" if z != z else "an infinity"
             raise IntegrandError(f"integrand returned {what} at t = {t!r}")
         v = width * w * z
-        evals += 1
         x = v.real
         total = re_total + x
         if abs(re_total) >= abs(x):
@@ -220,12 +223,13 @@ def _scan(
             re_carry += (x - total) + re_total
         re_total = total
         x = v.imag
-        total = im_total + x
-        if abs(im_total) >= abs(x):
-            im_carry += (im_total - total) + x
-        else:
-            im_carry += (x - total) + im_total
-        im_total = total
+        if x or im_total - im_total:  # +-0 to a finite total: no change
+            total = im_total + x
+            if abs(im_total) >= abs(x):
+                im_carry += (im_total - total) + x
+            else:
+                im_carry += (x - total) + im_total
+            im_total = total
         mag = abs(v)
         abs_mass += mag
         if mag <= _TRUNC_FRACTION * abs_mass and mag <= prev_mag:
@@ -235,7 +239,7 @@ def _scan(
         else:
             streak = 0
         prev_mag = mag
-    return re_total, re_carry, im_total, im_carry, abs_mass, evals
+    return re_total, re_carry, im_total, im_carry, abs_mass, evals + i
 
 
 def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:

@@ -2,9 +2,13 @@
 
 Everything downstream (hypergeometric series, the evaluation routines)
 funnels floating-point accumulation through the helpers here so that
-rounding behavior is uniform and testable. The quadrature scan, the
-hottest loop of the package, writes the same Neumaier steps as
-``_NeumaierFloat.add`` inline, in the same order.
+rounding behavior is uniform and testable. The two hottest loops of
+the package, the quadrature scan and ``sum_terms``, write the same
+Neumaier steps as ``_NeumaierFloat.add`` inline, in the same order.
+They take a float term as it is, with no conversion to complex: its
+``.real``, ``.imag`` and ``abs`` are those of its complex value, and
+the imaginary step is skipped when it would add +-0 to a finite total,
+which leaves the total and its carry as they are.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ class SeriesSum:
     terms_used: number of terms (or function evaluations) consumed
     last_term_magnitude: |final increment|, the raw stopping quantity
     converged: True when the stopping criterion was met within budget
+    abs_sum: sum of |term| over the terms consumed (sum_terms only)
     """
 
     value: complex
     terms_used: int
     last_term_magnitude: float
     converged: bool
+    abs_sum: float = 0.0
 
 
 class _NeumaierFloat:
@@ -96,19 +102,34 @@ def sum_terms(
     oscillating series). Raises NonConvergenceError at max_terms.
     """
 
-    acc = KahanSum()
+    re_total = re_carry = im_total = im_carry = abs_sum = 0.0
     small_streak = 0
     last_mag = math.inf
     for n in range(max_terms):
         t = term(n)
-        acc.add(t)
+        x = t.real
+        total = re_total + x
+        if abs(re_total) >= abs(x):
+            re_carry += (re_total - total) + x
+        else:
+            re_carry += (x - total) + re_total
+        re_total = total
+        x = t.imag
+        if x or im_total - im_total:
+            total = im_total + x
+            if abs(im_total) >= abs(x):
+                im_carry += (im_total - total) + x
+            else:
+                im_carry += (x - total) + im_total
+            im_total = total
         last_mag = abs(t)
+        abs_sum += last_mag
         if n >= 1:
-            scale = abs(acc.value)
-            if last_mag <= tol * scale:
+            value = complex(re_total + re_carry, im_total + im_carry)
+            if last_mag <= tol * abs(value):
                 small_streak += 1
                 if small_streak >= 2:
-                    return SeriesSum(acc.value, n + 1, last_mag, True)
+                    return SeriesSum(value, n + 1, last_mag, True, abs_sum)
             else:
                 small_streak = 0
     raise NonConvergenceError(

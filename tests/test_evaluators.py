@@ -266,6 +266,43 @@ def test_full_error_estimate_covers_actual_error():
         assert got.error_estimate >= sys.float_info.epsilon * abs(got.value)
 
 
+def _check_direct_sum(mu, lam, a, sign):
+    got = direct_sum(SeriesParams(mu, lam, a, sign))
+    ref = _explicit_sum(mu, lam, a, sign)
+    with mpmath.workdps(40):
+        actual = float(abs(mpmath.mpc(got.value) - ref))
+    assert actual <= 2.0 * got.error_estimate, (mu, lam, a, sign, actual)
+
+
+@pytest.mark.parametrize(
+    "mu, lam, a, sign",
+    [
+        (0.77, 5.6, 1.25, "minus"),
+        (0.51, 9.7, 4.1 - 1j, "plus"),
+        (2.0, 2.85, 0.52, "minus"),
+        (1.0, 7.8, 0.23 - 0.89j, "plus"),
+        (0.43, 4.8, 42.7, "minus"),
+        (0.35, 1.84, 0.21 + 0.59j, "minus"),
+        (0.6, 1.5, 44 + 23j, "plus"),
+    ],
+)
+def test_direct_sum_estimate_covers_rounding(mu, lam, a, sign):
+    # the estimate is floored at eps * sum |term|; without the floor it
+    # reported the omitted tail alone, down to 1e-25 here, against errors
+    # of about 2e-16 relative
+    _check_direct_sum(mu, lam, a, sign)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: at complex a each term exp(-mu log(n^2 + a^2)) "
+    "loses about |mu log(n^2 + a^2)| ulps, which eps * sum |term| does not cover",
+)
+def test_direct_sum_estimate_complex_a_large_mu():
+    _check_direct_sum(3.0, 1.96, 24.07 - 10.75j, "minus")
+
+
 def test_full_routes_near_mu_one_refuse_or_meet_estimate():
     # for mu >~ 0.96 the singular factor (d (2 - d))^-mu of H overflows
     # at subnormal node distances; that must surface as a refusal

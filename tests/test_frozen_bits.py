@@ -8,10 +8,17 @@ messages, so the comparisons are exact string equality, not tolerances.
 
 The expansion values were recorded while the routes still had separate
 float code for real a; one path for real and complex a must keep them.
+
+The two seeded streams (64 H, J and full-route results; 40 K_nu values
+and Hankel series) were recorded before the scan stopped converting
+each integrand value to complex and before the integrands hoisted their
+loop invariants; that lean hot loop must keep every bit of them.
 """
 
+import cmath
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -28,7 +35,7 @@ from mxsum.evaluators import (
     j_mu_quadrature,
     small_a_minus,
 )
-from mxsum.kernel import QuadratureSpec, integrate, kv_complex
+from mxsum.kernel import QuadratureSpec, bessel, integrate, kv_complex
 
 # (mu, lam, a, route) -> (repr(value), repr(error_estimate), notes); the
 # full routes pin tail_terms_used instead of the estimate, which carries a
@@ -177,6 +184,12 @@ SMALL_A = {
 }
 # sha256 of the reprs of bhat_coefficients(lam, 20).values, lam = 0.2, 1, 3
 BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
+# sha256 of the 64 results of _quadrature_stream and of the 40 K_nu values
+# and Hankel series of _kv_stream, recorded while the scan converted every
+# integrand value to complex and before the integrands hoisted their loop
+# invariants
+QUADRATURE_STREAM_SHA256 = "8850bfc9823be75dc439247e98ca0f2ca45a8c27723c119387e9a500d89722de"
+KV_STREAM_SHA256 = "7d2e4ee0b3c711603734640159082418d7cbd6aa497bf3faca3c111002772e88"
 
 ROUTE_FUNCTIONS = {
     "h_minus_quadrature": h_minus_quadrature,
@@ -237,3 +250,60 @@ def test_bhat_bits():
     for lam in (0.2, 1.0, 3.0):
         h.update(repr(bhat_coefficients(lam, 20).values).encode())
     assert h.hexdigest() == BHAT_SHA256
+
+
+def _outcome(fn, *args):
+    try:
+        e = fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{e.value!r} {e.error_estimate!r} {e.tail_terms_used} {e.notes}"
+
+
+def _quadrature_stream():
+    # 16 seeded points at full-points-like inputs, half at complex a;
+    # full_minus, full_plus, one H route and J at each point
+    rng = random.Random(8)
+    for i in range(16):
+        mu = rng.uniform(0.05, 0.95)
+        lam = math.exp(rng.uniform(math.log(0.05), math.log(8.0)))
+        a = math.exp(rng.uniform(math.log(1.5), math.log(40.0)))
+        if i % 2:
+            a *= cmath.exp(1j * rng.uniform(-0.5, 0.5))
+        h = h_plus_quadrature if i % 4 == 1 else h_minus_quadrature
+        sign = "plus" if h is h_plus_quadrature else "minus"
+        yield _outcome(full_minus, SeriesParams(mu, lam, a))
+        yield _outcome(full_plus, SeriesParams(mu, lam, a, "plus"))
+        yield _outcome(h, SeriesParams(mu, lam, a, sign))
+        yield _outcome(j_mu_quadrature, SeriesParams(mu, lam, a, "plus"))
+
+
+def _kv_stream():
+    # ten seeded points in each regime of kv_complex: Hankel (|z| >= 20),
+    # the trapezoid (|arg z| <= pi/4) and the rotated contour; then ten
+    # Hankel series at 5 <= |z| < 20, which run out of terms and are cut
+    # at their smallest one (kv_complex itself never gets there)
+    rng = random.Random(8)
+    for lo, hi, arg_lo, arg_hi in (
+        (20.0, 30.0, -1.4, 1.4),
+        (0.2, 19.0, -0.78, 0.78),
+        (0.2, 19.0, 0.8, 1.5),
+    ):
+        for _ in range(10):
+            nu = rng.uniform(-0.5, 3.0)
+            z = cmath.rect(rng.uniform(lo, hi), rng.uniform(arg_lo, arg_hi))
+            yield repr(kv_complex(nu, z))
+    for _ in range(10):
+        nu = rng.uniform(0.0, 10.0)
+        z = cmath.rect(rng.uniform(5.0, 19.0), rng.uniform(0.0, 1.5))
+        yield repr(bessel._asymptotic(nu, z))
+
+
+def test_quadrature_stream_bits():
+    h = hashlib.sha256("\n".join(_quadrature_stream()).encode())
+    assert h.hexdigest() == QUADRATURE_STREAM_SHA256
+
+
+def test_kv_stream_bits():
+    h = hashlib.sha256("\n".join(_kv_stream()).encode())
+    assert h.hexdigest() == KV_STREAM_SHA256

@@ -1,5 +1,6 @@
 """Double-exponential quadrature: values, endpoint handling, failure modes."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -215,3 +216,74 @@ print(differ)
 
 def test_concurrent_table_growth_gives_the_same_bits():
     assert _run_script(_THREADS_SCRIPT) == ["0"]
+
+
+def _damped(t):
+    return math.exp(-t) * math.cos(3.0 * t)
+
+
+def _flat_imaginary(t, real_type):
+    x = math.exp(-t) * math.cos(t)
+    y = math.exp(-1.0 / (t * t) - t)
+    return real_type(x) if y == 0.0 else complex(x, y)
+
+
+# family -> (spec, {form: integrand}); every form of a family returns the
+# same number as a different type, so every form must give the same bits
+RETURN_TYPES = {
+    "damped-cosine": (
+        QuadratureSpec(0.0, math.inf),
+        {
+            "float": lambda t, dl, du: _damped(t),
+            "complex": lambda t, dl, du: complex(_damped(t), 0.0),
+            "complex-negative-zero": lambda t, dl, du: complex(_damped(t), -0.0),
+        },
+    ),
+    "constant": (
+        QuadratureSpec(-1.0, 2.0),
+        {
+            "int": lambda t, dl, du: 3,
+            "float": lambda t, dl, du: 3.0,
+            "complex": lambda t, dl, du: complex(3.0, 0.0),
+        },
+    ),
+    "real-mixed": (
+        QuadratureSpec(0.0, 1.0),
+        {
+            "float": lambda t, dl, du: math.sqrt(t) * math.exp(t),
+            "float-then-complex": lambda t, dl, du: (
+                math.sqrt(t) * math.exp(t)
+                if t < 0.5
+                else complex(math.sqrt(t) * math.exp(t), 0.0)
+            ),
+        },
+    ),
+    # the imaginary part underflows to 0.0 near t = 0, where the integrand
+    # returns a float, after the scan has summed complex values elsewhere
+    "complex-mixed": (
+        QuadratureSpec(0.0, math.inf),
+        {
+            "float-or-complex": lambda t, dl, du: _flat_imaginary(t, float),
+            "complex": lambda t, dl, du: _flat_imaginary(t, complex),
+        },
+    ),
+}
+# family -> (repr(value), terms_used, repr(last_term_magnitude)), recorded
+# when the scan still converted every integrand value to complex
+RETURN_TYPE_BITS = {
+    "damped-cosine": ("(0.09999999999999999+0j)", 1478, "0.0"),
+    "constant": ("(9+0j)", 69, "3.304023721284466e-13"),
+    "real-mixed": ("(1.2556300825518636+0j)", 121, "0.0"),
+    "complex-mixed": ("(0.5+0.29312676277195554j)", 389, "5.551115123125783e-17"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, form",
+    [(family, form) for family, (_, forms) in RETURN_TYPES.items() for form in forms],
+)
+def test_integrand_return_type_keeps_bits(family, form):
+    spec, forms = RETURN_TYPES[family]
+    r = integrate(forms[form], spec)
+    got = (repr(r.value), r.terms_used, repr(r.last_term_magnitude))
+    assert got == RETURN_TYPE_BITS[family]
