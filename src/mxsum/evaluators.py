@@ -146,6 +146,12 @@ def _apow(a: complex, p: float) -> complex | float:
     return a**p
 
 
+def _a2(p: SeriesParams) -> complex | float:
+    # a^2, a float for real a: (x + a^2) ** -mu is then float pow for real
+    # a, and for complex a the principal |w|^-mu e^(-i mu arg w) of complex **
+    return p.a.real * p.a.real if p.real_a else p.a * p.a
+
+
 # ---------------------------------------------------------------------------
 # reference summation
 
@@ -159,18 +165,9 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
     """
 
     mu = p.mu
-    a2 = p.a * p.a
+    a2 = _a2(p)
     n_head = max(50, math.ceil(3.0 * abs(p.a)) + 50)
-
-    if p.real_a:
-        ar2 = p.a.real * p.a.real
-        head_val: complex = math.fsum(
-            (n * n + ar2) ** (-mu) for n in range(n_head)
-        )
-    else:
-        head_val = _csum(
-            cmath.exp(-mu * cmath.log(n * n + a2)) for n in range(n_head)
-        )
+    head_val = _csum((n * n + a2) ** (-mu) for n in range(n_head))
 
     nf = float(n_head)
     # tail integral: sum_j (-1)^j (mu)_j/j! a^(2j) N^(1-2mu-2j)/(2mu+2j-1)
@@ -194,8 +191,6 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
         mu + 1.0
     ) * (mu + 2.0) * nf**3 * u ** (-mu - 3.0)
     value = head_val + integral + 0.5 * f_n - fp_n / 12.0 + fppp_n / 720.0
-    if p.real_a:
-        value = complex(value).real
     # next Euler-Maclaurin correction is ~ f^(5)(N)/30240
     err = abs(mu**5) * nf ** (-2.0 * mu - 5.0) * 40.0
     return Evaluation(
@@ -220,40 +215,39 @@ def _csum(terms) -> complex:
 def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
     """Brute-force reference value of the sum.
 
-    For lam > 0 this is plain compensated summation, stopped when
-    |term| <= tol * |partial sum| twice in a row (NonConvergenceError
-    after 5 million terms). For lam = 0 the alternating case is
-    accelerated (30-stage scheme) and the non-alternating case uses a
-    head sum with an Euler-Maclaurin tail (mu > 1/2 required; the
-    series diverges for mu <= 1/2).
+    Each term takes (n^2 + a^2) ** -mu on the principal branch: float
+    pow for real a, complex ** for complex a. For lam > 0 this is plain
+    compensated summation, stopped when |term| <= tol * |partial sum|
+    twice in a row; with sign + and lam < ln 2 the omitted tail is up to
+    e^-lam/(1 - e^-lam) times that term, and the stop is tightened by
+    the same factor (NonConvergenceError after 5 million terms, which
+    at mu = 0 and tol = 1e-15 means lam below about 7e-6). The estimate
+    is that tail bound, floored at (1 + mu) eps * sum |term|. For
+    lam = 0 the alternating case is accelerated (30-stage scheme) and
+    the non-alternating case uses a head sum with an Euler-Maclaurin
+    tail (mu > 1/2 required; the series diverges for mu <= 1/2).
     """
 
-    mu, lam = p.mu, p.lam
+    mu, lam, a2 = p.mu, p.lam, _a2(p)
     if lam > 0.0:
         s = p.sign_factor
-        # two formulas: float ** rounds differently from exp(-mu log) on
-        # the principal branch, which complex a needs
-        if p.real_a:
-            ar2 = p.a.real * p.a.real
 
-            def term(n: int) -> complex | float:
-                return s**n * math.exp(-lam * n) * (n * n + ar2) ** (-mu)
+        def term(n: int) -> complex | float:
+            return s**n * math.exp(-lam * n) * (n * n + a2) ** (-mu)
 
-        else:
-            a2 = p.a * p.a
-
-            def term(n: int) -> complex | float:
-                w = s**n * math.exp(-lam * n)
-                return w * cmath.exp(-mu * cmath.log(n * n + a2))
-
-        res = sum_terms(term, tol, _MAX_TERMS)
-        # omitted tail is bounded by a geometric series in exp(-lam), and
-        # each term's rounding error by about eps * |term|
+        # the omitted tail is at most geo times the last term; with sign +
+        # it does not alternate and comes near that bound, so below
+        # lam = ln 2 (geo > 1) the stop is geo times tighter than tol
         geo = math.exp(-lam) / (1.0 - math.exp(-lam))
+        stop = tol / geo if s > 0.0 and geo > 1.0 else tol
+        res = sum_terms(term, stop, _MAX_TERMS)
+        # each term's rounding error is about eps * |term|, and the error
+        # of a^2 is amplified by mu in the power (6.2 eps |term| at
+        # mu = 6.5 in a seeded sweep), so the floor grows like 1 + mu
         return Evaluation(
             res.value,
             "direct-sum",
-            max(res.last_term_magnitude * geo, _EPS * res.abs_sum),
+            max(res.last_term_magnitude * geo, (1.0 + mu) * _EPS * res.abs_sum),
             truncation_index=res.terms_used - 1,
         )
 
@@ -262,23 +256,16 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
             raise PreconditionError(
                 "lam = 0 alternating sum needs mu > 0 (the terms must decay)"
             )
-        if p.real_a:
-            ar2 = p.a.real * p.a.real
-            res = accelerated_alternating_complex(
-                lambda n: (n * n + ar2) ** (-mu), tol, stages=30
-            )
-        else:
-            a2 = p.a * p.a
-            res = accelerated_alternating_complex(
-                lambda n: cmath.exp(-mu * cmath.log(n * n + a2)), tol, stages=30
-            )
+        res = accelerated_alternating_complex(
+            lambda n: (n * n + a2) ** (-mu), tol, stages=30
+        )
         if not res.converged:
             raise NonConvergenceError(
                 "alternating acceleration did not settle at lam = 0 "
                 f"(order-to-order delta {res.last_term_magnitude:.3e})"
             )
         return Evaluation(
-            complex(res.value.real) if p.real_a else res.value,
+            res.value,
             "direct-sum",
             res.last_term_magnitude,
             truncation_index=res.terms_used - 1,
@@ -381,7 +368,7 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
     coeff = a_coefficients(lam, K).values
     g = gamma_real(0.5) / gamma_real(1.5 - mu)  # Gamma(k+1/2)/Gamma(k+3/2-mu) at k=0
     pref = (lam / (2.0 * _PI)) * gamma_real(1.0 - mu) * _apow(p.a, 1.0 - 2.0 * mu)
-    a2 = p.a * p.a if not p.real_a else p.a.real * p.a.real
+    a2 = _a2(p)
 
     if mod_a <= 0.7:
         acc: complex = 0.0
@@ -702,16 +689,13 @@ def _full(
 ) -> Evaluation:
     """1/(2a^(2mu)) + the parts, the Bessel tail last.
 
-    Real a sums the real parts with one rounding (fsum); complex a adds
-    left to right. The estimate is the sum of the parts' estimates,
-    floored at the rounding level of the sum.
+    The real and the imaginary parts are each summed with one rounding
+    (fsum). The estimate is the sum of the parts' estimates, floored at
+    the rounding level of the sum.
     """
 
     values = [0.5 * _apow(p.a, -2.0 * p.mu)] + [e.value for e in parts]
-    if p.real_a:
-        value: complex = math.fsum([complex(v).real for v in values])
-    else:
-        value = sum(values[1:], values[0])
+    value = _csum(values)
     # each part carries about one rounding error of its own size, so a
     # sum of parts is no better than eps * sum |part|
     floor = _EPS * sum(abs(v) for v in values)
@@ -741,7 +725,11 @@ def full_minus(p: SeriesParams) -> Evaluation:
 
 
 def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
-    """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-sinh quadrature."""
+    """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-sinh quadrature.
+
+    The integrand takes (t^2 + a^2) ** -mu on the principal branch, as
+    direct_sum does.
+    """
 
     if p.lam <= 0.0:
         raise PreconditionError("J integral needs lam > 0")
@@ -749,20 +737,10 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         return Evaluation(
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
-    nlam, nmu = -p.lam, -p.mu
-    exp, cexp, clog = math.exp, cmath.exp, cmath.log
-    # two formulas, as in direct_sum
-    if p.real_a:
-        ar2 = p.a.real * p.a.real
+    nlam, nmu, a2, exp = -p.lam, -p.mu, _a2(p), math.exp
 
-        def f(t: float, _dl: float, _du: float) -> complex | float:
-            return exp(nlam * t) * (t * t + ar2) ** nmu
-
-    else:
-        a2 = p.a * p.a
-
-        def f(t: float, _dl: float, _du: float) -> complex | float:
-            return exp(nlam * t) * cexp(nmu * clog(t * t + a2))
+    def f(t: float, _dl: float, _du: float) -> complex | float:
+        return exp(nlam * t) * (t * t + a2) ** nmu
 
     res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
     return Evaluation(

@@ -4,10 +4,10 @@ half-plane and real order |nu| <= 10.
 Route selection:
 
 * |z| >= 20: Hankel asymptotic series sqrt(pi/2z) e^-z sum a_k(nu)/z^k,
-  truncated at the smallest term. Near the order/argument boundary the
-  attainable accuracy degrades (the series is not uniform in nu), so if
-  the estimated error exceeds the target the integral route below is
-  used instead.
+  summed until a term falls below 1e-17 of the sum. For |nu| <= 10 that
+  happens by k = 36 across the half-plane (checked on nu in [0, 10] by
+  0.1, |z| in {20, 20.5, 22, 30} and 51 angles in (-pi/2, pi/2)); a
+  series that is not done within 40 terms raises.
 * otherwise, |arg z| <= pi/4: K_nu(z) = int_0^inf e^{-z cosh t}
   cosh(nu t) dt on the half-line by trapezoid halving (the integrand
   extends to an even analytic function of t, for which the trapezoid
@@ -46,31 +46,23 @@ def _log_cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax)) - _LOG2
 
 
-def _asymptotic(nu: float, z: complex) -> tuple[complex, float]:
-    """Hankel series value and a relative error estimate."""
+def _asymptotic(nu: float, z: complex) -> complex:
+    """Hankel series for |z| >= 20."""
 
     pref = cmath.sqrt(math.pi / (2.0 * z)) * cmath.exp(-z)
     if pref == 0:
-        return 0j, 0.0  # K underflows; the true value is below 1e-300
+        return 0j  # K underflows; the true value is below 1e-300
     four_nu2 = 4.0 * nu * nu
     term = 1.0 + 0j
     acc = term
-    best = math.inf
     for k in range(1, 41):
         term = term * ((four_nu2 - (2.0 * k - 1.0) ** 2) / (8.0 * k)) / z
         acc += term
-        mag = abs(term)
-        if mag <= 1e-17 * abs(acc):
-            return pref * acc, mag / max(abs(acc), 1e-300)
-        if mag < best or k == 1:  # the first smallest term wins a tie
-            best, k_best, value = mag, k, acc
-        elif k == k_best + 1:
-            omitted = mag
-    # no convergence: truncate at the smallest term (optimal truncation);
-    # the estimate is the first omitted term (the smallest one at k = 40)
-    if k_best == 40:
-        omitted = best
-    return pref * value, omitted / max(abs(value), 1e-300)
+        if abs(term) <= 1e-17 * abs(acc):
+            return pref * acc
+    raise NonConvergenceError(
+        f"Hankel series for K_nu did not converge in 40 terms at nu={nu}, z={z!r}"
+    )
 
 
 def _trapezoid(nu: float, z: complex) -> complex:
@@ -153,9 +145,7 @@ def kv_complex(nu: float, z: complex) -> complex:
         return kv_complex(nu, z.conjugate()).conjugate()
 
     if abs(z) >= 20.0:
-        value, rel_err = _asymptotic(nu, z)
-        if rel_err <= 2e-13:
-            return value
+        return _asymptotic(nu, z)
 
     phi = math.atan2(z.imag, z.real)
     if phi <= 0.25 * math.pi + 1e-14:

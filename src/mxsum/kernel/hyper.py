@@ -5,8 +5,8 @@ ratio recurrence
 
     t_0 = 1,   t_{m+1} = t_m * prod(a_i + m) / prod(b_j + m) * z / (m + 1)
 
-under compensated accumulation, in complex arithmetic throughout (with
-real parameters and real z every term has a zero imaginary part, so the
+summed by ``sum_terms``, in complex arithmetic throughout (with real
+parameters and real z every term has a zero imaginary part, so the
 value is exactly real). Inside |z| < 1 this converges for any parameter
 choice with no denominator at a nonpositive integer.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from ..errors import NonConvergenceError, PreconditionError
-from .summation import KahanSum, SeriesSum
+from .summation import SeriesSum, sum_terms
 
 __all__ = ["gamma_real", "pfq_series"]
 
@@ -59,25 +59,17 @@ def pfq_series(
     nums = [complex(p) for p in numerator_params]
     dens = [complex(p) for p in denominator_params]
     zz = complex(z)
-
-    acc = KahanSum()
     term: complex = 1.0
-    acc.add(term)
-    small_streak = 0
-    for m in range(_MAX_TERMS):
-        for p in nums:
-            term *= p + m
-        for q in dens:
-            term /= q + m
-        term *= zz / (m + 1)
-        acc.add(term)
-        mag = abs(term)
-        if mag <= _TOL * abs(acc.value):
-            small_streak += 1
-            if small_streak >= 2:
-                return SeriesSum(acc.value, m + 2, mag, True)
-        else:
-            small_streak = 0
-    raise NonConvergenceError(
-        f"pFq series did not converge in {_MAX_TERMS} terms at z = {z!r}"
-    )
+
+    def next_term(m: int) -> complex:
+        # t_m from t_(m-1), one rounding per factor: p + (m - 1), not p + m - 1
+        nonlocal term
+        if m:
+            for p in nums:
+                term *= p + (m - 1)
+            for q in dens:
+                term /= q + (m - 1)
+            term *= zz / m
+        return term
+
+    return sum_terms(next_term, _TOL, _MAX_TERMS)

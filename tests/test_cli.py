@@ -91,6 +91,38 @@ def test_eval_named_routes(capsys):
     assert "method = j-mu-asymptotic" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "sign, K, value, index",
+    [
+        ("minus", None, "0.1220596982737214", 8),
+        ("minus", "5", "0.12205970255144044", 5),
+        ("plus", None, "0.2580373075162329", 5),
+        ("plus", "3", "0.25940480745381633", 3),
+    ],
+)
+def test_eval_algebraic(sign, K, value, index, capsys):
+    argv = ["eval", "--sign", sign, "--mu", "0.5", "--lambda", "1", "--a", "6",
+            "--method", "algebraic"]
+    rc = main(argv + ["--K", K] if K else argv)
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"method = algebraic-{sign}" in out
+    assert f"value = {value}" in out
+    assert f"truncation_index = {index}" in out
+
+
+def test_eval_lambda0_term_cap(capsys):
+    # --K caps the Bessel terms; at a = 0.2 the sum needs all 30 by default
+    argv = ["eval", "--mu", "0.75", "--lambda", "0", "--a", "0.2",
+            "--method", "lambda0"]
+    assert main(argv + ["--K", "5"]) == 0
+    capped = capsys.readouterr().out
+    assert "tail_terms_used = 5" in capped
+    assert "value = 10.436330651676045" in capped
+    assert main(argv) == 0
+    assert "tail_terms_used = 30" in capsys.readouterr().out
+
+
 def test_eval_precondition_exits_3(capsys):
     cases = [
         ["eval", "--mu", "0.5", "--a", "-1"],

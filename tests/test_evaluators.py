@@ -86,6 +86,62 @@ def test_direct_sum_frozen_values():
     assert abs(direct_sum(pc).value - want_c) <= 1e-14 * abs(want_c)
 
 
+def _bessel_lam0(mu, a, sign):
+    """Sum at lam = 0 at 40 digits from the Bessel (Chowla-Selberg) form,
+    mpmath only:
+
+        S = 1/(2a^(2mu)) [+ sqrt(pi) Gamma(mu-1/2)/(2 Gamma(mu)) a^(1-2mu)]
+            + 2 pi^mu/Gamma(mu) sum_x (x/a)^(mu-1/2) K_{mu-1/2}(2 pi x a),
+
+    x = k + 1/2 (k >= 0) for the alternating sum and x = k (k >= 1), with
+    the bracketed term, for the other.
+    """
+
+    with mpmath.workdps(40):
+        mu, a = mpmath.mpf(mu), mpmath.mpc(a)
+        s = 1 / (2 * a ** (2 * mu))
+        if sign == "plus":
+            s += (
+                mpmath.sqrt(mpmath.pi) * mpmath.gamma(mu - 0.5)
+                / (2 * mpmath.gamma(mu)) * a ** (1 - 2 * mu)
+            )
+        pref = 2 * mpmath.pi**mu / mpmath.gamma(mu)
+        x = mpmath.mpf(1) if sign == "plus" else mpmath.mpf(0.5)
+        while True:
+            t = pref * (x / a) ** (mu - 0.5) * mpmath.besselk(mu - 0.5, 2 * mpmath.pi * x * a)
+            s += t
+            if abs(t) < mpmath.mpf(10) ** -45 * abs(s):
+                return s
+            x += 1
+
+
+@pytest.mark.parametrize(
+    "mu, a, sign",
+    [
+        (0.75, 5 + 2j, "minus"),
+        (0.3, 2 - 1.5j, "minus"),
+        (2.25, 1.5 + 1j, "minus"),
+        (1.0, 30 + 20j, "minus"),
+        (0.75, 5 + 2j, "plus"),
+        (1.75, 2 - 1.5j, "plus"),
+        (3.0, 1.5 + 1j, "plus"),
+        (0.6, 20 + 12j, "plus"),
+    ],
+)
+def test_direct_sum_lam0_complex_a(mu, a, sign):
+    # the alternating acceleration and the head sum with Euler-Maclaurin
+    # tail at complex a, against an independent Bessel-sum oracle
+    got = direct_sum(SeriesParams(mu, 0.0, a, sign))
+    ref = _bessel_lam0(mu, a, sign)
+    with mpmath.workdps(40):
+        actual = float(abs(mpmath.mpc(got.value) - ref))
+        rel = actual / float(abs(ref))
+    if sign == "minus":
+        assert rel <= 2e-15, (mu, a, rel)
+    else:
+        assert actual <= got.error_estimate and rel <= 5e-14, (mu, a, actual)
+
+
 def test_direct_sum_lam0():
     # alternating case accelerates; non-alternating needs mu > 1/2
     vm = direct_sum(SeriesParams(0.75, 0.0, 5.0, "minus"))
@@ -293,14 +349,57 @@ def test_direct_sum_estimate_covers_rounding(mu, lam, a, sign):
     _check_direct_sum(mu, lam, a, sign)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: at complex a each term exp(-mu log(n^2 + a^2)) "
-    "loses about |mu log(n^2 + a^2)| ulps, which eps * sum |term| does not cover",
+@pytest.mark.parametrize(
+    "mu, lam, a",
+    [(0.5, 0.01, 2.0), (1.5, 0.05, 5.0), (2.0, 0.05, 3 + 1j)],
 )
+def test_direct_sum_plus_meets_tol_at_small_lam(mu, lam, a):
+    # with sign + the omitted tail is term/(1 - e^-lam); stopping at
+    # |term| <= tol |S| left relative errors of 1e-14 to 1e-13 here
+    got = direct_sum(SeriesParams(mu, lam, a, "plus"), tol=1e-15)
+    ref = _explicit_sum(mu, lam, a, "plus")
+    with mpmath.workdps(40):
+        actual = float(abs(mpmath.mpc(got.value) - ref))
+        rel = actual / float(abs(ref))
+    assert rel <= 2e-15 and actual <= 2.0 * got.error_estimate, (mu, lam, a, rel)
+
+
 def test_direct_sum_estimate_complex_a_large_mu():
+    # the term exp(-mu log(n^2 + a^2)) lost about |mu log(n^2 + a^2)|
+    # ulps here, and the error was 3.9x the estimate
     _check_direct_sum(3.0, 1.96, 24.07 - 10.75j, "minus")
+
+
+@pytest.mark.parametrize(
+    "mu, lam, a",
+    [(7.845, 8.199, 8.665), (7.408, 1.572, 2.067), (7.039, 3.756, 4.153)],
+)
+def test_direct_sum_estimate_real_a_large_mu(mu, lam, a):
+    # the rounding of a^2 is amplified by mu in the power; with a floor
+    # of eps * sum |term| the error was 2.4x to 3.2x the estimate here
+    _check_direct_sum(mu, lam, a, "plus")
+
+
+def _complex_a_sweep(count):
+    # seeded: mu from (0.02, 0.98) or {1, 2, 3}, lam log-uniform on
+    # [0.1, 10], |a| log-uniform on [0.5, 60], |arg a| <= 1.4, both signs
+    rng = random.Random(9)
+    for i in range(count):
+        if rng.random() < 0.5:
+            mu = rng.uniform(0.02, 0.98)
+        else:
+            mu = float(rng.choice([1, 2, 3]))
+        lam = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        mod = math.exp(rng.uniform(math.log(0.5), math.log(60.0)))
+        yield mu, lam, cmath.rect(mod, rng.uniform(-1.4, 1.4)), ("minus" if i % 2 else "plus")
+
+
+def test_direct_sum_estimate_complex_a_sweep():
+    # the first 90 points of a 400-point sweep; with the exp-log term
+    # and a floor of eps * sum |term|, 6 of them missed 2x their
+    # estimate, by up to 8.5x
+    for case in _complex_a_sweep(90):
+        _check_direct_sum(*case)
 
 
 def test_full_routes_near_mu_one_refuse_or_meet_estimate():
@@ -369,7 +468,6 @@ def test_full_routes_large_a_grid():
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=NonConvergenceError,
     reason="ROADMAP item 1: the side scan stops at a zero of sin(lam a t)",
 )
@@ -441,6 +539,23 @@ def test_integer_mu_closed_forms():
                 ref = direct_sum(p).value.real
                 v = integer_mu_closed_form(n, p).value.real
                 assert abs(v - ref) <= 1e-12 * abs(ref), (n, a, sign)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_integer_mu_closed_forms_complex_a(n):
+    # complex a sums F_m(a) and F_m(-a) as two series (no conjugate pair)
+    for a, lam, sign in (
+        (2 + 1j, 1.0, "minus"),
+        (3 - 2j, 0.5, "plus"),
+        (1.5 + 0.5j, 2.0, "plus"),
+        (6 + 4j, 0.3, "minus"),
+    ):
+        got = integer_mu_closed_form(n, SeriesParams(float(n), lam, a, sign))
+        ref = _explicit_sum(float(n), lam, a, sign)
+        with mpmath.workdps(40):
+            actual = float(abs(mpmath.mpc(got.value) - ref))
+            rel = actual / float(abs(ref))
+        assert rel <= 2e-15 and actual <= got.error_estimate, (n, a, lam, sign, rel)
 
 
 def test_integer_mu_domain():

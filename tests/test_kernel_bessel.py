@@ -69,6 +69,19 @@ def test_accuracy_across_regime_boundary():
                 assert abs(got - want) <= 1e-11 * abs(want), (nu, z, got, want)
 
 
+def test_hankel_series_at_its_boundary():
+    # |z| = 20 is where the Hankel series needs the most terms; it must
+    # converge there on its own, across the right half-plane and up to
+    # the largest order (non-integer orders keep the oracle fast)
+    for nu in (0.1, 1.7, 3.3, 5.5, 7.9, 9.9):
+        for j in range(11):
+            z = cmath.rect(20.0, -1.55 + 0.31 * j)
+            with mpmath.workdps(20):
+                want = complex(mpmath.besselk(nu, mpmath.mpc(z.real, z.imag)))
+            got = kv_complex(nu, z)
+            assert abs(got - want) <= 1e-13 * abs(want), (nu, z, got, want)
+
+
 def test_oracle_sweep_moderate_arguments():
     for nu in (0.0, 0.5, 1.0, 2.5, 7.0):
         for z in (0.4, 2.0 + 1.0j, 8.0 - 3.0j, 1.0 + 6.0j, 35.0 + 10.0j):

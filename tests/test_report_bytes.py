@@ -16,9 +16,9 @@ from mxsum.cli import main
 # argv -> (exit status, sha256 of stdout)
 GOLDEN = {
     "table 1": (1, "4d45d9f768febebd874fa77b709169efc0fba7dabdc582639abb22cd0416261f"),
-    "table 2": (0, "9b9e677d230fb389a598cad82b67b822e3332a04b47d02e3b9bcfd3a8ed1d15f"),
+    "table 2": (0, "1dccfb7e7a4593f36d518e42dd1c796d17b56fa3f9505be7e2b39b4a40b704f7"),
     "table 3": (0, "593cff2ed190dbadd0fd1375f6dc1bb72d51d1edfeabd5e86399396a0f7a3c59"),
-    "table 2 --convention phi": (1, "da127decced258b3ccaa8fce91c81833bb2545d0a52be9128247824f4fc6446e"),
+    "table 2 --convention phi": (1, "b9fdf900f02040137e0cbed9ae0fb25b3fed905aa20bfe71b40dd67671a9b3a1"),
     "check": (0, "e9156fe2fbb5b576347d6ef7f1a97351cf50605e0ce7a93375cf92a76bc78b4d"),
     "coeffs Bhat --lambda 1 --K 50": (0, "c5e22bcd0f35b1fe19c71ca885cb526119333a879ace5c57ad86492a7e2a2efe"),
     "coeffs Bhat --lambda 6 --K 30": (0, "c11b9d4a48e77e7c4abaa3869a8b29607d4979450cb25326d7a28bc30f205572"),
