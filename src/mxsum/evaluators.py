@@ -223,7 +223,8 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
     the same factor (NonConvergenceError after 5 million terms, which
     at mu = 0 and tol = 1e-15 means lam below about 7e-6). The estimate
     is that tail bound, floored at (1 + mu) eps * sum |term|. For
-    lam = 0 the alternating case is accelerated (30-stage scheme) and
+    lam = 0 the alternating case is accelerated (30-stage scheme; the
+    estimate is its order-to-order delta, with the same floor) and
     the non-alternating case uses a head sum with an Euler-Maclaurin
     tail (mu > 1/2 required; the series diverges for mu <= 1/2).
     """
@@ -264,10 +265,12 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
                 "alternating acceleration did not settle at lam = 0 "
                 f"(order-to-order delta {res.last_term_magnitude:.3e})"
             )
+        # the order-to-order delta alone can be 0; each term carries the
+        # same (1 + mu) eps |term| rounding as at lam > 0
         return Evaluation(
             res.value,
             "direct-sum",
-            res.last_term_magnitude,
+            max(res.last_term_magnitude, (1.0 + mu) * _EPS * res.abs_sum),
             truncation_index=res.terms_used - 1,
             notes="lam = 0 alternating acceleration",
         )

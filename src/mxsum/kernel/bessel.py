@@ -1,27 +1,35 @@
 """Modified Bessel function K_nu(z) for complex z in the right
 half-plane and real order |nu| <= 10.
 
-Route selection:
+The order is split as nu = n + mu with n = round(nu) and |mu| <= 1/2.
+The regime is chosen by |z| alone:
 
 * |z| >= 20: Hankel asymptotic series sqrt(pi/2z) e^-z sum a_k(nu)/z^k,
   summed until a term falls below 1e-17 of the sum. For |nu| <= 10 that
   happens by k = 36 across the half-plane (checked on nu in [0, 10] by
   0.1, |z| in {20, 20.5, 22, 30} and 51 angles in (-pi/2, pi/2)); a
   series that is not done within 40 terms raises.
-* otherwise, |arg z| <= pi/4: K_nu(z) = int_0^inf e^{-z cosh t}
-  cosh(nu t) dt on the half-line by trapezoid halving (the integrand
-  extends to an even analytic function of t, for which the trapezoid
-  rule converges geometrically).
-* otherwise: the same integral becomes violently oscillatory, so the
-  contour is rotated by phi = arg z (t -> t - i phi), which trades the
-  oscillation for a bounded vertical piece:
+* 1.5 <= |z| < 20: Steed's continued fraction CF2 in Temme's form
+  (Thompson and Barnett, Comput. Phys. Commun. 47 (1987); the
+  ``bessik`` scheme of Numerical Recipes) gives K_mu and K_{mu+1}. It
+  takes 43 steps at |z| = 4.7 on the real axis and 17 at |z| = 20;
+  next to the imaginary axis about 1.6 times as many (204 at
+  |z| = 1.5).
+* |z| < 1.5: Temme's series (J. Comput. Phys. 19 (1975)) for the same
+  pair. Its gamma1 and gamma2 come from the Taylor coefficients of
+  1/Gamma(1 + x) (A&S 6.1.34), so nothing cancels near mu = 0. The
+  series' leading terms cancel more as |z| grows (at z = 2 they are
+  near 1 and K is 0.11): on 1.5 <= |z| < 2 the pair erred by up to
+  7.6e-15 against 7.4e-16 for CF2, so CF2 takes over at 1.5, not at 2
+  as in ``bessik``.
 
-      K_nu(z) = -i int_0^phi e^{-z cos u} cos(nu u) du
-                + int_0^inf e^{-z cosh(s - i phi)} cosh(nu (s - i phi)) ds.
+Below |z| = 20 the pair is carried up to K_nu by the recurrence
+K_{m+1} = (2m/z) K_m + K_{m-1}, which is stable for K.
 
-  On the rotated ray Re(z cosh(s - i phi)) = |z| (cos^2 phi cosh s +
-  sin^2 phi sinh s) grows monotonically, so the integrand decays
-  without sign changes.
+Measured against 30-digit ``mpmath.besselk`` on a seeded grid of 5000
+points (|nu| <= 10, |z| log-uniform on [0.05, 40], |arg z| <= 1.55),
+the largest relative error is 1.9e-15 (in Temme's series; 1.5e-15 in
+CF2, 9e-16 in the Hankel series), and no point raises.
 
 Arguments in the lower half-plane are computed by conjugation, which
 also makes the reflection K(conj z) = conj K(z) exact; the order is
@@ -34,16 +42,40 @@ import cmath
 import math
 
 from ..errors import NonConvergenceError, PreconditionError
-from .quadrature import QuadratureSpec, integrate
 
 __all__ = ["kv_complex"]
 
-_LOG2 = math.log(2.0)
-
-
-def _log_cosh(x: float) -> float:
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - _LOG2
+# Taylor coefficients c_k of 1/Gamma(1 + x) = sum c_k x^k (A&S 6.1.34,
+# shifted by one); beyond k = 21, c_k 2^-k < 1e-20
+_RGAMMA_EVEN = (
+    1.0,
+    -0.6558780715202539,
+    0.16653861138229148,
+    -0.009621971527876973,
+    -0.0011651675918590652,
+    0.0001280502823881162,
+    -1.2504934821426706e-06,
+    -2.056338416977607e-07,
+    5.002007644469223e-09,
+    1.0434267116911005e-10,
+    -3.696805618642206e-12,
+)
+_RGAMMA_ODD = (
+    0.5772156649015329,
+    -0.04200263503409524,
+    -0.04219773455554433,
+    0.0072189432466631,
+    -0.00021524167411495098,
+    -2.013485478078824e-05,
+    1.133027231981696e-06,
+    6.116095104481416e-09,
+    -1.18127457048702e-09,
+    7.782263439905071e-12,
+    5.100370287454476e-13,
+)
+# c_k grows like k! and would overflow near k = 170, so c and the q pair
+# (which shrink like 1/k!) are rescaled together once c passes this
+_RESCALE = 1e150
 
 
 def _asymptotic(nu: float, z: complex) -> complex:
@@ -65,73 +97,90 @@ def _asymptotic(nu: float, z: complex) -> complex:
     )
 
 
-def _trapezoid(nu: float, z: complex) -> complex:
-    """Half-line trapezoid for the cosh-kernel integral, |arg z| <= pi/4."""
+def _steed(mu: float, z: complex) -> tuple[complex, complex]:
+    """K_mu(z) and K_{mu+1}(z) by CF2, for |mu| <= 1/2 and |z| >= 1.5."""
 
-    nz = -z
-
-    def f(t: float) -> complex:
-        ex = nz * math.cosh(t) + _log_cosh(nu * t)
-        if ex.real < -745.0:
-            return 0j
-        return cmath.exp(ex)
-
-    h = 1.0
-    total = 0.5 * f(0.0)
-    abs_mass = abs(total)
-    estimate = 0j
-    for level in range(11):
-        h *= 0.5
-        # level 0 scans every multiple of h = 1/2, later levels the odd
-        # multiples of their h; a scan stops at two negligible nodes
-        s = h
-        step = h if level == 0 else 2.0 * h
-        streak = 0
-        while s <= 60.0:
-            v = f(s)
-            total += v
-            abs_mass += abs(v)
-            if abs(v) <= 1e-18 * abs_mass:
-                streak += 1
-                if streak >= 2:
-                    break
-            else:
-                streak = 0
-            s += step
-        new_estimate = h * total
-        delta = abs(new_estimate - estimate)
-        estimate = new_estimate
-        if level >= 2 and delta <= 5e-15 * max(abs(estimate), 1e-300):
-            return estimate
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + z)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    q = c = a1
+    a = -a1
+    # s - 1 is summed on its own: adding each small step to s ~ 1 would
+    # cost about one rounding of s per step
+    t = q * delh
+    for i in range(1, 400):
+        a -= 2 * i
+        c = -a * c / (i + 1.0)
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        t += dels
+        if abs(dels) <= 1e-17 * abs(1.0 + t):
+            kmu = cmath.sqrt(math.pi / (2.0 * z)) * cmath.exp(-z) / (1.0 + t)
+            return kmu, kmu * (mu + 0.5 + z - a1 * h) / z
+        if c > _RESCALE:
+            c /= _RESCALE
+            q1 *= _RESCALE
+            q2 *= _RESCALE
     raise NonConvergenceError(
-        f"cosh-kernel trapezoid for K_nu did not converge at nu={nu}, z={z!r}"
+        f"continued fraction for K_nu did not converge at mu={mu}, z={z!r}"
     )
 
 
-def _rotated(nu: float, z: complex, phi: float) -> complex:
-    nz, nphi, nnu_phi = -z, -phi, -nu * phi
-    cos, cexp, ccosh = math.cos, cmath.exp, cmath.cosh
-    arc = integrate(
-        lambda u, _dl, _du: cexp(nz * cos(u)) * cos(nu * u),
-        QuadratureSpec(0.0, phi, 1e-14),
+def _temme(mu: float, z: complex) -> tuple[complex, complex]:
+    """K_mu(z) and K_{mu+1}(z) by Temme's series, |mu| <= 1/2, |z| < 1.5."""
+
+    m2 = mu * mu
+    g_even = g_odd = 0.0
+    for ce, co in zip(reversed(_RGAMMA_EVEN), reversed(_RGAMMA_ODD)):
+        g_even = g_even * m2 + ce
+        g_odd = g_odd * m2 + co
+    gam1 = -g_odd  # (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu)
+    gam2 = g_even  # (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2
+    gampl = gam2 - mu * gam1  # 1/Gamma(1 + mu)
+    gammi = gam2 + mu * gam1  # 1/Gamma(1 - mu)
+
+    half = 0.5 * z
+    lg = -cmath.log(half)
+    e = mu * lg
+    pimu = math.pi * mu
+    fact = pimu / math.sin(pimu) if pimu else 1.0
+    sinhc = cmath.sinh(e) / e if e else 1.0
+    f = fact * (gam1 * cmath.cosh(e) + gam2 * sinhc * lg)
+    ee = cmath.exp(e)
+    p = 0.5 * ee / gampl
+    q = 0.5 / (ee * gammi)
+    c = 1.0
+    w = half * half
+    s0 = f
+    s1 = p
+    for i in range(1, 100):
+        f = (i * f + p + q) / (i * i - m2)
+        c *= w / i
+        p /= i - mu
+        q /= i + mu
+        t0 = c * f
+        t1 = c * (p - i * f)
+        s0 += t0
+        s1 += t1
+        if abs(t0) <= 1e-17 * abs(s0) and abs(t1) <= 1e-17 * abs(s1):
+            return s0, s1 / half
+    raise NonConvergenceError(
+        f"Temme series for K_nu did not converge at mu={mu}, z={z!r}"
     )
-
-    def ray(s: float, _dl: float, _du: float) -> complex:
-        if s > 700.0:
-            return 0j  # cosh would overflow; integrand long dead by here
-        ex = nz * ccosh(complex(s, nphi))
-        if ex.real < -745.0:
-            return 0j
-        return cexp(ex) * ccosh(complex(nu * s, nnu_phi))
-
-    tail = integrate(ray, QuadratureSpec(0.0, math.inf, 1e-14))
-    return -1j * arc.value + tail.value
 
 
 def kv_complex(nu: float, z: complex) -> complex:
     """K_nu(z) for real |nu| <= 10 and complex z with Re z > 0.
 
-    Accuracy target: 12+ significant digits across the domain.
+    Accuracy: a few units in the last place (1.9e-15 relative at worst
+    on the grid of the module docstring).
     """
 
     nu = float(nu)
@@ -147,7 +196,14 @@ def kv_complex(nu: float, z: complex) -> complex:
     if abs(z) >= 20.0:
         return _asymptotic(nu, z)
 
-    phi = math.atan2(z.imag, z.real)
-    if phi <= 0.25 * math.pi + 1e-14:
-        return _trapezoid(nu, z)
-    return _rotated(nu, z, phi)
+    n = int(nu + 0.5)
+    mu = nu - n
+    kmu, k1 = _steed(mu, z) if abs(z) >= 1.5 else _temme(mu, z)
+    two_over_z = 2.0 / z
+    for i in range(1, n + 1):
+        kmu, k1 = k1, (mu + i) * two_over_z * k1 + kmu
+    if not cmath.isfinite(kmu):
+        raise NonConvergenceError(
+            f"K_nu overflows double precision at nu={nu}, z={z!r}"
+        )
+    return kmu

@@ -7,8 +7,10 @@ ratio recurrence
 
 summed by ``sum_terms``, in complex arithmetic throughout (with real
 parameters and real z every term has a zero imaginary part, so the
-value is exactly real). Inside |z| < 1 this converges for any parameter
-choice with no denominator at a nonpositive integer.
+value is exactly real). Inside |z| < 1 this converges for p <= q + 1
+and any parameter choice with no denominator at a nonpositive integer.
+For p > q + 1 the series diverges at every z != 0 unless a numerator
+at a nonpositive integer ends it, and it is refused up front.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ def gamma_real(x: float) -> float:
     return math.gamma(x)
 
 
+def _nonpositive_integer(c: complex) -> bool:
+    return c.imag == 0.0 and c.real <= 0.0 and c.real == int(c.real)
+
+
 def pfq_series(
     numerator_params: list[complex],
     denominator_params: list[complex],
@@ -45,19 +51,23 @@ def pfq_series(
     Stops once two successive terms fall below 1e-15 |partial sum|.
     """
 
+    nums = [complex(p) for p in numerator_params]
+    dens = [complex(p) for p in denominator_params]
+    if len(nums) > len(dens) + 1 and not any(map(_nonpositive_integer, nums)):
+        raise PreconditionError(
+            f"{len(nums)}F{len(dens)} series diverges: p > q + 1 and no "
+            "numerator parameter ends it"
+        )
     if abs(z) >= 1.0:
         raise NonConvergenceError(
             f"pfq_series requires |z| < 1 for convergence, got |z| = {abs(z)}"
         )
-    for b in denominator_params:
-        bb = complex(b)
-        if bb.imag == 0.0 and bb.real <= 0.0 and bb.real == int(bb.real):
+    for b in dens:
+        if _nonpositive_integer(b):
             raise PreconditionError(
                 f"denominator parameter {b} hits a pole of the series"
             )
 
-    nums = [complex(p) for p in numerator_params]
-    dens = [complex(p) for p in denominator_params]
     zz = complex(z)
     term: complex = 1.0
 

@@ -34,7 +34,7 @@ class SeriesSum:
     terms_used: number of terms (or function evaluations) consumed
     last_term_magnitude: |final increment|, the raw stopping quantity
     converged: True when the stopping criterion was met within budget
-    abs_sum: sum of |term| over the terms consumed (sum_terms only)
+    abs_sum: sum of |term| over the terms consumed
     """
 
     value: complex
@@ -168,6 +168,9 @@ def accelerated_alternating_complex(
 
     The error decays like (3 + sqrt 8)^(-stages); the value is taken at
     stages + 4, and its distance from the value at ``stages`` is the delta.
+    ``abs_sum`` is sum |c_k| over the stages + 4 terms: the weights are at
+    most 1 in size, so the rounding error of the value is about eps times
+    that.
     """
 
     if stages < 4:
@@ -178,4 +181,10 @@ def accelerated_alternating_complex(
     hi = _cvz_core(cs, n_hi)
     delta = abs(hi - lo)
     scale = max(abs(hi), 1e-300)
-    return SeriesSum(hi, n_hi, delta, delta <= 10.0 * tol * scale + 1e-300)
+    return SeriesSum(
+        hi,
+        n_hi,
+        delta,
+        delta <= 10.0 * tol * scale + 1e-300,
+        sum(abs(c) for c in cs),
+    )

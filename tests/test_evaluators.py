@@ -402,6 +402,30 @@ def test_direct_sum_estimate_complex_a_sweep():
         _check_direct_sum(*case)
 
 
+def test_direct_sum_lam0_minus_estimate_sweep():
+    # seeded: mu in (0.05, 4), |a| log-uniform on [0.5, 60], every other
+    # a rotated by up to 1.2 rad. The estimate used to be the CVZ
+    # order-to-order delta alone: 55 of the 135 values missed 2x of it,
+    # some with estimate 0. Refusals are allowed (15 here, at complex a).
+    rng = random.Random(10)
+    returned = 0
+    for i in range(150):
+        mu = rng.uniform(0.05, 4.0)
+        a = math.exp(rng.uniform(math.log(0.5), math.log(60.0)))
+        if i % 2:
+            a *= cmath.exp(1j * rng.uniform(-1.2, 1.2))
+        try:
+            got = direct_sum(SeriesParams(mu, 0.0, a, "minus"))
+        except NonConvergenceError:
+            continue
+        returned += 1
+        ref = _bessel_lam0(mu, a, "minus")
+        with mpmath.workdps(40):
+            actual = float(abs(mpmath.mpc(got.value) - ref))
+        assert actual <= 2.0 * got.error_estimate, (mu, a, actual, got.error_estimate)
+    assert returned == 135
+
+
 def test_full_routes_near_mu_one_refuse_or_meet_estimate():
     # for mu >~ 0.96 the singular factor (d (2 - d))^-mu of H overflows
     # at subnormal node distances; that must surface as a refusal
@@ -516,6 +540,22 @@ def test_lambda0_against_summation_oracles():
     # and both against the direct route in-process
     dm = direct_sum(SeriesParams(0.75, 0.0, 5.0, "minus")).value.real
     assert abs(gm - dm) <= 1e-12
+
+
+@pytest.mark.parametrize("mu, a", [(10.0, 0.02), (9.7, 0.03 + 0.01j)])
+def test_lambda0_minus_large_mu_small_a(mu, a):
+    # K_{9.5}(pi a) at |pi a| = 0.06 sent the quadrature of K_nu into
+    # NonConvergenceError. The Bessel terms stay near their z -> 0 limit
+    # until (2k+1) pi |a| ~ 10, so the sum needs a few hundred of them
+    # (459 and 309 here), not the default 30.
+    got = olver_lambda0_minus(mu, a, n_terms=1000)
+    with mpmath.workdps(40):
+        am = mpmath.mpc(a)
+        ref = mpmath.fsum(
+            (-1) ** n * (n * n + am * am) ** -mpmath.mpf(mu) for n in range(100)
+        )
+        rel = float(abs(mpmath.mpc(got.value) - ref) / abs(ref))
+    assert rel <= 1e-13, (mu, a, rel)
 
 
 def test_lambda0_domain():

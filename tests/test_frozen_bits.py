@@ -14,7 +14,13 @@ were recorded before the scan stopped converting each integrand value
 to complex and before the integrands hoisted their loop invariants;
 that lean hot loop must keep every bit of them. The full routes at
 complex a were recorded again when the terms of J took complex ** in
-place of exp(-mu log), and their assembly an exactly rounded sum.
+place of exp(-mu log), and their assembly an exactly rounded sum. The
+K_nu values below |z| = 20, and full_minus at (0.6, 0.1, 1.5 + 0.5i),
+which moved by one ulp, were recorded again when Steed's continued
+fraction and Temme's series replaced the two quadrature regimes there;
+against 30-digit mpmath the worst relative error fell from 1.9e-15 to
+2.7e-16 for the pinned K values and from 3.8e-15 to 4.8e-16 in the
+stream.
 """
 
 import cmath
@@ -76,7 +82,7 @@ ROUTES = {
     (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "1.3656500884821101e-15", "143 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.9785465292076182e-19", "265 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "1.3145040611561853e-13", "218 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309497j)", 6, "268 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "268 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.914722192507366-0.4043762032119788j)", 6, ""),
     (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368582-0.030081998560883942j)", "7.109386066284364e-17", "464 integrand evaluations"),
     (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059968-0.020368158134486895j)", "6.2838688719285336e-18", "400 integrand evaluations"),
@@ -86,12 +92,12 @@ ROUTES = {
 }
 # (nu, z) -> K_nu(z)
 KV = {
-    (0.25, (3+1j)): (0.013869634313956812-0.031284303892194595j),
-    (0.1, (0.5+0.2j)): (0.8498931609814644-0.31389243802748645j),
-    (0.4, (12+10j)): (-1.1765063502929396e-06+1.5477350369026261e-06j),
-    (0.25, (1+3j)): (-0.2298017779912459+0.11326594158693562j),
-    (0.3, (5+15j)): (-0.002111867840522327-0.0001866223130275041j),
-    (0.45, (0.3+2j)): (-0.588342938792449-0.27753723061030744j),
+    (0.25, (3+1j)): (0.01386963431395681-0.03128430389219461j),
+    (0.1, (0.5+0.2j)): (0.8498931609814643-0.31389243802748645j),
+    (0.4, (12+10j)): (-1.1765063502929402e-06+1.5477350369026257e-06j),
+    (0.25, (1+3j)): (-0.2298017779912459+0.11326594158693563j),
+    (0.3, (5+15j)): (-0.0021118678405223235-0.0001866223130275059j),
+    (0.45, (0.3+2j)): (-0.5883429387924489-0.2775372306103074j),
 }
 
 # name -> (integrand, spec); covers both maps, a zero at the centre node,
@@ -189,10 +195,11 @@ BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
 # sha256 of the 64 results of _quadrature_stream, re-recorded when the
 # terms of J at complex a took complex ** in place of exp(-mu log) and
 # _full's assembly became an exactly rounded sum; and of the 30 K_nu
-# values of _kv_stream, recorded before the Hankel series lost its
-# optimal truncation (the 30 values did not move)
+# values of _kv_stream, recorded again when CF2 and Temme's series
+# replaced the quadrature below |z| = 20 (the ten Hankel values did not
+# move)
 QUADRATURE_STREAM_SHA256 = "499fd97b70a2e2765c95d6b7ea5097cc3703582ffc25170b1689dac8f963d899"
-KV_STREAM_SHA256 = "be6c3b35410063aee78d62ad72a294f00838cb44760170a91d183f9379bcaefb"
+KV_STREAM_SHA256 = "995c28aa54ada48c540a83311e51ad5b2a7a6eef70944afd09df29801650dbab"
 
 ROUTE_FUNCTIONS = {
     "h_minus_quadrature": h_minus_quadrature,
@@ -228,8 +235,8 @@ def test_route_bits():
 
 
 def test_kv_complex_bits():
-    # trapezoid regime (|z| < 20, |arg z| <= pi/4) and rotated contour
-    # (|arg z| > pi/4), which runs on both quadrature maps
+    # CF2 (1.5 <= |z| < 20) and Temme's series (|z| < 1.5), orders
+    # below 1/2 and arguments on both sides of arg z = pi/4
     for (nu, z), want in KV.items():
         assert repr(kv_complex(nu, z)) == repr(want), (nu, z)
 
@@ -282,8 +289,9 @@ def _quadrature_stream():
 
 
 def _kv_stream():
-    # ten seeded points in each regime of kv_complex: Hankel (|z| >= 20),
-    # the trapezoid (|arg z| <= pi/4) and the rotated contour
+    # ten seeded points each in three bands: Hankel (|z| >= 20), and
+    # |z| < 20 on either side of arg z = pi/4 (CF2, and Temme's series
+    # below |z| = 1.5)
     rng = random.Random(8)
     for lo, hi, arg_lo, arg_hi in (
         (20.0, 30.0, -1.4, 1.4),

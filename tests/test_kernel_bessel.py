@@ -8,7 +8,7 @@ import mpmath
 import pytest
 import scipy.special
 
-from mxsum.errors import PreconditionError
+from mxsum.errors import NonConvergenceError, PreconditionError
 from mxsum.kernel import kv_complex
 
 
@@ -108,3 +108,32 @@ def test_domain_rejection():
         kv_complex(0.5, -1.0 + 0.5j)
     with pytest.raises(PreconditionError):
         kv_complex(0.5, 0.0)
+
+
+def test_whole_domain_against_mpmath():
+    # seeded grid over the whole domain: |nu| <= 10, |z| log-uniform on
+    # [0.05, 40], |arg z| <= 1.55; the worst error is 1.6e-15. The
+    # quadrature regimes that served |z| < 20 before CF2 and Temme's
+    # series erred by up to 1.0e-14 here and refused one point
+    # (nu = 9.07, z = 0.058 - 0.036i).
+    rng = random.Random(20261018)
+    for _ in range(300):
+        nu = rng.uniform(-10.0, 10.0)
+        mag = math.exp(rng.uniform(math.log(0.05), math.log(40.0)))
+        z = cmath.rect(mag, rng.uniform(-1.55, 1.55))
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(nu, mpmath.mpc(z.real, z.imag)))
+        got = kv_complex(nu, z)
+        assert abs(got - want) <= 4e-15 * abs(want), (nu, z, got, want)
+
+
+def test_tiny_arguments_and_overflow():
+    # Temme's series holds down to the smallest arguments, where the
+    # quadrature refused; a value beyond double range is refused
+    for nu, z in ((0.0, 1e-300), (10.0, 1e-5), (2.5, 1e-30 + 1e-31j)):
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(nu, mpmath.mpc(z)))
+        got = kv_complex(nu, z)
+        assert abs(got - want) <= 4e-15 * abs(want), (nu, z, got, want)
+    with pytest.raises(NonConvergenceError):
+        kv_complex(10.0, 1e-40)

@@ -63,3 +63,16 @@ def test_pfq_domain():
             pfq_series([1.0], [bad], 0.5)
     # complex denominator away from the nonpositive integers is fine
     assert pfq_series([1.0], [-2.0 + 1j], 0.5).converged
+
+
+def test_pfq_divergent_type_refused_up_front():
+    # p > q + 1 diverges at every z != 0; it used to run 200,000 NaN
+    # terms before giving up
+    with pytest.raises(PreconditionError):
+        pfq_series([1, 1, 1], [], 0.5)
+    with pytest.raises(PreconditionError):
+        pfq_series([0.5, 1.0, 2.0], [1.5], 1e-3)
+    # a numerator at a nonpositive integer ends the series: 3F0(-2, 1, 1;; 1/2)
+    # = 1 - 1 + 1
+    r = pfq_series([-2.0, 1.0, 1.0], [], 0.5)
+    assert r.converged and r.value == 1.0
