@@ -9,8 +9,8 @@ Routes provided:
 * ``direct_sum``: compensated brute-force summation, the reference
   against which every other route is tested;
 * ``h_minus_quadrature`` / ``h_plus_quadrature``: the branch-cut
-  contribution H as a double-exponential quadrature of its defining
-  integral over (0, 1);
+  contribution H, its defining integral over (0, 1) mapped onto
+  (0, inf) by t = tanh(sigma u) and summed by the exp-sinh rule;
 * ``small_a_minus``: convergent expansion of H^- in powers of a^2
   (radius |a| = 1), with alternating-series acceleration close to the
   boundary;
@@ -296,26 +296,39 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
 
     # real a stays on the float path of the same expression
     m, a = (math, p.a.real) if p.real_a else (cmath, p.a)
-    sin, sinh, exp = m.sin, m.sinh, m.exp
-    # loop invariants: lam*a*t parses as (lam*a)*t, so each product
-    # rounds as it did when formed per node
-    la, pa, npa, nmu = p.lam * a, _PI * a, -_PI * a, -p.mu
+    sin, sinh, cexp = m.sin, m.sinh, m.exp
+    exp, expm1 = math.exp, math.expm1
+    la, pa, npa = p.lam * a, _PI * a, -_PI * a
 
-    # integrate over s = 1 - t so the algebraic singularity sits at the
-    # left endpoint; du is then the exact distance t from the original
-    # lower endpoint, which keeps sin/sinh well conditioned near t = 0
-    def f(s: float, dl: float, du: float) -> complex | float:
-        base = sin(la * du) / sinh(pa * du)
+    # t = tanh(sigma u) gives (1 - t^2)^-mu dt = sigma sech(sigma u)^(2q) du
+    # with q = 1 - mu: no singular factor is left. With e = exp(-2 sigma u),
+    # t = (1 - e)/(1 + e) and sech^2 = 4e/(1 + e)^2. For large |a|, sigma
+    # puts the peak of the integrand near t = 1/(pi |a|) at u = 1/(4 pi),
+    # the centre of the exp-sinh rule
+    sigma = min(0.5, 4.0 / abs(p.a))
+    m2s, q, g0, ln4 = -2.0 * sigma, 1.0 - p.mu, p.lam / _PI, math.log(4.0)
+
+    def f(u: float, _dl: float, _du: float) -> complex | float:
+        x = m2s * u
+        if x < -600.0:  # e nears underflow: t = 1, sech^2 = 4e, from logs
+            t, w = 1.0, exp(q * (ln4 + x))
+        else:
+            e = exp(x)
+            t = (-expm1(x) if x > -0.7 else 1.0 - e) / (1.0 + e)
+            w = (4.0 * e / ((1.0 + e) * (1.0 + e))) ** q
+            if t < 1e-150:  # sin and sinh would round to 0/0
+                return g0 * w
+        v = sin(la * t) / sinh(pa * t)
         if with_exp:
-            base *= exp(npa * du)
-        return base * (dl * (2.0 - dl)) ** nmu
+            v *= cexp(npa * t)
+        return v * w
 
-    res = integrate(f, QuadratureSpec(0.0, 1.0, tol))
-    pref = _apow(p.a, 1.0 - 2.0 * p.mu)
+    res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
+    pref = sigma * _apow(p.a, 1.0 - 2.0 * p.mu)
     return Evaluation(
         complex(pref * res.value),
         tag,
-        abs(pref) * res.last_term_magnitude,
+        abs(pref) * max(res.last_term_magnitude, _EPS * res.abs_sum),
         notes=f"{res.terms_used} integrand evaluations",
     )
 
@@ -323,10 +336,13 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
 def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     """H contribution of the alternating sum.
 
-    H = a^(1-2 mu) * int_0^1 sin(lam a t)/sinh(pi a t) (1-t^2)^(-mu) dt,
-    evaluated by tanh-sinh quadrature; the singular factor at t = 1 is
-    formed from each node's exact distance to that endpoint. Requires
-    0 <= mu < 1.
+    H = a^(1-2 mu) * int_0^1 sin(lam a t)/sinh(pi a t) (1-t^2)^(-mu) dt.
+    With t = tanh(sigma u), sigma = min(1/2, 4/|a|), this is
+    a^(1-2 mu) sigma int_0^inf g(tanh sigma u) sech(sigma u)^(2-2mu) du,
+    g = sin(lam a t)/sinh(pi a t), evaluated by exp-sinh quadrature: the
+    endpoint singularity becomes a decay like exp(-2 (1-mu) sigma u). The
+    estimate is the last level-to-level delta, floored at eps times the
+    absolute mass of the quadrature sum. Requires 0 <= mu < 1.
     """
 
     return _h_quadrature(p, tol, False, "h-minus-quadrature")
@@ -700,8 +716,9 @@ def _full(
     values = [0.5 * _apow(p.a, -2.0 * p.mu)] + [e.value for e in parts]
     value = _csum(values)
     # each part carries about one rounding error of its own size, so a
-    # sum of parts is no better than eps * sum |part|
-    floor = _EPS * sum(abs(v) for v in values)
+    # sum of parts is no better than eps * sum |part|; fsum keeps that
+    # floor at or above eps |value| for real parts
+    floor = _EPS * math.fsum(abs(v) for v in values)
     return Evaluation(
         complex(value),
         tag,
@@ -730,8 +747,9 @@ def full_minus(p: SeriesParams) -> Evaluation:
 def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-sinh quadrature.
 
-    The integrand takes (t^2 + a^2) ** -mu on the principal branch, as
-    direct_sum does.
+    Integrated in t = |a| u. The integrand takes (u^2 + a^2/|a|^2) ** -mu
+    on the principal branch, as direct_sum takes (n^2 + a^2) ** -mu. The
+    estimate is floored like H's.
     """
 
     if p.lam <= 0.0:
@@ -740,16 +758,20 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         return Evaluation(
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
-    nlam, nmu, a2, exp = -p.lam, -p.mu, _a2(p), math.exp
+    # in t = |a| u the integrand falls on the exp-sinh rule's own scale,
+    # and (t^2 + a^2)^-mu = |a|^-2mu (u^2 + a^2/|a|^2)^-mu exactly
+    mod = abs(p.a)
+    nlam, nmu, b2, exp = -p.lam * mod, -p.mu, _a2(p) / (mod * mod), math.exp
 
-    def f(t: float, _dl: float, _du: float) -> complex | float:
-        return exp(nlam * t) * (t * t + a2) ** nmu
+    def f(u: float, _dl: float, _du: float) -> complex | float:
+        return exp(nlam * u) * (u * u + b2) ** nmu
 
     res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
+    pref = mod ** (1.0 - 2.0 * p.mu)
     return Evaluation(
-        res.value,
+        pref * res.value,
         "j-mu-quadrature",
-        res.last_term_magnitude,
+        pref * max(res.last_term_magnitude, _EPS * res.abs_sum),
         notes=f"{res.terms_used} integrand evaluations",
     )
 
@@ -783,6 +805,9 @@ def olver_lambda0_minus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
         * sum_k K_{1/2-mu}((2k+1) pi a) / ((2k+1) pi a)^(1/2-mu),
 
     valid for mu > 0, Re a > 0 (mu is not restricted to (0, 1) here).
+    Terms are added until one contributes less than 1e-18 relatively;
+    NonConvergenceError if n_terms runs out first, which at small |a|
+    and large mu takes hundreds of terms.
     """
 
     return _lambda0_bessel(mu, a, n_terms, 0.0, False, "lambda0-minus")
@@ -794,7 +819,8 @@ def lambda0_plus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
     S = 1/(2a^(2mu)) + sqrt(pi) Gamma(mu-1/2)/(2 a^(2mu-1) Gamma(mu))
         + the Bessel sum over arguments (2k+2) pi a.
 
-    Needs mu > 1/2 (the sum itself diverges otherwise).
+    Needs mu > 1/2 (the sum itself diverges otherwise). The Bessel sum
+    stops as in olver_lambda0_minus.
     """
 
     mu = float(mu)
@@ -846,6 +872,14 @@ def _lambda0_bessel(
         last = abs(t)
         if last <= 1e-18 * max(abs(acc), 1e-300):
             break
+    else:
+        # the terms stay near their z -> 0 limit until (2k + base) pi |a|
+        # passes about |nu|, so a sum cut short can be far off
+        raise NonConvergenceError(
+            f"Bessel sum did not reach its 1e-18 stop within n_terms = "
+            f"{n_terms} (last term {last:.3e} of sum {abs(acc):.3e}); "
+            "raise n_terms"
+        )
 
     pref = 2.0 ** (1.5 - mu) * _SQRT_PI / gamma_real(mu) * _apow(a, 1.0 - 2.0 * mu)
     value = 0.5 * _apow(a, -2.0 * mu) + extra + pref * acc

@@ -348,15 +348,21 @@ def tail_agreement_check(a: float = 3.0) -> ReportRow:
     """Bessel tail vs the measured defect S - 1/(2 a^(2 mu)) - H.
 
     Fixed mu = 1/2, lam = 1, sign -. computed is the tail, reference
-    the defect (direct sum at tol 1e-15 minus quadrature H at 1e-14,
-    combined with compensated summation); both are exact to roughly
-    twelve significant digits, so the row passes at 1e-11 relative.
+    the defect: a 40-digit explicit sum and lead less quadrature H at
+    1e-14. The tail falls like e^(-pi a), so a binary64 S, whose error
+    is a few 1e-18, would leave the defect only eleven good digits at
+    a = 4; with the 40-digit S both sides are exact to roughly twelve
+    significant digits, so the row passes at 1e-11 relative.
     """
 
+    from mpmath import mp  # deferred: only the reference sum needs it
+
     params = SeriesParams(0.5, 1.0, a, "minus")
-    s_value = direct_sum(params, tol=1e-15).value.real
     h_value = h_minus_quadrature(params, tol=1e-14).value.real
-    defect = math.fsum([s_value, -0.5 * a ** (-2.0 * params.mu), -h_value])
+    with mp.workdps(40):
+        mu_mp = mp.mpf(params.mu)
+        s_value = _mp_reference_sum(mu_mp, params.lam, a, "minus")
+        defect = float(s_value - mp.mpf(a) ** (-2 * mu_mp) / 2 - h_value)
     tail, _ = bessel_tail_minus(params)
     computed = tail.value.real
     rel = abs(computed - defect) / abs(defect)

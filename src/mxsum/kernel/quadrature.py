@@ -246,9 +246,11 @@ def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:
     """Integrate ``f(t, d_lower, d_upper)`` over ``(spec.lower, spec.upper)``.
 
     Returns a SeriesSum whose ``value`` is the integral, ``terms_used``
-    the number of integrand evaluations and ``last_term_magnitude`` the
+    the number of integrand evaluations, ``last_term_magnitude`` the
     difference between the last two refinement levels (the error
-    estimate). Raises NonConvergenceError when the refinement budget of
+    estimate) and ``abs_sum`` h times the sum of |weighted value|, the
+    integral of |f| by the same rule, which sets the rounding floor of
+    the value. Raises NonConvergenceError when the refinement budget of
     12 levels is exhausted, and IntegrandError when the integrand yields
     NaN or an infinity or raises OverflowError.
 
@@ -278,7 +280,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> SeriesSum:
         estimate = new_estimate
         scale = max(abs(estimate), 1e-300)
         if level >= 2 and delta <= max(spec.target_rel_tol, 4e-16) * scale:
-            return SeriesSum(estimate, acc[5], delta, True)
+            return SeriesSum(estimate, acc[5], delta, True, h * acc[4])
     raise NonConvergenceError(
         f"quadrature did not reach rel tol {spec.target_rel_tol:.1e} within "
         f"{_MAX_LEVELS} refinements (last delta {delta:.3e}, "

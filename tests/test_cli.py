@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import mpmath
 import pytest
 
 from mxsum.cli import main
@@ -112,15 +113,18 @@ def test_eval_algebraic(sign, K, value, index, capsys):
 
 
 def test_eval_lambda0_term_cap(capsys):
-    # --K caps the Bessel terms; at a = 0.2 the sum needs all 30 by default
+    # --K caps the Bessel terms; at a = 0.2 the sum needs 34 to reach its
+    # stop. A cap below that is a refusal (exit 4): with --K 5 the sum
+    # used to return 10.436330651676043, 5.5e-4 off
     argv = ["eval", "--mu", "0.75", "--lambda", "0", "--a", "0.2",
             "--method", "lambda0"]
-    assert main(argv + ["--K", "5"]) == 0
-    capped = capsys.readouterr().out
-    assert "tail_terms_used = 5" in capped
-    assert "value = 10.436330651676043" in capped
-    assert main(argv) == 0
-    assert "tail_terms_used = 30" in capsys.readouterr().out
+    for cap in (["--K", "5"], []):
+        assert main(argv + cap) == 4
+        assert capsys.readouterr().err.startswith("non-convergence: ")
+    assert main(argv + ["--K", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "tail_terms_used = 34" in out
+    assert "value = 10.442027486375242" in out
 
 
 def test_eval_precondition_exits_3(capsys):
@@ -149,19 +153,27 @@ def test_eval_nonconvergence_exits_4(capsys):
     assert capsys.readouterr().err.startswith("non-convergence: ")
 
 
-def test_eval_overflowing_integrand_exits_4(capsys):
-    # near mu = 1 the H integrand overflows at subnormal node distances;
-    # that is a refusal (exit 4), not a crash with a traceback
+def test_eval_full_near_mu_one_meets_estimate(capsys):
+    # near mu = 1 the H integrand of the tanh-sinh era overflowed at
+    # subnormal node distances and the route refused (exit 4); in
+    # t = tanh(sigma u) it has no singular factor and returns a value
+    # within 2x of its estimate of a 40-digit explicit sum
     for sign in ("minus", "plus"):
         rc = main(
             ["eval", "--sign", sign, "--mu", "0.97", "--lambda", "1", "--a", "3",
-             "--method", "full"]
+             "--method", "full", "--format", "json"]
         )
-        assert rc == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("non-convergence: integrand overflowed at t = ")
-        assert "Traceback" not in captured.err
+        assert rc == 0
+        record = json.loads(capsys.readouterr().out)
+        s = -1 if sign == "minus" else 1
+        with mpmath.workdps(40):
+            ref = mpmath.fsum(
+                s**n * mpmath.exp(-n) / (n * n + 9) ** mpmath.mpf(0.97)
+                for n in range(105)
+            )
+            actual = float(abs(record["value_re"] - ref))
+        assert record["value_im"] == 0.0
+        assert actual <= 2.0 * record["error_estimate"], (sign, actual)
 
 
 def test_usage_error_exits_2():

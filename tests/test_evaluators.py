@@ -426,29 +426,23 @@ def test_direct_sum_lam0_minus_estimate_sweep():
     assert returned == 135
 
 
-def test_full_routes_near_mu_one_refuse_or_meet_estimate():
-    # for mu >~ 0.96 the singular factor (d (2 - d))^-mu of H overflows
-    # at subnormal node distances; that must surface as a refusal
-    # (IntegrandError is a NonConvergenceError), never as OverflowError
-    refused = 0
+def test_full_routes_near_mu_one_meet_estimate():
+    # in t = tanh(sigma u) the H integrand has no singular factor; the
+    # factor (d (2 - d))^-mu of the tanh-sinh era overflowed at subnormal
+    # node distances for mu >~ 0.96, and 60 of these 120 points refused
     for mu in (0.96, 0.99, 0.999):
         for lam in (1.0, 5.0):
-            for mod in (1.5, 3.0, 10.0, 30.0):
+            for mod in (1.5, 3.0, 10.0, 30.0, 60.0):
                 for a in (mod, mod * cmath.exp(0.3j)):
                     for sign in ("minus", "plus"):
                         fn = full_minus if sign == "minus" else full_plus
-                        try:
-                            got = fn(SeriesParams(mu, lam, a, sign))
-                        except NonConvergenceError:
-                            refused += 1
-                            continue
+                        got = fn(SeriesParams(mu, lam, a, sign))
                         ref = _explicit_sum(mu, lam, a, sign)
                         with mpmath.workdps(40):
                             actual = float(abs(mpmath.mpc(got.value) - ref))
                         assert actual <= 2.0 * got.error_estimate, (
                             mu, lam, a, sign, actual, got.error_estimate,
                         )
-    assert 0 < refused < 96
 
 
 def _large_a_grid():
@@ -467,9 +461,6 @@ def _large_a_grid():
 
 
 LARGE_A_GRID = _large_a_grid()
-# points of LARGE_A_GRID where the H quadrature still refuses: the side
-# scan stops at a zero of sin(lam a t) (ROADMAP item 1)
-LARGE_A_REFUSALS = (13,)
 
 
 def _check_full_route(mu, lam, a, sign):
@@ -483,21 +474,13 @@ def _check_full_route(mu, lam, a, sign):
 
 def test_full_routes_large_a_grid():
     # at |a| >~ 10 the H integrand is concentrated within ~1/(pi |a|) of
-    # t = 0; a side scan that stopped at the small values near the
-    # interval centre used to leave every refinement level empty, so the
-    # quadrature refused at 55 of these 120 cases
-    for i, case in enumerate(LARGE_A_GRID):
-        if i not in LARGE_A_REFUSALS:
-            _check_full_route(*case)
-
-
-@pytest.mark.xfail(
-    raises=NonConvergenceError,
-    reason="ROADMAP item 1: the side scan stops at a zero of sin(lam a t)",
-)
-@pytest.mark.parametrize("index", LARGE_A_REFUSALS)
-def test_full_routes_large_a_grid_refusals(index):
-    _check_full_route(*LARGE_A_GRID[index])
+    # t = 0. On (0, 1) a side scan that stopped at the small values near
+    # the interval centre left every refinement level empty (55 of these
+    # 120 cases refused), and later one that stopped at a zero of
+    # sin(lam a t) before the peak (case 13); in u, with t = tanh(sigma u),
+    # the peak sits at the centre of the rule
+    for case in LARGE_A_GRID:
+        _check_full_route(*case)
 
 
 def test_full_lam0_minus_reduction():
@@ -556,6 +539,19 @@ def test_lambda0_minus_large_mu_small_a(mu, a):
         )
         rel = float(abs(mpmath.mpc(got.value) - ref) / abs(ref))
     assert rel <= 1e-13, (mu, a, rel)
+
+
+def test_lambda0_term_cap_refuses():
+    # at a = 0.02 the default 30 terms reach only (2k+1) pi |a| ~ 3.7,
+    # where the terms of K_{9.5} are still near their z -> 0 limit; the
+    # capped sum was 19% off against an estimate of 0.7%
+    with pytest.raises(NonConvergenceError):
+        olver_lambda0_minus(10.0, 0.02)
+    # at mu <= 2 and a >= 0.5 both sums meet their stop within 16 terms
+    for mu in (0.6, 1.3, 2.0):
+        for a in (0.5, 0.5 + 0.3j, 8.0):
+            assert olver_lambda0_minus(mu, a).tail_terms_used <= 16
+            assert lambda0_plus(mu, a).tail_terms_used <= 16
 
 
 def test_lambda0_domain():

@@ -21,6 +21,13 @@ fraction and Temme's series replaced the two quadrature regimes there;
 against 30-digit mpmath the worst relative error fell from 1.9e-15 to
 2.7e-16 for the pinned K values and from 3.8e-15 to 4.8e-16 in the
 stream.
+
+The H, J and full-route values and the quadrature stream were recorded
+again when H moved to the half-line t = tanh(sigma u) and J to
+t = |a| u. Values moved by an ulp or two either way; in the stream the
+worst relative distance to 40-digit references went from 3.3e-16 to
+2.8e-16, and the H and J estimates gained a floor of eps times the
+quadrature's absolute mass.
 """
 
 import cmath
@@ -49,46 +56,46 @@ from mxsum.kernel import QuadratureSpec, integrate, kv_complex
 # full routes pin tail_terms_used instead of the estimate, which carries a
 # rounding floor (see test_evaluators); notes give the integrand evaluations
 ROUTES = {
-    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "6.938893903907228e-18", "247 integrand evaluations"),
-    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.01368078495450979+0j)", "1.734723475976807e-18", "212 integrand evaluations"),
-    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "0.0", "204 integrand evaluations"),
-    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "247 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "6.245004513516506e-17", "113 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.013680784954509789+0j)", "5.204170427930421e-18", "110 integrand evaluations"),
+    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "5.551115123125783e-17", "103 integrand evaluations"),
+    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "113 integrand evaluations"),
     (0.5, 1.0, 6.0, "full_plus"): ("(0.25981041933403903+0j)", 3, ""),
-    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330803+0j)", "4.1092263567114427e-16", "132 integrand evaluations"),
-    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "0.0", "243 integrand evaluations"),
-    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501214+0j)", "0.0", "422 integrand evaluations"),
-    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "247 integrand evaluations"),
-    (0.25, 0.05, 2.0, "full_plus"): ("(6.659924057193618+0j)", 5, ""),
-    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.09607649986371068+0j)", "1.6024689053196365e-17", "278 integrand evaluations"),
-    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.6024689053196365e-17", "269 integrand evaluations"),
-    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.023994706532053215+0j)", "3.469446951953614e-18", "102 integrand evaluations"),
-    (0.75, 8.0, 3.0, "full_minus"): ("(0.19239045153446388+0j)", 4, "278 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330803+0j)", "2.0211020435769273e-18", "207 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "6.586429140634393e-19", "207 integrand evaluations"),
+    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501215+0j)", "2.0850827851320535e-13", "219 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "207 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_plus"): ("(6.65992405719362+0j)", 5, ""),
+    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.09607649986371068+0j)", "2.958255708958778e-17", "215 integrand evaluations"),
+    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.735997910288193e-17", "213 integrand evaluations"),
+    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.02399470653205321+0j)", "5.327895132201822e-18", "93 integrand evaluations"),
+    (0.75, 8.0, 3.0, "full_minus"): ("(0.19239045153446388+0j)", 4, "215 integrand evaluations"),
     (0.75, 8.0, 3.0, "full_plus"): ("(0.1925097607999111+0j)", 4, ""),
-    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240316+0j)", "1.0997405711512485e-17", "421 integrand evaluations"),
-    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431373+0j)", "1.0997405711512485e-17", "264 integrand evaluations"),
-    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "0.0", "99 integrand evaluations"),
-    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 2, "421 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240314+0j)", "2.566182353449878e-17", "389 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431373+0j)", "1.5825785546239946e-17", "174 integrand evaluations"),
+    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "3.518888530021103e-18", "157 integrand evaluations"),
+    (0.4, 10.0, 10.0, "full_minus"): ("(0.15848215274546376+0j)", 2, "389 integrand evaluations"),
     (0.4, 10.0, 10.0, "full_plus"): ("(0.15849648638993075+0j)", 2, ""),
-    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "0.0", "255 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093929j)", "8.673617379884035e-19", "242 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.22673275152522182-0.05256934453435507j)", "0.0", "204 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106391j)", 3, "255 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380457e-17", "211 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.5961722538520605e-18", "112 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.22673275152522182-0.05256934453435507j)", "1.9985941820837785e-15", "105 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106391j)", 3, "211 integrand evaluations"),
     (0.5, 1.0, (4+1j), "full_plus"): ("(0.3637095701546108-0.08684116109610586j)", 3, ""),
-    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.031638201602113114j)", "3.401808448569556e-17", "244 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.05554241685756446+0.012938760983731912j)", "1.700904224284778e-17", "226 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.17682878930142512+0.04047658421494795j)", "0.0", "200 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167095j)", 3, "244 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_plus"): ("(0.40972178339699455+0.09462362219598913j)", 3, ""),
-    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "1.3656500884821101e-15", "143 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.9785465292076182e-19", "265 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "1.3145040611561853e-13", "218 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "268 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.031638201602113114j)", "3.7766922367820625e-17", "208 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.055542416857564454+0.01293876098373191j)", "1.401300361559724e-17", "203 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.1768287893014251+0.040476584214947944j)", "4.028026038844107e-17", "99 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167095j)", 3, "208 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_plus"): ("(0.4097217833969945+0.09462362219598912j)", 3, ""),
+    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.3057827627485266e-17", "211 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.1777300712164744e-18", "212 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "3.0390474688629016e-15", "216 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "211 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.914722192507366-0.4043762032119788j)", 6, ""),
-    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368582-0.030081998560883942j)", "7.109386066284364e-17", "464 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059968-0.020368158134486895j)", "6.2838688719285336e-18", "400 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.06992832921559348-0.0100976406523348j)", "5.575456304969596e-17", "103 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.060486830206756124j)", 2, "464 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_plus"): ("(0.4206528308381492-0.06078310724450071j)", 2, ""),
+    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883942j)", "1.362544955759446e-16", "395 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.02036815813448689j)", "4.028062846094566e-17", "201 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.0699283292155935-0.0100976406523348j)", "1.568825482420889e-17", "87 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_minus"): ("(0.4185763423179701-0.060486830206756124j)", 2, "395 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.0607831072445007j)", 2, ""),
 }
 # (nu, z) -> K_nu(z)
 KV = {
@@ -192,13 +199,12 @@ SMALL_A = {
 }
 # sha256 of the reprs of bhat_coefficients(lam, 20).values, lam = 0.2, 1, 3
 BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
-# sha256 of the 64 results of _quadrature_stream, re-recorded when the
-# terms of J at complex a took complex ** in place of exp(-mu log) and
-# _full's assembly became an exactly rounded sum; and of the 30 K_nu
+# sha256 of the 64 results of _quadrature_stream, re-recorded when H
+# and J moved to their half-line variables; and of the 30 K_nu
 # values of _kv_stream, recorded again when CF2 and Temme's series
 # replaced the quadrature below |z| = 20 (the ten Hankel values did not
 # move)
-QUADRATURE_STREAM_SHA256 = "499fd97b70a2e2765c95d6b7ea5097cc3703582ffc25170b1689dac8f963d899"
+QUADRATURE_STREAM_SHA256 = "fa33c1be690ddb9283d3fcf5c8fcea2788e994849553ff28aa01b8958f7f4937"
 KV_STREAM_SHA256 = "995c28aa54ada48c540a83311e51ad5b2a7a6eef70944afd09df29801650dbab"
 
 ROUTE_FUNCTIONS = {

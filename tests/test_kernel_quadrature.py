@@ -45,6 +45,21 @@ def test_semi_infinite_exponential():
     assert r.terms_used > 0
 
 
+def test_abs_sum_is_the_integral_of_abs_f():
+    # abs_sum is h times the sum of |weighted value|: the integral of |f|
+    # by the same rule, which the H and J routes floor their estimates on
+    r = integrate(lambda t, dl, du: math.exp(-t), QuadratureSpec(0.0, math.inf))
+    assert abs(r.abs_sum - 1.0) < 1e-13
+    # int_0^inf |sin t| e^-t dt, a sum over half periods of
+    # e^(-k pi) (1 + e^-pi)/2; the kinks of |f| limit the rule there
+    r = integrate(
+        lambda t, dl, du: math.sin(t) * math.exp(-t), QuadratureSpec(0.0, math.inf)
+    )
+    assert abs(r.value.real - 0.5) < 1e-13
+    want = 0.5 * (1.0 + math.exp(-math.pi)) / (1.0 - math.exp(-math.pi))
+    assert abs(r.abs_sum - want) < 1e-4 * want
+
+
 def test_beta_function_grid():
     # B(p,q)/2 = integral of t^(2p-1) (1-t^2)^(q-1) over (0,1), split at
     # 1/2 so each half has its singularity at the left end
