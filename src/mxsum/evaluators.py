@@ -19,8 +19,12 @@ Routes provided:
 * ``bessel_tail_minus`` / ``bessel_tail_plus``: the exponentially small
   correction, a sum of modified Bessel functions K_nu of complex
   argument;
-* ``full_minus`` / ``full_plus``: algebraic part + tail, an exact
-  representation that must close against ``direct_sum``;
+* ``full_minus`` / ``full_plus``: 1/(2a^(2mu)) + H (+ J) + tail, an
+  exact representation that must close against ``direct_sum``. For
+  |Im a| >= 1 the path of H is rotated onto the ray t = x/a, where a t
+  is real: H and the dominant Bessel sum collapse into one
+  non-oscillating integral over x in (0, inf), and only the
+  subdominant Bessel sum is left, with no sector condition on a;
 * ``j_mu_quadrature`` / ``j_mu_asymptotic``: the Laplace-type integral
   J that enters the plus case;
 * ``olver_lambda0_minus`` / ``lambda0_plus``: lam = 0 reductions;
@@ -54,6 +58,11 @@ _SQRT_PI = math.sqrt(math.pi)
 _EPS = sys.float_info.epsilon
 # term budget of direct_sum at lam > 0
 _MAX_TERMS = 5_000_000
+# lam |a| above which J is integrated in t = u/lam (see j_mu_quadrature)
+_J_RESCALE = 860.0
+# |Im a| from which the full routes take the rotated path; below it the
+# branch point x = a of the ray integrand comes within 1 of the real axis
+_ROTATE_IM_A = 1.0
 
 
 @dataclass(frozen=True)
@@ -318,7 +327,13 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
             w = (4.0 * e / ((1.0 + e) * (1.0 + e))) ** q
             if t < 1e-150:  # sin and sinh would round to 0/0
                 return g0 * w
-        v = sin(la * t) / sinh(pa * t)
+        try:
+            v = sin(la * t) / sinh(pa * t)
+        except OverflowError:
+            # sinh overflows once pi Re(a t) > 710; there
+            # 2 sin(lam a t) e^(-pi a t)/(1 - e^(-2 pi a t)) has a
+            # denominator that rounds to 1
+            v = 2.0 * sin(la * t) * cexp(npa * t)
         if with_exp:
             v *= cexp(npa * t)
         return v * w
@@ -340,9 +355,11 @@ def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     With t = tanh(sigma u), sigma = min(1/2, 4/|a|), this is
     a^(1-2 mu) sigma int_0^inf g(tanh sigma u) sech(sigma u)^(2-2mu) du,
     g = sin(lam a t)/sinh(pi a t), evaluated by exp-sinh quadrature: the
-    endpoint singularity becomes a decay like exp(-2 (1-mu) sigma u). The
-    estimate is the last level-to-level delta, floored at eps times the
-    absolute mass of the quadrature sum. Requires 0 <= mu < 1.
+    endpoint singularity becomes a decay like exp(-2 (1-mu) sigma u).
+    Where sinh(pi a t) overflows (pi Re(a t) > 710), g is formed as
+    2 sin(lam a t) e^(-pi a t). The estimate is the last level-to-level
+    delta, floored at eps times the absolute mass of the quadrature sum.
+    Requires 0 <= mu < 1.
     """
 
     return _h_quadrature(p, tol, False, "h-minus-quadrature")
@@ -565,6 +582,41 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
 # Bessel tails
 
 
+def _kv_sums(
+    p: SeriesParams, base: float, offsets: tuple[complex, ...], n_terms: int
+) -> tuple[list[complex], list[tuple[complex, complex]], float, float]:
+    """sum_k (2/Z_k)^nu K_nu(Z_k), nu = 1/2 - mu, for each offset, over
+    Z_k = (2k + base) pi a + offset, all in one loop.
+
+    The loop stops once a term of the first sum falls below 1e-18 of
+    that sum, or after n_terms terms. Returns the sums, the pairs
+    (Z_k, K_nu(Z_k)) of the first sum, the magnitude of its last term
+    and the mass sum |Z_k| |term| over every sum. The mass sets the
+    rounding floor: K_nu(Z) falls like e^-Z, so the rounding of Z_k,
+    about eps |Z_k|, becomes a relative error of its term.
+    """
+
+    nu, a = 0.5 - p.mu, p.a
+    sums = [0j] * len(offsets)
+    pairs: list[tuple[complex, complex]] = []
+    mass = 0.0
+    last_mag = 0.0
+    for k in range(n_terms):
+        ma = (2 * k + base) * _PI * a
+        for i, off in enumerate(offsets):
+            Z = ma + off
+            kv = kv_complex(nu, Z)
+            w = (2.0 / Z) ** nu * kv
+            sums[i] += w
+            mass += abs(Z) * abs(w)
+            if i == 0:
+                pairs.append((Z, kv))
+                last_mag = abs(w)
+        if last_mag <= 1e-18 * max(abs(sums[0]), 1e-300):
+            break
+    return sums, pairs, last_mag, mass
+
+
 def _bessel_tail(
     p: SeriesParams, n_terms: int, step_even: bool, tag: str
 ) -> tuple[Evaluation, list[TailTerm]]:
@@ -579,7 +631,8 @@ def _bessel_tail(
     with I3 the reflected sum over conj-type arguments
     Y_k = (2k+?) pi a - i lam a; for real a, I3 = conj(I2) exactly and
     2 Re I2 is returned. Gamma(1-mu) keeps the prefactor regular for
-    all 0 < mu < 1 (no 1/sin(pi mu)).
+    all 0 < mu < 1 (no 1/sin(pi mu)). The estimate is the next term's
+    size, floored at eps |prefactor| sum |X_k| |term| (see _kv_sums).
     """
 
     mu, lam, a = p.mu, p.lam, p.a
@@ -597,40 +650,32 @@ def _bessel_tail(
             f"{base:g}*pi*Re a > lam*|Im a| (a = {a}, lam = {lam})"
         )
 
-    nu = 0.5 - mu
     gpref = gamma_real(1.0 - mu) / _SQRT_PI
     rot = 1j * cmath.exp(-1j * _PI * mu)
     apw = _apow(a, 1.0 - 2.0 * mu)
 
-    terms: list[TailTerm] = []
-    s2: complex = 0.0
-    s3: complex = 0.0
-    last_mag = 0.0
-    for k in range(n_terms):
-        mult = (2 * k + base) * _PI
-        X = mult * a + 1j * lam * a
-        kv = kv_complex(nu, X)
-        w = (2.0 / X) ** nu * kv
-        s2 += w
+    ila = 1j * lam * a
+    offsets = (ila,) if p.real_a else (ila, -ila)
+    sums, pairs, last_mag, mass = _kv_sums(p, base, offsets, n_terms)
+    nu = 0.5 - mu
+    terms = []
+    for k, (X, kv) in enumerate(pairs):
         disp = kv * X ** (-nu)
-        terms.append(
-            TailTerm(k, X, kv, cmath.phase(disp), abs(disp))
-        )
-        if not p.real_a:
-            Y = mult * a - 1j * lam * a
-            s3 += (2.0 / Y) ** nu * kv_complex(nu, Y)
-        last_mag = abs(w)
-        if last_mag <= 1e-18 * max(abs(s2), 1e-300):
-            break
+        terms.append(TailTerm(k, X, kv, cmath.phase(disp), abs(disp)))
 
-    i2 = rot * apw * gpref * s2
+    i2 = rot * apw * gpref * sums[0]
     if p.real_a:
         value: complex = complex(2.0 * i2.real)
+        mass *= 2.0  # I3 = conj(I2) carries the same terms
     else:
-        i3 = -1j * cmath.exp(1j * _PI * mu) * apw * gpref * s3
+        i3 = -1j * cmath.exp(1j * _PI * mu) * apw * gpref * sums[1]
         value = i2 + i3
     # next term is down by ~ exp(-2 pi Re a)
-    err = 2.0 * abs(apw) * gpref * last_mag * math.exp(-2.0 * _PI * a.real)
+    scale = abs(apw) * gpref
+    err = max(
+        2.0 * scale * last_mag * math.exp(-2.0 * _PI * a.real),
+        _EPS * scale * mass,
+    )
     return (
         Evaluation(value, tag, err, tail_terms_used=len(terms)),
         terms,
@@ -728,17 +773,114 @@ def _full(
     )
 
 
+def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
+    """int_0^inf g(x) (a^2 - x^2)^-mu dx for Im a > 0, by exp-sinh.
+
+    g(x) = sin(lam x)/sinh(pi x), times exp(-pi x) if ``with_exp``: H's
+    integrand on the ray t = x/a, where a t is real. (a^2 - x^2)^-mu
+    stays in the upper half-plane, so its principal value is
+    a^-2mu (1 - x^2/a^2)^-mu. For x > 1/2, g is formed as
+    2 sin(lam x) e^(-pi x)/(1 - e^(-2 pi x)), which cannot overflow.
+    """
+
+    if p.lam == 0.0:
+        return Evaluation(0j, "ray", 0.0, notes="integrand vanishes when lam = 0")
+    lam, a2, nmu, g0 = p.lam, p.a * p.a, -p.mu, p.lam / _PI
+    sin, sinh, exp, npi = math.sin, math.sinh, math.exp, -_PI
+
+    def f(x: float, _dl: float, _du: float) -> complex:
+        if x > 0.5:
+            e = exp(npi * x)
+            v = 2.0 * sin(lam * x) * e / (1.0 - e * e)
+            if with_exp:
+                v *= e
+        elif x < 1e-150:  # sin and sinh would round to 0/0
+            v = g0
+        else:
+            v = sin(lam * x) / sinh(_PI * x)
+            if with_exp:
+                v *= exp(npi * x)
+        return v * (a2 - x * x) ** nmu
+
+    res = integrate(f, QuadratureSpec(0.0, math.inf, 1e-14))
+    # the floor is 2 eps, not H's eps, per unit of absolute mass: on 500
+    # random points with Im a >= 1 the error reached 1.14 eps abs_sum
+    return Evaluation(
+        res.value,
+        "ray",
+        max(res.last_term_magnitude, 2.0 * _EPS * res.abs_sum),
+        notes=f"{res.terms_used} integrand evaluations",
+    )
+
+
+def _subdominant_tail(p: SeriesParams, base: float) -> Evaluation:
+    """(2 sqrt(pi)/Gamma(mu)) a^(1-2mu) sum_k (2/Y_k)^(1/2-mu) K_(1/2-mu)(Y_k)
+    over Y_k = (2k + base) pi a - i lam a, for Im a > 0 (Re Y_k > 0).
+
+    This is (1 - e^(-2 pi i mu)) I3 of the Bessel tail. Terms fall by
+    r = e^(-2 pi Re a) or faster, so the omitted ones add up to at most
+    r/(1 - r) times the last; the estimate is that, floored at rounding.
+    """
+
+    sums, pairs, last_mag, mass = _kv_sums(p, base, (-1j * p.lam * p.a,), 30)
+    pref = 2.0 * _SQRT_PI / gamma_real(p.mu) * _apow(p.a, 1.0 - 2.0 * p.mu)
+    r = math.exp(-2.0 * _PI * p.a.real)
+    return Evaluation(
+        pref * sums[0],
+        "subdominant-tail",
+        abs(pref) * max(last_mag * r / (1.0 - r), _EPS * mass),
+        tail_terms_used=len(pairs),
+    )
+
+
+def _full_rotated(p: SeriesParams, tag: str, plus: bool) -> Evaluation:
+    """A full route for |Im a| >= 1, on the path rotated onto t = x/a.
+
+    The segment t in [0, 1] of H is deformed onto the ray t = x/a and
+    back along t = 1 + x/a; no pole of 1/sinh(pi a t) and no point of
+    the cut of (1 - t^2)^-mu lies between them. The second ray gives
+    I2 + e^(-2 pi i mu) I3 exactly, so for Im a > 0
+
+        H + I2 + I3 = int_0^inf g(x) (a^2 - x^2)^-mu dx
+                      + (1 - e^(-2 pi i mu)) I3,
+
+    the ray integral of _ray_quadrature and the subdominant sum of
+    _subdominant_tail. Im a < 0 is served by S(conj a) = conj S(a).
+    """
+
+    q = p if p.a.imag > 0.0 else replace(p, a=p.a.conjugate())
+    ray = _ray_quadrature(q, plus)
+    tail = _subdominant_tail(q, 2.0 if plus else 1.0)
+    if plus:
+        e = _full(q, tag, [j_mu_quadrature(q, 1e-14), ray, tail])
+    else:
+        e = _full(q, tag, [ray, tail], ray.notes)
+    return e if q is p else replace(e, value=e.value.conjugate())
+
+
 def full_minus(p: SeriesParams) -> Evaluation:
     """Exact representation: 1/(2a^(2mu)) + H^- + tail.
 
     Not an asymptotic truncation; closes against direct_sum to
     combined component tolerance. Requires 0 < mu < 1 (tail); lam = 0
     collapses H to zero and reproduces the classical alternating
-    lam = 0 formula. The error estimate is the sum of the parts'
-    estimates, floored at eps * (|lead| + |H| + |tail|).
+    lam = 0 formula. For |Im a| >= 1 the path is rotated (Im a > 0,
+    Im a < 0 by conjugation):
+
+        S = 1/(2a^(2mu)) + int_0^inf sin(lam x)/sinh(pi x) (a^2 - x^2)^-mu dx
+            + (2 sqrt(pi)/Gamma(mu)) a^(1-2mu)
+              * sum_k (2/Y_k)^(1/2-mu) K_(1/2-mu)(Y_k),
+
+    Y_k = ((2k+1) pi - i lam) a, and Re Y_k > 0 for every Re a > 0, so
+    the tail's sector pi Re a > lam |Im a| is not needed there. The
+    notes give the evaluations of H's or the ray's quadrature. The
+    error estimate is the sum of the parts' estimates, floored at
+    eps * sum |part|.
     """
 
     _check_full_mu(p, "use algebraic_minus at mu = 0, where it is exact")
+    if abs(p.a.imag) >= _ROTATE_IM_A:
+        return _full_rotated(p, "full-minus", False)
     h = h_minus_quadrature(p, 1e-14)
     tail, _ = bessel_tail_minus(p)
     return _full(p, "full-minus", [h, tail], h.notes)
@@ -747,9 +889,10 @@ def full_minus(p: SeriesParams) -> Evaluation:
 def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-sinh quadrature.
 
-    Integrated in t = |a| u. The integrand takes (u^2 + a^2/|a|^2) ** -mu
-    on the principal branch, as direct_sum takes (n^2 + a^2) ** -mu. The
-    estimate is floored like H's.
+    Integrated in t = s u with s = |a|, or s = 1/lam once lam |a| > 860.
+    The integrand takes (u^2 + a^2/s^2) ** -mu on the principal branch,
+    as direct_sum takes (n^2 + a^2) ** -mu. The estimate is floored like
+    H's.
     """
 
     if p.lam <= 0.0:
@@ -759,15 +902,20 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
     # in t = |a| u the integrand falls on the exp-sinh rule's own scale,
-    # and (t^2 + a^2)^-mu = |a|^-2mu (u^2 + a^2/|a|^2)^-mu exactly
-    mod = abs(p.a)
-    nlam, nmu, b2, exp = -p.lam * mod, -p.mu, _a2(p) / (mod * mod), math.exp
+    # and (t^2 + a^2)^-mu = |a|^-2mu (u^2 + a^2/|a|^2)^-mu exactly. Once
+    # lam |a| passes about 863, exp(-lam |a| u) underflows at two nodes in
+    # a row beside u = 1 and the scan of every refined level stops there;
+    # in t = u/lam the exponential falls on the unit scale instead
+    s = abs(p.a)
+    if p.lam * s > _J_RESCALE:
+        s = 1.0 / p.lam
+    nlam, nmu, b2, exp = -p.lam * s, -p.mu, _a2(p) / (s * s), math.exp
 
     def f(u: float, _dl: float, _du: float) -> complex | float:
         return exp(nlam * u) * (u * u + b2) ** nmu
 
     res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
-    pref = mod ** (1.0 - 2.0 * p.mu)
+    pref = s ** (1.0 - 2.0 * p.mu)
     return Evaluation(
         pref * res.value,
         "j-mu-quadrature",
@@ -781,13 +929,18 @@ def full_plus(p: SeriesParams) -> Evaluation:
 
     Requires 0 < mu < 1 and lam > 0 (the lam = 0 case has its own
     closed form, see lambda0_plus; mu = 0 is served exactly by
-    algebraic_plus). The error estimate is the sum of the parts'
-    estimates, floored at eps * (|lead| + |J| + |H| + |tail|).
+    algebraic_plus). For |Im a| >= 1 the path is rotated as in
+    full_minus: J, the ray integral with an extra exp(-pi x) in its
+    integrand, and the subdominant sum over Y_k = ((2k+2) pi - i lam) a,
+    with no sector condition. The error estimate is the sum of the
+    parts' estimates, floored at eps * sum |part|.
     """
 
     _check_full_mu(p, "use algebraic_plus at mu = 0")
     if p.lam <= 0.0:
         raise PreconditionError("full representation needs lam > 0")
+    if abs(p.a.imag) >= _ROTATE_IM_A:
+        return _full_rotated(p, "full-plus", True)
     j = j_mu_quadrature(p, 1e-14)
     h = h_plus_quadrature(p, 1e-14)
     tail, _ = bessel_tail_plus(p)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 from dataclasses import FrozenInstanceError
 
@@ -481,6 +482,164 @@ def test_full_routes_large_a_grid():
     # the peak sits at the centre of the rule
     for case in LARGE_A_GRID:
         _check_full_route(*case)
+
+
+def _meets_estimate(got, ref):
+    with mpmath.workdps(40):
+        actual = float(abs(mpmath.mpc(got.value) - ref))
+    return actual <= 2.0 * got.error_estimate, actual
+
+
+def _sector_edge_sweep():
+    # seed 23, benchmark ranges; three in four points at 0.8-0.99 of the
+    # tail's sector limit atan(b pi/lam), b = 1 (minus) or 2 (plus), the
+    # fourth beyond the limit, at either sign of arg a
+    rng = random.Random(23)
+    cases = []
+    for i in range(120):
+        sign = ("minus", "plus")[i % 2]
+        mu = rng.uniform(0.05, 0.95)
+        lam = math.exp(rng.uniform(math.log(0.05), math.log(8.0)))
+        mod = math.exp(rng.uniform(math.log(1.5), math.log(40.0)))
+        limit = math.atan((1.0 if sign == "minus" else 2.0) * math.pi / lam)
+        if i % 4 < 3:
+            arg = rng.uniform(0.8, 0.99) * limit
+        else:
+            arg = limit + rng.uniform(0.02, 0.9) * (0.5 * math.pi - limit)
+        if rng.random() < 0.5:
+            arg = -arg
+        cases.append((mu, lam, cmath.rect(mod, arg), sign))
+    return cases
+
+
+def test_full_routes_sector_edge_sweep():
+    # every point returns within 2x of its estimate. Before the rotated
+    # path (|Im a| >= 1) 31 of them refused, 30 beyond the limit, and 2
+    # missed, up to 4.2x: at (0.879, 6.858, 1.98 - 0.86i, -), on the
+    # straight path, H and the tail cancel, and the tail's estimate now
+    # carries the eps |X_k| rounding of each term
+    for case in _sector_edge_sweep():
+        _check_full_route(*case)
+
+
+def test_full_routes_outside_tail_sector():
+    # every Y_k = ((2k + b) pi - i lam) a has Re Y_k = b pi Re a +
+    # lam Im a > 0 for Im a > 0, so at |Im a| >= 1 the routes return where
+    # the tail's sector b pi Re a > lam |Im a| does not hold
+    for mu, lam, a, sign in [
+        (0.5, 5.0, 1 + 3j, "minus"),
+        (0.3, 8.0, 2 + 10j, "plus"),
+        (0.7, 3.0, 0.5 - 2j, "minus"),
+        (0.9, 6.0, 1.2 - 4j, "plus"),
+        (0.2, 2.0, 0.05 + 1.0j, "minus"),
+    ]:
+        b = 1.0 if sign == "minus" else 2.0
+        assert b * math.pi * a.real <= lam * abs(a.imag)
+        _check_full_route(mu, lam, a, sign)
+    # below |Im a| = 1 the straight path needs the tail's sector
+    for a, sign in [
+        (0.1 + 0.99j, "minus"),
+        (0.2 - 0.9j, "plus"),
+        (complex(1.0, 1.0 - 1e-9), "minus"),
+    ]:
+        fn = full_minus if sign == "minus" else full_plus
+        with pytest.raises(PreconditionError):
+            fn(SeriesParams(0.5, 8.0, a, sign))
+
+
+def test_full_rotated_path_conjugate_symmetry():
+    # Im a < 0 is served as conj S(conj a): the same bits, conjugated
+    for mu, lam, a in [(0.5, 1.0, 4 + 1j), (0.3, 2.0, 5 + 2j), (0.9, 7.0, 1 + 3j), (0.1, 0.05, 0.3 + 25j)]:
+        for fn, sign in ((full_minus, "minus"), (full_plus, "plus")):
+            up = fn(SeriesParams(mu, lam, a, sign))
+            dn = fn(SeriesParams(mu, lam, a.conjugate(), sign))
+            assert repr(dn.value) == repr(up.value.conjugate())
+            assert (dn.error_estimate, dn.tail_terms_used, dn.notes) == (
+                up.error_estimate, up.tail_terms_used, up.notes,
+            )
+
+
+def test_full_paths_agree_at_im_a_one():
+    # the straight path at |Im a| = 1 - 1e-9 and the rotated one at
+    # 1 + 1e-9: their difference matches that of the 40-digit sums to
+    # within the two estimates
+    for mu, lam, x in [(0.5, 1.0, 4.0), (0.2, 6.0, 8.0), (0.9, 0.1, 1.5), (0.6, 2.5, 2.0)]:
+        for fn, sign in ((full_minus, "minus"), (full_plus, "plus")):
+            for s in (1.0, -1.0):
+                lo = complex(x, s * (1.0 - 1e-9))
+                hi = complex(x, s * (1.0 + 1e-9))
+                e_lo = fn(SeriesParams(mu, lam, lo, sign))
+                e_hi = fn(SeriesParams(mu, lam, hi, sign))
+                with mpmath.workdps(40):
+                    want = _explicit_sum(mu, lam, hi, sign) - _explicit_sum(mu, lam, lo, sign)
+                    gap = float(abs(mpmath.mpc(e_hi.value) - mpmath.mpc(e_lo.value) - want))
+                assert gap <= e_lo.error_estimate + e_hi.error_estimate, (mu, lam, lo, sign, gap)
+
+
+def test_full_rotated_path_diagnostics():
+    # notes count the ray integral's evaluations, as they counted H's;
+    # tail_terms_used counts the subdominant sum over Y_k, here at a point
+    # outside the tail's sector, where the X_k sum is not even defined
+    for a in (3 + 4j, 1 + 3j, 0.2 - 1.5j):
+        mu, lam = 0.5, 5.0
+        got = full_minus(SeriesParams(mu, lam, a))
+        assert re.fullmatch(r"\d+ integrand evaluations", got.notes), got.notes
+        q = a if a.imag > 0 else a.conjugate()
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(0.5) - mu
+            acc = 0
+            for k in range(30):
+                Y = ((2 * k + 1) * mpmath.pi - 1j * lam) * mpmath.mpc(q)
+                w = (2 / Y) ** nu * mpmath.besselk(nu, Y)
+                acc += w
+                if abs(w) <= 1e-18 * abs(acc):
+                    break
+        assert got.tail_terms_used == k + 1, (a, got.tail_terms_used, k + 1)
+    assert full_plus(SeriesParams(0.5, 5.0, 3 + 4j, "plus")).notes == ""
+
+
+def _h_reference(mu, lam, a, sign):
+    # H = S - 1/(2 a^(2 mu)) [- J]; the tail, below e^(-pi 230), is dropped
+    with mpmath.workdps(40):
+        s = _explicit_sum(mu, lam, a, sign)
+        a_mp, mu_mp = mpmath.mpc(a), mpmath.mpf(mu)
+        h = s - a_mp ** (-2 * mu_mp) / 2
+        if sign == "plus":
+            h -= mpmath.quad(
+                lambda t: mpmath.exp(-lam * t) / (t * t + a_mp * a_mp) ** mu_mp,
+                [0, abs(a), mpmath.inf],
+            )
+        return s, h
+
+
+@pytest.mark.parametrize("a", [230.0, 300.0, 1000.0, 300 + 0.5j])
+def test_h_and_full_routes_beyond_sinh_overflow(a):
+    # pi Re(a t) passes 710 inside (0, 1) here, where sinh overflowed and
+    # every H and full route refused
+    mu, lam = 0.5, 1.0
+    for sign in ("minus", "plus"):
+        s, h = _h_reference(mu, lam, a, sign)
+        hq = h_minus_quadrature if sign == "minus" else h_plus_quadrature
+        fn = full_minus if sign == "minus" else full_plus
+        p = SeriesParams(mu, lam, a, sign)
+        for got, ref in ((hq(p, 1e-14), h), (fn(p), s)):
+            ok, actual = _meets_estimate(got, ref)
+            assert ok, (a, sign, got.method, actual, got.error_estimate)
+
+
+def test_j_quadrature_at_large_lam_a():
+    # in t = |a| u, exp(-lam |a| u) underflowed beside u = 1 once lam |a|
+    # passed about 863 and J refused; from 860 on J runs in t = u/lam
+    for mu, lam, a in [(0.5, 1.0, 1000.0), (0.9, 0.87, 1000.0), (0.3, 5.0, 200 + 30j), (0.05, 8.0, 108.0)]:
+        got = j_mu_quadrature(SeriesParams(mu, lam, a, "plus"), 1e-14)
+        with mpmath.workdps(40):
+            a_mp = mpmath.mpc(a)
+            ref = mpmath.quad(
+                lambda t: mpmath.exp(-lam * t) / (t * t + a_mp * a_mp) ** mu,
+                [0, 1 / lam, abs(a), mpmath.inf],
+            )
+        ok, actual = _meets_estimate(got, ref)
+        assert ok, (mu, lam, a, actual, got.error_estimate)
 
 
 def test_full_lam0_minus_reduction():

@@ -28,6 +28,18 @@ t = |a| u. Values moved by an ulp or two either way; in the stream the
 worst relative distance to 40-digit references went from 3.3e-16 to
 2.8e-16, and the H and J estimates gained a floor of eps times the
 quadrature's absolute mass.
+
+The full routes at |Im a| >= 1 (a = 4+1i, 5-2i, 8+3i) and the
+quadrature stream were recorded again when those routes moved to the
+rotated path: the ray integral and the subdominant Bessel sum in place
+of H and the whole tail. Four of the six values moved: the distance to
+a 40-digit sum fell at three (5.2e-17 -> 8.2e-18, 7.0e-17 -> 1.5e-17,
+2.0e-17 -> 1.7e-17) and rose by one ulp, 1.0e-17 -> 1.1e-17, at
+full_minus (0.5, 1, 4+1i); full_minus now counts the ray integral's
+evaluations. In the stream one
+value moved (relative distance 1.2e-16 -> 3.6e-17); the rest moved in
+their estimate or evaluation count only, the tail's estimate now
+carrying a rounding floor.
 """
 
 import cmath
@@ -79,13 +91,13 @@ ROUTES = {
     (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380457e-17", "211 integrand evaluations"),
     (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.5961722538520605e-18", "112 integrand evaluations"),
     (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.22673275152522182-0.05256934453435507j)", "1.9985941820837785e-15", "105 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106391j)", 3, "211 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106392j)", 3, "370 integrand evaluations"),
     (0.5, 1.0, (4+1j), "full_plus"): ("(0.3637095701546108-0.08684116109610586j)", 3, ""),
     (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.031638201602113114j)", "3.7766922367820625e-17", "208 integrand evaluations"),
     (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.055542416857564454+0.01293876098373191j)", "1.401300361559724e-17", "203 integrand evaluations"),
     (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.1768287893014251+0.040476584214947944j)", "4.028026038844107e-17", "99 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167095j)", 3, "208 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_plus"): ("(0.4097217833969945+0.09462362219598912j)", 3, ""),
+    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167095j)", 3, "369 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_plus"): ("(0.40972178339699455+0.09462362219598912j)", 3, ""),
     (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.3057827627485266e-17", "211 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.1777300712164744e-18", "212 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "3.0390474688629016e-15", "216 integrand evaluations"),
@@ -94,8 +106,8 @@ ROUTES = {
     (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883942j)", "1.362544955759446e-16", "395 integrand evaluations"),
     (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.02036815813448689j)", "4.028062846094566e-17", "201 integrand evaluations"),
     (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.0699283292155935-0.0100976406523348j)", "1.568825482420889e-17", "87 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_minus"): ("(0.4185763423179701-0.060486830206756124j)", 2, "395 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.0607831072445007j)", 2, ""),
+    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 2, "370 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.06078310724450071j)", 2, ""),
 }
 # (nu, z) -> K_nu(z)
 KV = {
@@ -200,11 +212,12 @@ SMALL_A = {
 # sha256 of the reprs of bhat_coefficients(lam, 20).values, lam = 0.2, 1, 3
 BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
 # sha256 of the 64 results of _quadrature_stream, re-recorded when H
-# and J moved to their half-line variables; and of the 30 K_nu
+# and J moved to their half-line variables and when the full routes at
+# |Im a| >= 1 moved to the rotated path; and of the 30 K_nu
 # values of _kv_stream, recorded again when CF2 and Temme's series
 # replaced the quadrature below |z| = 20 (the ten Hankel values did not
 # move)
-QUADRATURE_STREAM_SHA256 = "fa33c1be690ddb9283d3fcf5c8fcea2788e994849553ff28aa01b8958f7f4937"
+QUADRATURE_STREAM_SHA256 = "eb1f17750437a21bfb8d2ee27c3fd9471a2bd988086d2cfa1e36caec87106147"
 KV_STREAM_SHA256 = "995c28aa54ada48c540a83311e51ad5b2a7a6eef70944afd09df29801650dbab"
 
 ROUTE_FUNCTIONS = {
