@@ -87,11 +87,12 @@ methods and what they evaluate:
   full        the sum itself, as algebraic part + Bessel tail (0 < mu < 1)
   algebraic   the sum's large-a algebraic expansion, truncated at --K
   integer-mu  the sum itself, hypergeometric closed form (mu = 1 .. 5)
-  lambda0     the sum itself at lam = 0 (requires --lambda 0)
+  lambda0     the sum itself at lam = 0 (requires --lambda 0; --K caps
+              the Bessel terms, default 30, exit 4 if it needs more)
   small-a     the branch-cut contribution H alone, convergent small-a
               series (--sign minus only, |a| <= 1)
-  tail        the exponentially small Bessel tail alone (--K = number
-              of tail terms)
+  tail        the exponentially small Bessel tail alone (--K caps the
+              tail terms as for lambda0)
   j-mu        the Laplace integral J alone: quadrature by default
               (uses --tol), or the large-a expansion when --K is given
 

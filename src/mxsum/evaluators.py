@@ -18,7 +18,7 @@ Routes provided:
   inverse powers of a with exact rational coefficient generation;
 * ``bessel_tail_minus`` / ``bessel_tail_plus``: the exponentially small
   correction, a sum of modified Bessel functions K_nu of complex
-  argument;
+  argument, which refuses when its term budget runs out;
 * ``full_minus`` / ``full_plus``: 1/(2a^(2mu)) + H (+ J) + tail, an
   exact representation that must close against ``direct_sum``. For
   |Im a| >= 1 the path of H is rotated onto the ray t = x/a, where a t
@@ -27,7 +27,8 @@ Routes provided:
   subdominant Bessel sum is left, with no sector condition on a;
 * ``j_mu_quadrature`` / ``j_mu_asymptotic``: the Laplace-type integral
   J that enters the plus case;
-* ``olver_lambda0_minus`` / ``lambda0_plus``: lam = 0 reductions;
+* ``olver_lambda0_minus`` / ``lambda0_plus``: lam = 0 reductions, whose
+  Bessel sum is the full routes' subdominant sum at lam = 0;
 * ``integer_mu_closed_form``: hypergeometric closed forms for
   mu = 1 .. 5;
 * ``mu_step_check``: numerical verification of the recurrence
@@ -44,7 +45,6 @@ from dataclasses import dataclass, replace
 from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from .errors import NonConvergenceError, PreconditionError
 from .kernel import (
-    QuadratureSpec,
     accelerated_alternating_complex,
     gamma_real,
     integrate,
@@ -317,7 +317,7 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
     sigma = min(0.5, 4.0 / abs(p.a))
     m2s, q, g0, ln4 = -2.0 * sigma, 1.0 - p.mu, p.lam / _PI, math.log(4.0)
 
-    def f(u: float, _dl: float, _du: float) -> complex | float:
+    def f(u: float) -> complex | float:
         x = m2s * u
         if x < -600.0:  # e nears underflow: t = 1, sech^2 = 4e, from logs
             t, w = 1.0, exp(q * (ln4 + x))
@@ -338,7 +338,7 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
             v *= cexp(npa * t)
         return v * w
 
-    res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
+    res = integrate(f, tol)
     pref = sigma * _apow(p.a, 1.0 - 2.0 * p.mu)
     return Evaluation(
         complex(pref * res.value),
@@ -589,11 +589,11 @@ def _kv_sums(
     Z_k = (2k + base) pi a + offset, all in one loop.
 
     The loop stops once a term of the first sum falls below 1e-18 of
-    that sum, or after n_terms terms. Returns the sums, the pairs
-    (Z_k, K_nu(Z_k)) of the first sum, the magnitude of its last term
-    and the mass sum |Z_k| |term| over every sum. The mass sets the
-    rounding floor: K_nu(Z) falls like e^-Z, so the rounding of Z_k,
-    about eps |Z_k|, becomes a relative error of its term.
+    that sum; NonConvergenceError if n_terms run out first. Returns the
+    sums, the pairs (Z_k, K_nu(Z_k)) of the first sum, the magnitude of
+    its last term and the mass sum |Z_k| |term| over every sum. The mass
+    sets the rounding floor: K_nu(Z) falls like e^-Z, so the rounding of
+    Z_k, about eps |Z_k|, becomes a relative error of its term.
     """
 
     nu, a = 0.5 - p.mu, p.a
@@ -613,8 +613,26 @@ def _kv_sums(
                 pairs.append((Z, kv))
                 last_mag = abs(w)
         if last_mag <= 1e-18 * max(abs(sums[0]), 1e-300):
-            break
-    return sums, pairs, last_mag, mass
+            return sums, pairs, last_mag, mass
+    # a sum cut short can be far off: at small Re a the terms fall
+    # slowly, and at large mu they stay near their Z -> 0 limit until
+    # |Z_k| passes about |nu|
+    raise NonConvergenceError(
+        f"Bessel sum did not reach its 1e-18 stop within n_terms = "
+        f"{n_terms} (last term {last_mag:.3e} of sum {abs(sums[0]):.3e})"
+    )
+
+
+def _tail_budget(a: complex) -> int:
+    """Terms the full routes allow their Bessel sums.
+
+    The terms fall by e^(-2 pi Re a) or faster, so the 1e-18 stop takes
+    about ln(1e18)/(2 pi Re a) of them, 30 more cover the slower start
+    at small |Z_k|. Capped at 10^4 + 30 (half a second of K_nu calls),
+    so Re a below about 7e-4 refuses instead of running for seconds.
+    """
+
+    return 30 + math.ceil(min(math.log(1e18) / (2.0 * _PI * a.real), 1e4))
 
 
 def _bessel_tail(
@@ -689,8 +707,9 @@ def bessel_tail_minus(
 
     Arguments X_k = (2k+1) pi a + i lam a; leading magnitude
     O(a^(1-2mu) exp(-pi a)). Terms are added until one contributes
-    less than 1e-18 relatively, or n_terms is reached. Also returns
-    the per-term display data (theta_k, magnitudes).
+    less than 1e-18 relatively; NonConvergenceError if n_terms run out
+    first, which at Re a below about 0.2 takes more than the default
+    30. Also returns the per-term display data (theta_k, magnitudes).
     """
 
     return _bessel_tail(p, n_terms, False, "bessel-tail-minus")
@@ -702,7 +721,8 @@ def bessel_tail_plus(
     """Exponentially small tail of the non-alternating sum.
 
     Arguments X_k = (2k+2) pi a + i lam a, so the leading magnitude
-    O(a^(1-2mu) exp(-2 pi a)) is smaller than in the minus case.
+    O(a^(1-2mu) exp(-2 pi a)) is smaller than in the minus case. Stops
+    and refuses as bessel_tail_minus.
     """
 
     return _bessel_tail(p, n_terms, True, "bessel-tail-plus")
@@ -788,7 +808,7 @@ def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
     lam, a2, nmu, g0 = p.lam, p.a * p.a, -p.mu, p.lam / _PI
     sin, sinh, exp, npi = math.sin, math.sinh, math.exp, -_PI
 
-    def f(x: float, _dl: float, _du: float) -> complex:
+    def f(x: float) -> complex:
         if x > 0.5:
             e = exp(npi * x)
             v = 2.0 * sin(lam * x) * e / (1.0 - e * e)
@@ -802,7 +822,7 @@ def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
                 v *= exp(npi * x)
         return v * (a2 - x * x) ** nmu
 
-    res = integrate(f, QuadratureSpec(0.0, math.inf, 1e-14))
+    res = integrate(f, 1e-14)
     # the floor is 2 eps, not H's eps, per unit of absolute mass: on 500
     # random points with Im a >= 1 the error reached 1.14 eps abs_sum
     return Evaluation(
@@ -813,16 +833,17 @@ def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
     )
 
 
-def _subdominant_tail(p: SeriesParams, base: float) -> Evaluation:
+def _subdominant_tail(p: SeriesParams, base: float, n_terms: int) -> Evaluation:
     """(2 sqrt(pi)/Gamma(mu)) a^(1-2mu) sum_k (2/Y_k)^(1/2-mu) K_(1/2-mu)(Y_k)
     over Y_k = (2k + base) pi a - i lam a, for Im a > 0 (Re Y_k > 0).
 
     This is (1 - e^(-2 pi i mu)) I3 of the Bessel tail. Terms fall by
     r = e^(-2 pi Re a) or faster, so the omitted ones add up to at most
     r/(1 - r) times the last; the estimate is that, floored at rounding.
+    At lam = 0 it is the Bessel sum of the lam = 0 routes.
     """
 
-    sums, pairs, last_mag, mass = _kv_sums(p, base, (-1j * p.lam * p.a,), 30)
+    sums, pairs, last_mag, mass = _kv_sums(p, base, (-1j * p.lam * p.a,), n_terms)
     pref = 2.0 * _SQRT_PI / gamma_real(p.mu) * _apow(p.a, 1.0 - 2.0 * p.mu)
     r = math.exp(-2.0 * _PI * p.a.real)
     return Evaluation(
@@ -850,7 +871,7 @@ def _full_rotated(p: SeriesParams, tag: str, plus: bool) -> Evaluation:
 
     q = p if p.a.imag > 0.0 else replace(p, a=p.a.conjugate())
     ray = _ray_quadrature(q, plus)
-    tail = _subdominant_tail(q, 2.0 if plus else 1.0)
+    tail = _subdominant_tail(q, 2.0 if plus else 1.0, _tail_budget(q.a))
     if plus:
         e = _full(q, tag, [j_mu_quadrature(q, 1e-14), ray, tail])
     else:
@@ -882,7 +903,7 @@ def full_minus(p: SeriesParams) -> Evaluation:
     if abs(p.a.imag) >= _ROTATE_IM_A:
         return _full_rotated(p, "full-minus", False)
     h = h_minus_quadrature(p, 1e-14)
-    tail, _ = bessel_tail_minus(p)
+    tail, _ = bessel_tail_minus(p, _tail_budget(p.a))
     return _full(p, "full-minus", [h, tail], h.notes)
 
 
@@ -911,10 +932,10 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         s = 1.0 / p.lam
     nlam, nmu, b2, exp = -p.lam * s, -p.mu, _a2(p) / (s * s), math.exp
 
-    def f(u: float, _dl: float, _du: float) -> complex | float:
+    def f(u: float) -> complex | float:
         return exp(nlam * u) * (u * u + b2) ** nmu
 
-    res = integrate(f, QuadratureSpec(0.0, math.inf, tol))
+    res = integrate(f, tol)
     pref = s ** (1.0 - 2.0 * p.mu)
     return Evaluation(
         pref * res.value,
@@ -943,7 +964,7 @@ def full_plus(p: SeriesParams) -> Evaluation:
         return _full_rotated(p, "full-plus", True)
     j = j_mu_quadrature(p, 1e-14)
     h = h_plus_quadrature(p, 1e-14)
-    tail, _ = bessel_tail_plus(p)
+    tail, _ = bessel_tail_plus(p, _tail_budget(p.a))
     return _full(p, "full-plus", [j, h, tail])
 
 
@@ -958,12 +979,14 @@ def olver_lambda0_minus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
         * sum_k K_{1/2-mu}((2k+1) pi a) / ((2k+1) pi a)^(1/2-mu),
 
     valid for mu > 0, Re a > 0 (mu is not restricted to (0, 1) here).
-    Terms are added until one contributes less than 1e-18 relatively;
-    NonConvergenceError if n_terms runs out first, which at small |a|
-    and large mu takes hundreds of terms.
+    The Bessel sum is _subdominant_tail at lam = 0: terms are added
+    until one contributes less than 1e-18 relatively, NonConvergenceError
+    if n_terms runs out first, which at small |a| and large mu takes
+    hundreds of terms. The estimate is assembled as in the full routes,
+    floored at the rounding of the parts and of the Bessel arguments.
     """
 
-    return _lambda0_bessel(mu, a, n_terms, 0.0, False, "lambda0-minus")
+    return _lambda0_bessel(mu, a, n_terms, "minus")
 
 
 def lambda0_plus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
@@ -976,28 +999,17 @@ def lambda0_plus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
     stops as in olver_lambda0_minus.
     """
 
-    mu = float(mu)
-    if not mu > 0.5:
+    if not float(mu) > 0.5:
         raise PreconditionError(
             f"lam = 0 non-alternating sum diverges for mu <= 1/2, got {mu}"
         )
-    extra = (
-        _SQRT_PI
-        * gamma_real(mu - 0.5)
-        / (2.0 * gamma_real(mu))
-        * _apow(complex(a), 1.0 - 2.0 * mu)
-    )
-    return _lambda0_bessel(mu, a, n_terms, extra, True, "lambda0-plus")
+    return _lambda0_bessel(mu, a, n_terms, "plus")
 
 
-def _lambda0_bessel(
-    mu: float,
-    a: complex,
-    n_terms: int,
-    extra: complex,
-    step_even: bool,
-    tag: str,
-) -> Evaluation:
+def _lambda0_bessel(mu: float, a: complex, n_terms: int, sign: str) -> Evaluation:
+    """The lam = 0 routes: the lead, for sign + the Gamma(mu - 1/2) term,
+    and _subdominant_tail at lam = 0, assembled and floored by _full."""
+
     mu = float(mu)
     a = complex(a)
     if not (math.isfinite(mu) and mu > 0.0):
@@ -1011,35 +1023,18 @@ def _lambda0_bessel(
     if n_terms < 1:
         raise PreconditionError("n_terms must be >= 1")
 
-    nu = 0.5 - mu
-    base = 2.0 if step_even else 1.0
-    real_a = a.imag == 0.0
-    acc: complex = 0.0
-    used = 0
-    last = 0.0
-    for k in range(n_terms):
-        z = (2 * k + base) * _PI * a
-        t = kv_complex(nu, z) * z ** (-nu)
-        acc += t
-        used = k + 1
-        last = abs(t)
-        if last <= 1e-18 * max(abs(acc), 1e-300):
-            break
-    else:
-        # the terms stay near their z -> 0 limit until (2k + base) pi |a|
-        # passes about |nu|, so a sum cut short can be far off
-        raise NonConvergenceError(
-            f"Bessel sum did not reach its 1e-18 stop within n_terms = "
-            f"{n_terms} (last term {last:.3e} of sum {abs(acc):.3e}); "
-            "raise n_terms"
-        )
-
-    pref = 2.0 ** (1.5 - mu) * _SQRT_PI / gamma_real(mu) * _apow(a, 1.0 - 2.0 * mu)
-    value = 0.5 * _apow(a, -2.0 * mu) + extra + pref * acc
-    if real_a:
-        value = complex(value).real
-    err = abs(pref) * last * math.exp(-2.0 * _PI * a.real)
-    return Evaluation(complex(value), tag, err, tail_terms_used=used)
+    p = SeriesParams(mu, 0.0, a, sign)
+    parts = []
+    if sign == "plus":
+        # a few roundings in the Gamma ratio, and the rounding of log a,
+        # amplified by the exponent, in the power
+        e = 1.0 - 2.0 * mu
+        v = _SQRT_PI * gamma_real(mu - 0.5) / (2.0 * gamma_real(mu)) * _apow(a, e)
+        err = (4.0 + abs(e * cmath.log(a))) * _EPS * abs(v)
+        parts.append(Evaluation(complex(v), "lambda0-gamma-term", err))
+    parts.append(_subdominant_tail(p, 2.0 if sign == "plus" else 1.0, n_terms))
+    e = _full(p, f"lambda0-{sign}", parts)
+    return replace(e, value=complex(e.value.real)) if p.real_a else e
 
 
 # ---------------------------------------------------------------------------

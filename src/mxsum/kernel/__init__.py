@@ -1,11 +1,11 @@
-"""Numeric kernel: compensated summation, double-exponential
-quadrature, K-Bessel evaluation, hypergeometric series and Hurwitz
-zeta. Everything above this layer builds on these primitives.
+"""Numeric kernel: compensated summation, exp-sinh quadrature on
+(0, inf), K-Bessel evaluation, hypergeometric series and Hurwitz zeta.
+Everything above this layer builds on these primitives.
 """
 
 from .bessel import kv_complex
 from .hyper import gamma_real, pfq_series
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .summation import (
     KahanSum,
     SeriesSum,
@@ -17,7 +17,6 @@ from .zeta import bernoulli_even, hurwitz_zeta
 __all__ = [
     "KahanSum",
     "SeriesSum",
-    "QuadratureSpec",
     "accelerated_alternating_complex",
     "bernoulli_even",
     "gamma_real",

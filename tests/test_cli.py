@@ -113,9 +113,10 @@ def test_eval_algebraic(sign, K, value, index, capsys):
 
 
 def test_eval_lambda0_term_cap(capsys):
-    # --K caps the Bessel terms; at a = 0.2 the sum needs 34 to reach its
-    # stop. A cap below that is a refusal (exit 4): with --K 5 the sum
-    # used to return 10.436330651676043, 5.5e-4 off
+    # --K caps the Bessel terms of lambda0 and tail; at a = 0.2 the
+    # lambda0 sum needs 34 to reach its stop. A cap below that is a
+    # refusal (exit 4): with --K 5 the sum used to return
+    # 10.436330651676043, 5.5e-4 off
     argv = ["eval", "--mu", "0.75", "--lambda", "0", "--a", "0.2",
             "--method", "lambda0"]
     for cap in (["--K", "5"], []):
@@ -125,6 +126,15 @@ def test_eval_lambda0_term_cap(capsys):
     out = capsys.readouterr().out
     assert "tail_terms_used = 34" in out
     assert "value = 10.442027486375242" in out
+    # --method tail caps its terms the same way: at a = 0.08 the tail
+    # needs 78, and the default 30 used to return a truncated sum
+    argv = ["eval", "--mu", "0.5", "--lambda", "1", "--a", "0.08",
+            "--method", "tail"]
+    for cap in (["--K", "77"], []):
+        assert main(argv + cap) == 4
+        assert capsys.readouterr().err.startswith("non-convergence: ")
+    assert main(argv + ["--K", "78"]) == 0
+    assert "tail_terms_used = 78" in capsys.readouterr().out
 
 
 def test_eval_precondition_exits_3(capsys):

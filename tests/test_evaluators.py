@@ -1,6 +1,7 @@
 """Evaluation routes for the two parameter sums and their cross-checks."""
 
 import cmath
+import itertools
 import math
 import random
 import re
@@ -297,6 +298,27 @@ def _explicit_sum(mu, lam, a, sign):
         )
 
 
+def test_bessel_tail_term_cap_refuses():
+    # at Re a = 0.08 the terms fall by e^(-2 pi 0.08) ~ 0.6 a term, and
+    # the 1e-18 stop takes 78 of them; the default 30 used to stop short
+    # without saying so
+    p = SeriesParams(0.5, 1.0, 0.08)
+    with pytest.raises(NonConvergenceError):
+        bessel_tail_minus(p)
+    assert bessel_tail_minus(p, n_terms=78)[0].tail_terms_used == 78
+
+
+def test_full_routes_at_small_re_a():
+    # the full routes give their Bessel sums about ln(1e18)/(2 pi Re a)
+    # terms (78 to 208 are needed here); a fixed 30 left full_minus at
+    # a = 0.08 2.4x and full_plus at a = 0.05 3.5x off their estimates
+    for a, sign in [(0.08, "minus"), (0.05, "plus"), (0.03 + 1.2j, "minus"), (0.03 + 1.2j, "plus")]:
+        fn = full_minus if sign == "minus" else full_plus
+        got = fn(SeriesParams(0.5, 1.0, a, sign))
+        ok, actual = _meets_estimate(got, _explicit_sum(0.5, 1.0, a, sign))
+        assert ok, (a, sign, got.tail_terms_used, actual, got.error_estimate)
+
+
 def test_full_error_estimate_covers_actual_error():
     # the estimate carries a rounding floor eps * sum |part|; without it
     # full_plus reported 1.7e-18 at (1/2, 1, 6), against an actual error
@@ -588,7 +610,7 @@ def test_full_rotated_path_diagnostics():
         with mpmath.workdps(30):
             nu = mpmath.mpf(0.5) - mu
             acc = 0
-            for k in range(30):
+            for k in itertools.count():
                 Y = ((2 * k + 1) * mpmath.pi - 1j * lam) * mpmath.mpc(q)
                 w = (2 / Y) ** nu * mpmath.besselk(nu, Y)
                 acc += w
@@ -698,6 +720,44 @@ def test_lambda0_minus_large_mu_small_a(mu, a):
         )
         rel = float(abs(mpmath.mpc(got.value) - ref) / abs(ref))
     assert rel <= 1e-13, (mu, a, rel)
+
+
+def _lambda0_sum(mu, a, sign):
+    """The lam = 0 sum at 40 digits: 40 explicit terms, then the binomial
+    series of (n^2 + a^2)^-mu in a^2/n^2 for n >= 40, each power of n
+    summed by the Hurwitz zeta function (over even and odd n apart for
+    sign -). Checked against an Euler-Maclaurin tail to 28 digits."""
+
+    with mpmath.workdps(40):
+        mu, a = mpmath.mpf(mu), mpmath.mpc(a)
+        s = -1 if sign == "minus" else 1
+        head = mpmath.fsum(s**n * (n * n + a * a) ** -mu for n in range(40))
+        tail = 0
+        for j in range(40):
+            e = 2 * mu + 2 * j
+            if sign == "minus":
+                z = (mpmath.zeta(e, 20) - mpmath.zeta(e, 20.5)) / 2**e
+            else:
+                z = mpmath.zeta(e, 40)
+            tail += mpmath.binomial(-mu, j) * (a * a) ** j * z
+        return head + tail
+
+
+def test_lambda0_estimate_sweep():
+    # the estimates carry the rounding floor of _full and of the Bessel
+    # sum's arguments; the truncation estimate alone, e^(-2 pi Re a)
+    # times the last term, missed by 5.5e6x at (1, 1, -) and 5.5e4x at
+    # (1.7, 0.7, -)
+    for mu in (0.3, 0.75, 1.0, 1.3, 1.7, 6.0):
+        for a in (0.7, 1.0, 3.0, 1 + 0.5j, 2 - 1.5j):
+            for fn, sign in ((olver_lambda0_minus, "minus"), (lambda0_plus, "plus")):
+                if sign == "plus" and mu <= 0.5:
+                    continue
+                got = fn(mu, a)
+                ok, actual = _meets_estimate(got, _lambda0_sum(mu, a, sign))
+                assert ok, (mu, a, sign, actual, got.error_estimate)
+                if a.imag == 0.0:
+                    assert got.value.imag == 0.0
 
 
 def test_lambda0_term_cap_refuses():

@@ -40,6 +40,12 @@ evaluations. In the stream one
 value moved (relative distance 1.2e-16 -> 3.6e-17); the rest moved in
 their estimate or evaluation count only, the tail's estimate now
 carrying a rounding floor.
+
+When the quadrature became one exp-sinh rule on (0, inf), whose
+integrands take t alone, every route value, both streams and the
+half-line integrals kept their bits. The finite-interval integrals went
+with the tanh-sinh rule: four of them were recorded again as integrals
+over (0, inf), by the two-rule scan before its removal.
 """
 
 import cmath
@@ -62,7 +68,7 @@ from mxsum.evaluators import (
     j_mu_quadrature,
     small_a_minus,
 )
-from mxsum.kernel import QuadratureSpec, integrate, kv_complex
+from mxsum.kernel import integrate, kv_complex
 
 # (mu, lam, a, route) -> (repr(value), repr(error_estimate), notes); the
 # full routes pin tail_terms_used instead of the estimate, which carries a
@@ -119,44 +125,37 @@ KV = {
     (0.45, (0.3+2j)): (-0.5883429387924489-0.2775372306103074j),
 }
 
-# name -> (integrand, spec); covers both maps, a zero at the centre node,
-# an integrand that is zero on half the interval, a shifted interval,
-# the NaN/infinity messages, and (the first two) exhaustion of the
-# 12-level budget
+# name -> integrand on (0, inf); covers a zero at the centre node t = 1,
+# an integrand that is zero on the right half of the rule, a singular
+# endpoint, two integrands that shift their own argument (the integrals
+# over (2, inf) and (0.5, inf)), the NaN/infinity messages, and (the
+# first two) exhaustion of the 12-level budget
 INTEGRANDS = {
-    "centre-zero": (lambda t, dl, du: t - 0.5, QuadratureSpec(0.0, 1.0)),
-    "left-half-only": (
-        lambda t, dl, du: 0.0 if t > 0.5 else math.sqrt(t),
-        QuadratureSpec(0.0, 1.0),
+    "centre-zero": lambda t: (t - 1.0) * math.exp(-t),
+    "left-half-only": lambda t: 0.0 if t > 1.0 else math.sqrt(t),
+    "shifted-sqrt": lambda t: math.exp(-t) / math.sqrt(t),
+    "slow-power": lambda t: (1.0 + (2.0 + t)) ** -1.5,
+    "oscillating-exp": lambda t: (
+        complex(math.cos(0.5 + t), math.sin(0.5 + t)) * math.exp(-(0.5 + t))
     ),
-    "shifted-sqrt": (lambda t, dl, du: 1.0 / math.sqrt(du), QuadratureSpec(-1.0, 3.0)),
-    "slow-power": (lambda t, dl, du: (1.0 + t) ** -1.5, QuadratureSpec(2.0, math.inf)),
-    "oscillating-exp": (
-        lambda t, dl, du: complex(math.cos(t), math.sin(t)) * math.exp(-t),
-        QuadratureSpec(0.5, math.inf),
-    ),
-    "zero": (lambda t, dl, du: 0.0, QuadratureSpec(0.0, math.inf)),
-    "inf-far": (
-        lambda t, dl, du: math.inf if t > 4.0 else 1.0,
-        QuadratureSpec(0.0, math.inf),
-    ),
-    "nan-near": (
-        lambda t, dl, du: math.nan if t < 1e-3 else 1.0,
-        QuadratureSpec(0.0, 1.0),
-    ),
+    "zero": lambda t: 0.0,
+    "inf-far": lambda t: math.inf if t > 4.0 else 1.0,
+    "nan-near": lambda t: math.nan if t < 1e-3 else math.exp(-t),
 }
 
 # name -> (repr(value), terms_used, repr(last_term_magnitude)), or
-# (exception type, message)
+# (exception type, message); centre-zero, left-half-only, shifted-sqrt
+# and nan-near were recorded again on (0, inf) when the finite-interval
+# rule was removed, the rest keep their bits
 INTEGRALS = {
-    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 5.459e-19, estimate (1.4267819091825689e-18+0j))"),
-    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 6.780e-05, estimate (0.2357700555756232+0j))"),
-    "shifted-sqrt": ("(4+0j)", 75, "6.217248937900877e-15"),
+    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 8.010e-19, estimate (5.220339676354285e-18+0j))"),
+    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 1.918e-04, estimate (0.6668584326487229+0j))"),
+    "shifted-sqrt": ("(1.7724538509055159+0j)", 228, "2.220446049250313e-16"),
     "slow-power": ("(1.1547005383792515+0j)", 161, "0.0"),
     "oscillating-exp": ("(0.12074722100148944+0.4115335092141813j)", 389, "5.551115123125783e-17"),
     "zero": ("0j", 13, "0.0"),
     "inf-far": ("IntegrandError", "integrand returned an infinity at t = 6.334441939256981"),
-    "nan-near": ("IntegrandError", "integrand returned NaN at t = 1.1261403769203559e-05"),
+    "nan-near": ("IntegrandError", "integrand returned NaN at t = 1.465291959965372e-07"),
 }
 
 # (mu, lam, a, K, route) -> (repr(value), repr(error_estimate), notes);
@@ -234,9 +233,8 @@ ROUTE_FUNCTIONS = {
 
 @pytest.mark.parametrize("name", sorted(INTEGRALS))
 def test_integrate_bits(name):
-    f, spec = INTEGRANDS[name]
     try:
-        r = integrate(f, spec)
+        r = integrate(INTEGRANDS[name])
         got = (repr(r.value), r.terms_used, repr(r.last_term_magnitude))
     except Exception as exc:
         got = (type(exc).__name__, str(exc))

@@ -1,4 +1,5 @@
-"""Double-exponential quadrature: values, endpoint handling, failure modes."""
+"""Exp-sinh quadrature on (0, inf): values, return types, shared node
+tables, failure modes."""
 
 import cmath
 import math
@@ -10,36 +11,13 @@ from pathlib import Path
 import pytest
 
 from mxsum.errors import IntegrandError, NonConvergenceError, PreconditionError
-from mxsum.kernel import QuadratureSpec, integrate
+from mxsum.kernel import integrate
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_arcsin_integral_with_declared_singularity():
-    # integral of (1-t^2)^(-1/2) over (0,1) = pi/2, flipped so the
-    # singular endpoint sits at the left end, where dl is its distance
-    spec = QuadratureSpec(0.0, 1.0)
-    r = integrate(lambda s, dl, du: 1.0 / math.sqrt(dl * (2.0 - s)), spec)
-    assert r.converged
-    assert abs(r.value.real - math.pi / 2) < 1e-13
-
-
-def test_right_singularity_via_distance_argument():
-    # same integral, unflipped: d_upper carries the exact distance to 1
-    spec = QuadratureSpec(0.0, 1.0)
-    r = integrate(lambda t, dl, du: 1.0 / math.sqrt(du * (1.0 + t)), spec)
-    assert abs(r.value.real - math.pi / 2) < 1e-13
-
-
-def test_moment_integral():
-    # integral of t^2 (1-t^2)^(-1/2) = pi/4
-    spec = QuadratureSpec(0.0, 1.0)
-    r = integrate(lambda s, dl, du: (1.0 - s) ** 2 / math.sqrt(dl * (2.0 - s)), spec)
-    assert abs(r.value.real - math.pi / 4) < 1e-13
-
-
 def test_semi_infinite_exponential():
-    r = integrate(lambda t, dl, du: math.exp(-t), QuadratureSpec(0.0, math.inf))
+    r = integrate(lambda t: math.exp(-t))
     assert r.converged
     assert abs(r.value.real - 1.0) < 1e-13
     assert r.terms_used > 0
@@ -48,86 +26,51 @@ def test_semi_infinite_exponential():
 def test_abs_sum_is_the_integral_of_abs_f():
     # abs_sum is h times the sum of |weighted value|: the integral of |f|
     # by the same rule, which the H and J routes floor their estimates on
-    r = integrate(lambda t, dl, du: math.exp(-t), QuadratureSpec(0.0, math.inf))
+    r = integrate(lambda t: math.exp(-t))
     assert abs(r.abs_sum - 1.0) < 1e-13
     # int_0^inf |sin t| e^-t dt, a sum over half periods of
     # e^(-k pi) (1 + e^-pi)/2; the kinks of |f| limit the rule there
-    r = integrate(
-        lambda t, dl, du: math.sin(t) * math.exp(-t), QuadratureSpec(0.0, math.inf)
-    )
+    r = integrate(lambda t: math.sin(t) * math.exp(-t))
     assert abs(r.value.real - 0.5) < 1e-13
     want = 0.5 * (1.0 + math.exp(-math.pi)) / (1.0 - math.exp(-math.pi))
     assert abs(r.abs_sum - want) < 1e-4 * want
 
 
-def test_beta_function_grid():
-    # B(p,q)/2 = integral of t^(2p-1) (1-t^2)^(q-1) over (0,1), split at
-    # 1/2 so each half has its singularity at the left end
-    half = QuadratureSpec(0.0, 0.5)
-    for p in (0.25, 0.5, 0.75, 1.0):
-        for q in (0.25, 0.5, 0.75, 1.0):
-            part1 = integrate(
-                lambda t, dl, du: t ** (2.0 * p - 1.0) * (1.0 - t * t) ** (q - 1.0),
-                half,
-            )
-            part2 = integrate(
-                lambda s, dl, du: (1.0 - s) ** (2.0 * p - 1.0)
-                * (dl * (2.0 - s)) ** (q - 1.0),
-                half,
-            )
-            got = part1.value.real + part2.value.real
-            exact = math.gamma(p) * math.gamma(q) / math.gamma(p + q) / 2.0
-            assert abs(got - exact) < 1e-12 * exact, (p, q, got, exact)
-
-
 def test_complex_integrand():
-    r = integrate(
-        lambda t, dl, du: complex(math.cos(t), math.sin(t)), QuadratureSpec(0.0, 1.0)
-    )
-    exact = complex(math.sin(1.0), 1.0 - math.cos(1.0))
-    assert abs(r.value - exact) < 1e-13
-
-
-def test_nan_integrand_raises():
-    with pytest.raises(IntegrandError):
-        integrate(lambda t, dl, du: math.nan, QuadratureSpec(0.0, 1.0))
+    # int_0^inf e^((i-1)t) dt = 1/(1 - i)
+    r = integrate(lambda t: cmath.exp(complex(-1.0, 1.0) * t))
+    assert abs(r.value - complex(0.5, 0.5)) < 1e-13
 
 
 def test_level_budget_exhaustion_raises():
-    # a kink inside the interval defeats the double-exponential rule
-    with pytest.raises(NonConvergenceError, match="within 12 refinements"):
-        integrate(lambda t, dl, du: abs(t - 0.3), QuadratureSpec(0.0, 1.0))
+    # a kink defeats the double-exponential rule, and so does a zero
+    # integral, where a relative tolerance cannot be met
+    for f in (
+        lambda t: abs(t - 0.3) * math.exp(-t),
+        lambda t: (1.0 - t) * math.exp(-t),
+    ):
+        with pytest.raises(NonConvergenceError, match="within 12 refinements"):
+            integrate(f)
 
 
 def test_spec_validation():
-    bad = [
-        dict(lower=math.inf, upper=1.0),
-        dict(lower=0.0, upper=0.0),
-        dict(lower=0.0, upper=1.0, target_rel_tol=0.0),
-        dict(lower=0.0, upper=1.0, target_rel_tol=2.0),
-    ]
-    for kwargs in bad:
+    for tol in (0.0, 1.0, 2.0, -1e-13, math.nan):
         with pytest.raises(PreconditionError):
-            QuadratureSpec(**kwargs)
+            integrate(lambda t: math.exp(-t), tol)
 
 
-@pytest.mark.parametrize("upper", [1.0, math.inf], ids=["tanh-sinh", "exp-sinh"])
-def test_infinite_integrand_raises(upper):
-    spec = QuadratureSpec(0.0, upper)
+def test_infinite_integrand_raises():
     with pytest.raises(IntegrandError, match="infinity"):
-        integrate(lambda t, dl, du: -math.inf, spec)
+        integrate(lambda t: -math.inf)
     with pytest.raises(IntegrandError, match="infinity"):
-        integrate(lambda t, dl, du: complex(1.0, math.inf), spec)
+        integrate(lambda t: complex(1.0, math.inf))
 
 
 def test_nan_integrand_raises_on_half_line():
     with pytest.raises(IntegrandError, match="NaN"):
-        integrate(lambda t, dl, du: math.nan, QuadratureSpec(0.0, math.inf))
+        integrate(lambda t: math.nan)
     with pytest.raises(IntegrandError, match="NaN"):
-        integrate(
-            lambda t, dl, du: complex(0.0, math.nan) if t > 3.0 else 1.0,
-            QuadratureSpec(0.0, math.inf),
-        )
+        integrate(lambda t: complex(0.0, math.nan) if t > 3.0 else 1.0)
 
 
 # Runs the slowly decaying integrals, after the early-truncating ones
@@ -135,21 +78,18 @@ def test_nan_integrand_raises_on_half_line():
 # the shared tables after the call.
 _ORDER_SCRIPT = """
 import math, sys
-from mxsum.kernel import QuadratureSpec, integrate, quadrature
+from mxsum.kernel import integrate, quadrature
 
 SLOW = [
-    (lambda t, dl, du: (1.0 + t) ** -1.5, QuadratureSpec(0.0, math.inf)),
-    (
-        lambda t, dl, du: dl ** -0.5 * (1.0 + t),
-        QuadratureSpec(0.0, 1.0),
-    ),
+    lambda t: (1.0 + t) ** -1.5,
+    lambda t: t**-0.5 * (1.0 + t) ** -1.25,
 ]
 EARLY = [
-    (lambda t, dl, du: math.exp(-50.0 * t), QuadratureSpec(0.0, math.inf)),
-    (lambda t, dl, du: t * (1.0 - t), QuadratureSpec(0.0, 1.0)),
+    lambda t: math.exp(-50.0 * t),
+    lambda t: t * math.exp(-t),
 ]
-for f, spec in (EARLY if sys.argv[1] == "grown" else []) + SLOW:
-    r = integrate(f, spec)
+for f in (EARLY if sys.argv[1] == "grown" else []) + SLOW:
+    r = integrate(f)
     nodes = sum(len(t.nodes) for ts in quadrature._TABLES.values() for t in ts)
     print(repr(r.value), r.terms_used, repr(r.last_term_magnitude), nodes)
 """
@@ -185,18 +125,18 @@ def test_results_do_not_depend_on_call_order():
 # died leaves None, which differs too).
 _THREADS_SCRIPT = """
 import math, sys, threading
-from mxsum.kernel import QuadratureSpec, integrate, quadrature
+from mxsum.kernel import integrate, quadrature
 
 CASES = [
-    (lambda t, dl, du: (1.0 + t) ** -1.5, QuadratureSpec(0.0, math.inf)),
-    (lambda t, dl, du: abs(t - 0.3), QuadratureSpec(0.0, 1.0)),
+    lambda t: (1.0 + t) ** -1.5,
+    lambda t: abs(t - 0.3) * math.exp(-t),
 ]
 
 def run():
     out = []
-    for f, spec in CASES:
+    for f in CASES:
         try:
-            r = integrate(f, spec)
+            r = integrate(f)
             out.append((repr(r.value), r.terms_used, repr(r.last_term_magnitude)))
         except Exception as exc:
             out.append((type(exc).__name__, str(exc)))
@@ -243,62 +183,57 @@ def _flat_imaginary(t, real_type):
     return real_type(x) if y == 0.0 else complex(x, y)
 
 
-# family -> (spec, {form: integrand}); every form of a family returns the
-# same number as a different type, so every form must give the same bits
+def _three_e_minus_t(t):
+    # an int where 3 e^-t rounds to an integer: 3 near t = 0, 0 far out
+    x = 3.0 * math.exp(-t)
+    return int(x) if x.is_integer() else x
+
+
+# family -> {form: integrand}; every form of a family returns the same
+# number as a different type, so every form must give the same bits
 RETURN_TYPES = {
-    "damped-cosine": (
-        QuadratureSpec(0.0, math.inf),
-        {
-            "float": lambda t, dl, du: _damped(t),
-            "complex": lambda t, dl, du: complex(_damped(t), 0.0),
-            "complex-negative-zero": lambda t, dl, du: complex(_damped(t), -0.0),
-        },
-    ),
-    "constant": (
-        QuadratureSpec(-1.0, 2.0),
-        {
-            "int": lambda t, dl, du: 3,
-            "float": lambda t, dl, du: 3.0,
-            "complex": lambda t, dl, du: complex(3.0, 0.0),
-        },
-    ),
-    "real-mixed": (
-        QuadratureSpec(0.0, 1.0),
-        {
-            "float": lambda t, dl, du: math.sqrt(t) * math.exp(t),
-            "float-then-complex": lambda t, dl, du: (
-                math.sqrt(t) * math.exp(t)
-                if t < 0.5
-                else complex(math.sqrt(t) * math.exp(t), 0.0)
-            ),
-        },
-    ),
+    "damped-cosine": {
+        "float": lambda t: _damped(t),
+        "complex": lambda t: complex(_damped(t), 0.0),
+        "complex-negative-zero": lambda t: complex(_damped(t), -0.0),
+    },
+    "constant": {
+        "int": _three_e_minus_t,
+        "float": lambda t: 3.0 * math.exp(-t),
+        "complex": lambda t: complex(3.0 * math.exp(-t), 0.0),
+    },
+    "real-mixed": {
+        "float": lambda t: math.sqrt(t) * math.exp(-t),
+        "float-then-complex": lambda t: (
+            math.sqrt(t) * math.exp(-t)
+            if t < 0.5
+            else complex(math.sqrt(t) * math.exp(-t), 0.0)
+        ),
+    },
     # the imaginary part underflows to 0.0 near t = 0, where the integrand
     # returns a float, after the scan has summed complex values elsewhere
-    "complex-mixed": (
-        QuadratureSpec(0.0, math.inf),
-        {
-            "float-or-complex": lambda t, dl, du: _flat_imaginary(t, float),
-            "complex": lambda t, dl, du: _flat_imaginary(t, complex),
-        },
-    ),
+    "complex-mixed": {
+        "float-or-complex": lambda t: _flat_imaginary(t, float),
+        "complex": lambda t: _flat_imaginary(t, complex),
+    },
 }
 # family -> (repr(value), terms_used, repr(last_term_magnitude)), recorded
-# when the scan still converted every integrand value to complex
+# when the scan still converted every integrand value to complex; the
+# constant and real-mixed families were recorded again on (0, inf), by
+# the same scan, when the finite-interval rule was removed
 RETURN_TYPE_BITS = {
     "damped-cosine": ("(0.09999999999999999+0j)", 1478, "0.0"),
-    "constant": ("(9+0j)", 69, "3.304023721284466e-13"),
-    "real-mixed": ("(1.2556300825518636+0j)", 121, "0.0"),
+    "constant": ("(3+0j)", 205, "0.0"),
+    "real-mixed": ("(0.886226925452758+0j)", 193, "0.0"),
     "complex-mixed": ("(0.5+0.29312676277195554j)", 389, "5.551115123125783e-17"),
 }
 
 
 @pytest.mark.parametrize(
     "family, form",
-    [(family, form) for family, (_, forms) in RETURN_TYPES.items() for form in forms],
+    [(family, form) for family, forms in RETURN_TYPES.items() for form in forms],
 )
 def test_integrand_return_type_keeps_bits(family, form):
-    spec, forms = RETURN_TYPES[family]
-    r = integrate(forms[form], spec)
+    r = integrate(RETURN_TYPES[family][form])
     got = (repr(r.value), r.terms_used, repr(r.last_term_magnitude))
     assert got == RETURN_TYPE_BITS[family]
