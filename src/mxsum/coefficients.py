@@ -5,8 +5,11 @@ coefficients A_k of sin(lam x)/sinh(pi x).
 Numerical notes that shape the implementation:
 
 * B_k = (-1)^k 2^(-2k-1) p_2k(tanh(lam/2)) is benign: the polynomial is
-  evaluated by exact rational Horner (coefficients grow like (2k)!, so
-  float Horner would lose digits long before k = 50).
+  evaluated exactly (coefficients grow like (2k)!, so float Horner would
+  lose digits long before k = 50). tanh(lam/2) is rounded to binary64
+  first, so u = n/d with d a power of two, and B_k is exact integer
+  Horner over the dyadic u, one correctly rounded division: the bits
+  that exact rational arithmetic gives, without a Fraction per step.
 * Bhat_k = 2^(-2k-1) [p_2k(coth x) - (2k)!/x^(2k+1)], x = lam/2, hides
   a subtraction of two nearly equal quantities whose ratio to the
   result grows like (|x - i pi| / x)^(2k+1); at lam = 1, k = 8 that is
@@ -18,13 +21,15 @@ Numerical notes that shape the implementation:
   cancellation surviving the exact arithmetic. The q_m are exact and
   cached per process, grown one index at a time as far as the largest
   k asked for so far has needed. For lam >= 4 the direct subtraction
-  is done in exact arithmetic as well, but coth x is rounded to
-  binary64 first, and that rounding is amplified: the relative error
-  is about 6e-10 at lam = 4, k = 8 and 1e-3 at k = 20.
+  is exact as well (integer Horner over the dyadic coth x, both terms
+  over one common denominator, one correctly rounded division), but
+  coth x is rounded to binary64 first, and that rounding is amplified:
+  the relative error is about 6e-10 at lam = 4, k = 8 and 1e-3 at
+  k = 20.
 * A_k comes from dividing the even power series of sin(lam x)/(lam x)
   by that of sinh(pi x)/(pi x). Each A_k is homogeneous of degree k in
-  (lam^2, pi^2), so it is kept as one row of exact rationals, indexed by
-  the power of lam^2, and evaluated in float only at the very end.
+  (lam^2, pi^2), so it is kept as one row, indexed by the power of
+  lam^2, of exact rationals each rounded to binary64 once and cached.
 """
 
 from __future__ import annotations
@@ -114,30 +119,35 @@ def tanh_derivative_poly(m: int) -> UPolynomial:
 # exact A_k rows
 
 
-# _A_ROWS[k][i] is the exact coefficient of L^i P^(k-i) in A_k, with
-# L = lam^2 and P = pi^2 (A_k is homogeneous of degree k in L and P)
-_A_ROWS: list[list[Fraction]] = []
+# _A_ROWS[k][i] is the coefficient of L^i P^(k-i) in A_k, with L = lam^2
+# and P = pi^2 (A_k is homogeneous of degree k in L and P), computed
+# exactly and rounded to binary64 once; _A_E holds the exact e_n they
+# are built from
+_A_E: list[Fraction] = []
+_A_ROWS: list[list[float]] = []
 _A_LOCK = threading.Lock()
 
 
-def _a_rows(k_max: int) -> list[list[Fraction]]:
-    """Rows 0..k_max of the exact A_k; a larger k_max extends the cache.
+def _a_rows(k_max: int) -> list[list[float]]:
+    """Rows 0..k_max of the A_k; a larger k_max extends the cache.
 
     With y = -x^2, sum A_k y^k = N(y)/D(y) for N = sum L^k y^k/(2k+1)!
     (sin(lam x)/(lam x)) and D = sum (-P)^j y^j/(2j+1)! (sinh(pi x)/(pi x)).
     D has constant term 1, so 1/D = sum e_n P^n y^n follows from the
     triangular recurrence e_n = -sum_{j=1..n} (-1)^j e_(n-j)/(2j+1)!,
-    and A_k[i] = e_(k-i)/(2i+1)!. Column 0 of the rows holds e_n.
+    and A_k[i] = e_(k-i)/(2i+1)!.
     """
 
-    with _A_LOCK:  # row k is built from rows 0..k-1, so extend in order
-        for k in range(len(_A_ROWS), k_max + 1):
-            e = [row[0] for row in _A_ROWS]
+    with _A_LOCK:  # e_k is built from e_0..e_(k-1), so extend in order
+        e = _A_E
+        for k in range(len(e), k_max + 1):
             e_k = Fraction(k == 0)
             for j in range(1, k + 1):
                 e_k -= Fraction((-1) ** j, math.factorial(2 * j + 1)) * e[k - j]
             e.append(e_k)
-            _A_ROWS.append([e[k - i] / math.factorial(2 * i + 1) for i in range(k + 1)])
+            _A_ROWS.append(
+                [float(e[k - i] / math.factorial(2 * i + 1)) for i in range(k + 1)]
+            )
         return _A_ROWS[: k_max + 1]
 
 
@@ -163,19 +173,38 @@ def _check_k(K: int, cap: int) -> None:
         )
 
 
+def _scaled_poly(k: int, n: int, d: int) -> int:
+    """d^(2k+1) p_2k(n/d), exactly, by integer Horner.
+
+    p_2k is odd of degree 2k+1, so with c_i the coefficient of u^(2i+1)
+    this is n sum_i c_i (n^2)^i (d^2)^(k-i).
+    """
+
+    n2, d2 = n * n, d * d
+    acc, d2_pow = 0, 1
+    for c in reversed(_derivative_coeffs(2 * k)[1::2]):
+        acc = acc * n2 + c * d2_pow
+        d2_pow *= d2
+    return acc * n
+
+
 def b_coefficients(lam: float, K: int) -> CoefficientTable:
-    """B_k = (-1)^k 2^(-2k-1) p_2k(tanh(lam/2)), k = 0..K."""
+    """B_k = (-1)^k 2^(-2k-1) p_2k(tanh(lam/2)), k = 0..K.
+
+    tanh(lam/2) is rounded to binary64 first, so u = n/d with d a power
+    of two; B_k is then exact integer Horner over the dyadic u and one
+    correctly rounded division: (-1)^k d^(2k+1) p_2k(u) / (2d)^(2k+1).
+    """
 
     lam = float(lam)
     if not lam > 0.0:
         raise PreconditionError("b_coefficients needs lam > 0")
     _check_k(K, _MAX_DERIVATIVE_ORDER // 2)
-    u = Fraction(math.tanh(0.5 * lam))
+    n, d = math.tanh(0.5 * lam).as_integer_ratio()
     values = []
     for k in range(K + 1):
-        poly = tanh_derivative_poly(2 * k)
-        exact = poly.evaluate_exact(u) * Fraction((-1) ** k, 2 ** (2 * k + 1))
-        values.append(float(exact))
+        num = _scaled_poly(k, n, d)
+        values.append((-num if k % 2 else num) / (2 * d) ** (2 * k + 1))
     return CoefficientTable("B", lam, K, values)
 
 
@@ -231,7 +260,14 @@ def _bhat_series(x: Fraction, K: int) -> list[float]:
 
 
 def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
-    """Bhat_k = 2^(-2k-1) [p_2k(coth x) - (2k)!/x^(2k+1)], x = lam/2."""
+    """Bhat_k = 2^(-2k-1) [p_2k(coth x) - (2k)!/x^(2k+1)], x = lam/2.
+
+    lam < 4: the exact coth-series. lam >= 4: coth x is rounded to
+    binary64 first, so coth x = n/d with d a power of two, and the
+    difference is exact integer Horner over the dyadic coth x, put over
+    the common denominator (2 d xn)^(2k+1) with x = xn/xd, and one
+    correctly rounded division.
+    """
 
     lam = float(lam)
     if not lam > 0.0:
@@ -243,19 +279,19 @@ def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
             "up as lam -> 0; using the coth-series fallback",
             stacklevel=2,
         )
-    x = Fraction(lam) / 2
     if lam < 4.0:
-        values = _bhat_series(x, K)
+        values = _bhat_series(Fraction(lam) / 2, K)
     else:
-        u = Fraction(1.0 / math.tanh(0.5 * lam))
+        # coth x = n/d and x = xn/xd; over the common denominator
+        # d^(2k+1) xn^(2k+1), p_2k(coth x) - (2k)!/x^(2k+1) is one integer
+        n, d = (1.0 / math.tanh(0.5 * lam)).as_integer_ratio()
+        xn, xd = (0.5 * lam).as_integer_ratio()
         values = []
         for k in range(K + 1):
             # coth's derivatives share tanh's polynomials, at u = coth x
-            poly = tanh_derivative_poly(2 * k)
-            exact = poly.evaluate_exact(u) - Fraction(
-                math.factorial(2 * k)
-            ) / x ** (2 * k + 1)
-            values.append(float(exact * Fraction(1, 2 ** (2 * k + 1))))
+            e = 2 * k + 1
+            num = _scaled_poly(k, n, d) * xn**e - math.factorial(2 * k) * (xd * d) ** e
+            values.append(num / (2 * d * xn) ** e)
     return CoefficientTable("Bhat", lam, K, values)
 
 
@@ -268,10 +304,12 @@ def a_coefficients(lam: float, K: int) -> CoefficientTable:
     _check_k(K, _MAX_A_INDEX)
     lam_sq = lam * lam
     pi_sq = math.pi * math.pi
+    lam_pow = [lam_sq**i for i in range(K + 1)]
+    pi_pow = [pi_sq**i for i in range(K + 1)]
     # fsum rounds the exact sum of the terms once, so the value does not
     # depend on their order (no entry of a row is zero)
     values = [
-        math.fsum(float(c) * lam_sq**i * pi_sq ** (k - i) for i, c in enumerate(row))
+        math.fsum(c * lam_pow[i] * pi_pow[k - i] for i, c in enumerate(row))
         for k, row in enumerate(_a_rows(K))
     ]
     return CoefficientTable("A", lam, K, values)

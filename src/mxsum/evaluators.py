@@ -400,11 +400,15 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
         )
 
     mu, lam = p.mu, p.lam
-    # the call is cheap for K <= 60: exact coefficients are cached
+    # the call is cheap for K <= 60: the rounded coefficients are cached
     coeff = a_coefficients(lam, K).values
     g = gamma_real(0.5) / gamma_real(1.5 - mu)  # Gamma(k+1/2)/Gamma(k+3/2-mu) at k=0
     pref = (lam / (2.0 * _PI)) * gamma_real(1.0 - mu) * _apow(p.a, 1.0 - 2.0 * mu)
     a2 = _a2(p)
+    # rounding floor per unit of sum |term|: a few roundings in the Gamma
+    # ratios and products, and the rounding of log a, amplified by the
+    # exponent, in the power
+    rnd = (4.0 + abs((1.0 - 2.0 * mu) * cmath.log(p.a))) * _EPS
 
     if mod_a <= 0.7:
         acc: complex = 0.0
@@ -412,11 +416,13 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
         prev_mag = math.inf
         grow_streak = 0
         last_mag = 0.0
+        abs_sum = 0.0
         used = 0
         for k in range(K + 1):
             t = (-1.0) ** k * coeff[k] * g * apow
             acc += t
             last_mag = abs(t)
+            abs_sum += last_mag
             used = k
             if last_mag >= prev_mag and k >= 2:
                 grow_streak += 1
@@ -435,7 +441,7 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
         return Evaluation(
             complex(pref * acc),
             "small-a-minus",
-            abs(pref) * tail_bound,
+            abs(pref) * max(tail_bound, rnd * abs_sum),
             truncation_index=used,
         )
 
@@ -463,7 +469,7 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
     return Evaluation(
         complex(pref * res.value),
         "small-a-minus",
-        abs(pref) * res.last_term_magnitude,
+        abs(pref) * max(res.last_term_magnitude, rnd * res.abs_sum),
         truncation_index=res.terms_used - 1,
         notes="accelerated near |a| = 1",
     )
@@ -589,15 +595,17 @@ def _kv_sums(
     Z_k = (2k + base) pi a + offset, all in one loop.
 
     The loop stops once a term of the first sum falls below 1e-18 of
-    that sum; NonConvergenceError if n_terms run out first. Returns the
-    sums, the pairs (Z_k, K_nu(Z_k)) of the first sum, the magnitude of
+    its plain running sum; NonConvergenceError if n_terms run out first.
+    Returns the sums, each compensated (fsum of the real and imaginary
+    parts), the pairs (Z_k, K_nu(Z_k)) of the first sum, the magnitude of
     its last term and the mass sum |Z_k| |term| over every sum. The mass
     sets the rounding floor: K_nu(Z) falls like e^-Z, so the rounding of
     Z_k, about eps |Z_k|, becomes a relative error of its term.
     """
 
     nu, a = 0.5 - p.mu, p.a
-    sums = [0j] * len(offsets)
+    terms: list[list[complex]] = [[] for _ in offsets]
+    running = 0j  # plain sum of the first series, for the stop test only
     pairs: list[tuple[complex, complex]] = []
     mass = 0.0
     last_mag = 0.0
@@ -607,19 +615,22 @@ def _kv_sums(
             Z = ma + off
             kv = kv_complex(nu, Z)
             w = (2.0 / Z) ** nu * kv
-            sums[i] += w
+            terms[i].append(w)
             mass += abs(Z) * abs(w)
             if i == 0:
+                running += w
                 pairs.append((Z, kv))
                 last_mag = abs(w)
-        if last_mag <= 1e-18 * max(abs(sums[0]), 1e-300):
-            return sums, pairs, last_mag, mass
+        if last_mag <= 1e-18 * max(abs(running), 1e-300):
+            # thousands of terms at small Re a: a plain sum's rounding
+            # would outgrow the eps |Z_k| |term| floor, fsum's does not
+            return [_csum(t) for t in terms], pairs, last_mag, mass
     # a sum cut short can be far off: at small Re a the terms fall
     # slowly, and at large mu they stay near their Z -> 0 limit until
     # |Z_k| passes about |nu|
     raise NonConvergenceError(
         f"Bessel sum did not reach its 1e-18 stop within n_terms = "
-        f"{n_terms} (last term {last_mag:.3e} of sum {abs(sums[0]):.3e})"
+        f"{n_terms} (last term {last_mag:.3e} of sum {abs(running):.3e})"
     )
 
 

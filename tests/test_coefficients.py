@@ -3,6 +3,7 @@ algebraic coefficient tables, and their independent oracles."""
 
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -113,6 +114,57 @@ def test_b_against_quadrature_oracle():
         for k in range(7):
             ref = _b_cauchy_oracle(k, lam)
             assert abs(vals[k] - ref) <= 1e-10 * max(1.0, abs(ref)), (lam, k)
+
+
+def _fraction_horner_b(lam, K):
+    # B_k by Fraction Horner, the reference: exact rational arithmetic
+    # over u = tanh(lam/2) rounded to binary64, one float() at the end
+    u = Fraction(math.tanh(0.5 * lam))
+    return [
+        float(
+            tanh_derivative_poly(2 * k).evaluate_exact(u)
+            * Fraction((-1) ** k, 2 ** (2 * k + 1))
+        )
+        for k in range(K + 1)
+    ]
+
+
+def _fraction_horner_bhat(lam, K):
+    # Bhat_k at lam >= 4 the same way, with u = coth(lam/2) rounded first
+    x = Fraction(lam) / 2
+    u = Fraction(1.0 / math.tanh(0.5 * lam))
+    return [
+        float(
+            (
+                tanh_derivative_poly(2 * k).evaluate_exact(u)
+                - Fraction(math.factorial(2 * k)) / x ** (2 * k + 1)
+            )
+            * Fraction(1, 2 ** (2 * k + 1))
+        )
+        for k in range(K + 1)
+    ]
+
+
+def _reprs_or_overflow(fn, lam, K):
+    try:
+        return [repr(v) for v in fn(lam, K)]
+    except OverflowError:
+        return OverflowError
+
+
+def test_integer_horner_keeps_fraction_bits():
+    # one correctly rounded int/int division of the same exact rational
+    # that float(Fraction) rounds: every bit equal, overflow included
+    rng = random.Random(14)
+    lams = [math.exp(rng.uniform(math.log(0.05), math.log(30.0))) for _ in range(8)]
+    for lam in lams + [0.05, 30.0]:
+        want = _reprs_or_overflow(_fraction_horner_b, lam, 100)
+        got = _reprs_or_overflow(lambda lam, K: b_coefficients(lam, K).values, lam, 100)
+        assert got == want, lam
+    for lam in [rng.uniform(4.0, 30.0) for _ in range(5)] + [4.0, 30.0]:
+        want = _reprs_or_overflow(_fraction_horner_bhat, lam, 100)
+        got = _reprs_or_overflow(lambda lam, K: bhat_coefficients(lam, K).values, lam, 100)
+        assert got == want, lam
 
 
 def test_bhat_frozen_values():

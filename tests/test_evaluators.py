@@ -319,6 +319,88 @@ def test_full_routes_at_small_re_a():
         assert ok, (a, sign, got.tail_terms_used, actual, got.error_estimate)
 
 
+def test_full_routes_at_tiny_re_a():
+    # 553 to 5474 Bessel terms: summed with a plain +=, their rounding
+    # left six of these points 2.4x to 19.9x off their estimates; the
+    # sums are now compensated, and the stop (tail_terms_used) is the same
+    cases = [
+        (0.1, 5.0, 0.01, "minus"),
+        (0.1, 5.0, 0.01, "plus"),
+        (0.3, 2.0, 0.001, "minus"),
+        (0.5, 1.0, 0.001, "minus"),
+        (0.5, 1.0, 0.001, "plus"),
+        (0.3, 2.0, 0.003, "plus"),
+        (0.7, 0.5, 0.01, "minus"),
+        (0.9, 1.0, 0.003, "plus"),
+    ]
+    for mu, lam, a, sign in cases:
+        fn = full_minus if sign == "minus" else full_plus
+        got = fn(SeriesParams(mu, lam, a, sign))
+        ok, actual = _meets_estimate(got, _explicit_sum(mu, lam, a, sign))
+        assert ok, (mu, lam, a, sign, got.tail_terms_used, actual, got.error_estimate)
+
+
+def _h_minus_40(mu, lam, a):
+    """H^- = a^(1-2mu) int_0^1 sin(lam a t)/sinh(pi a t) (1-t^2)^-mu dt
+    at 40 digits: on (1/2, 1), t = 1 - w^r with r = 1/(1 - mu) turns
+    (1 - t)^-mu dt into r dw, so tanh-sinh sees no singular factor."""
+
+    with mpmath.workdps(40):
+        mu, lam, a = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpc(a)
+        r = 1 / (1 - mu)
+
+        def g(t):
+            return mpmath.sin(lam * a * t) / mpmath.sinh(mpmath.pi * a * t)
+
+        head = mpmath.quad(lambda t: g(t) * (1 - t * t) ** -mu, [0, 0.5])
+        end = mpmath.quad(
+            lambda w: g(1 - w**r) * (2 - w**r) ** -mu * r, [0, mpmath.mpf(0.5) ** (1 / r)]
+        )
+        return a ** (1 - 2 * mu) * (head + end)
+
+
+def _tail_minus_40(mu, lam, a):
+    """The Bessel tail I2 + I3 of the alternating sum at 40 digits (40
+    terms; each is down by e^(-2 pi Re a) on the one before)."""
+
+    with mpmath.workdps(40):
+        mu, lam, a = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpc(a)
+        nu = mpmath.mpf(0.5) - mu
+        sums = []
+        for s in (1, -1):
+            z = [(2 * k + 1) * mpmath.pi * a + s * 1j * lam * a for k in range(40)]
+            sums.append(mpmath.fsum((2 / x) ** nu * mpmath.besselk(nu, x) for x in z))
+        g = mpmath.gamma(1 - mu) / mpmath.sqrt(mpmath.pi) * a ** (1 - 2 * mu)
+        e = mpmath.exp(1j * mpmath.pi * mu)
+        return 1j * g * (sums[0] / e - e * sums[1])
+
+
+def test_small_a_minus_estimate_sweep():
+    # the H oracle closes S = 1/(2 a^(2mu)) + H + tail against the
+    # 40-digit explicit sum, at the strongest endpoint singularity
+    for mu, lam, a in [(0.8, 3.0, 0.99), (0.2, 1.0, cmath.rect(0.75, 0.3))]:
+        with mpmath.workdps(40):
+            lead = 1 / (2 * mpmath.mpc(a) ** (2 * mpmath.mpf(mu)))
+            rest = _explicit_sum(mu, lam, a, "minus") - lead - _tail_minus_40(mu, lam, a)
+            assert abs(rest - _h_minus_40(mu, lam, a)) < 1e-35, (mu, lam, a)
+    # the estimate was the bare truncation bound: 0.0 at seven of these
+    # points, and 30 of the 81 near |a| = 1 that return missed 2x (up to
+    # 8.9x at (0.8, 0.3, 1)); at |a| = 0.5, where that bound sits below
+    # the rounding, up to 645x. It is now floored at the rounding of the
+    # prefactor and the terms
+    for mu, lam, mod, arg in itertools.product(
+        (0.2, 0.5, 0.8), (0.3, 1.0, 3.0), (0.5, 0.75, 0.9, 0.99, 1.0), (0.0, 0.3, 0.8)
+    ):
+        a = cmath.rect(mod, arg) if arg else mod
+        try:
+            got = small_a_minus(SeriesParams(mu, lam, a))
+        except NonConvergenceError:  # the acceleration near |a| = 1 at steep arg
+            assert mod > 0.7 and arg == 0.8, (mu, lam, mod, arg)
+            continue
+        ok, actual = _meets_estimate(got, _h_minus_40(mu, lam, a))
+        assert ok, (mu, lam, mod, arg, actual, got.error_estimate)
+
+
 def test_full_error_estimate_covers_actual_error():
     # the estimate carries a rounding floor eps * sum |part|; without it
     # full_plus reported 1.7e-18 at (1/2, 1, 6), against an actual error

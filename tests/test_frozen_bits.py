@@ -200,13 +200,14 @@ EXPANSIONS = {
 }
 # (mu, lam, a) -> (repr(value), repr(error_estimate), truncation_index)
 # of small_a_minus at K = 40: plain summation for |a| <= 0.7, the
-# accelerated branch near |a| = 1
+# accelerated branch near |a| = 1; the estimates were re-recorded when
+# they gained their rounding floor (four of five were below the error)
 SMALL_A = {
-    (0.5, 1.0, 0.5): ("(0.4076831964154203+0j)", "5.770567803758841e-19", 28),
-    (0.25, 3.0, (0.4+0.3j)): ("(0.7209519077787515+0.028984641340626865j)", "1.0396430202392945e-18", 28),
-    (0.7, 0.5, 0.95): ("(0.18499285068239846+0j)", "2.697801216093078e-17", 39),
+    (0.5, 1.0, 0.5): ("(0.4076831964154203+0j)", "5.737303547232723e-16", 28),
+    (0.25, 3.0, (0.4+0.3j)): ("(0.7209519077787515+0.028984641340626865j)", "1.1436927238797841e-15", 28),
+    (0.7, 0.5, 0.95): ("(0.18499285068239846+0j)", "2.6581241563732466e-15", 39),
     (0.4, 2.0, (0.8+0.4j)): ("(0.4838174662946712-0.1747072575183332j)", "1.498411747425604e-12", 39),
-    (0.5, 1.0, 1.0): ("(0.264187808260733+0j)", "3.131881329541987e-17", 39),
+    (0.5, 1.0, 1.0): ("(0.264187808260733+0j)", "6.6684565203705825e-15", 39),
 }
 # sha256 of the reprs of bhat_coefficients(lam, 20).values, lam = 0.2, 1, 3
 BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
