@@ -18,9 +18,8 @@ Numerical notes that shape the implementation:
   coth x - 1/x = sum q_m x^(2m-1), q_m = 4^m B_2m / (2m)!, summed in
   exact rational arithmetic (radius pi, so lam < 2 pi); the term-by-term
   2k-th derivative of that series IS the difference, with no
-  cancellation surviving the exact arithmetic. The q_m are exact and
-  cached per process, grown one index at a time as far as the largest
-  k asked for so far has needed. For lam >= 4 the direct subtraction
+  cancellation surviving the exact arithmetic. Each q_m is exact and
+  computed once per process. For lam >= 4 the direct subtraction
   is exact as well (integer Horner over the dyadic coth x, both terms
   over one common denominator, one correctly rounded division), but
   coth x is rounded to binary64 first, and that rounding is amplified:
@@ -29,13 +28,19 @@ Numerical notes that shape the implementation:
 * A_k comes from dividing the even power series of sin(lam x)/(lam x)
   by that of sinh(pi x)/(pi x). Each A_k is homogeneous of degree k in
   (lam^2, pi^2), so it is kept as one row, indexed by the power of
-  lam^2, of exact rationals each rounded to binary64 once and cached.
+  lam^2, of exact rationals each rounded to binary64 once.
+
+Every memo here (the p_m, the q_m, the exact e_n behind the A rows, the
+rows) is a ``functools.cache`` of a pure function with an immutable
+result, so threads need no lock: two that miss at once compute the same
+value twice. p_m and e_n recurse on their predecessor, so a cold call
+is as deep as its index, which the caps bound (200 and 60).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,22 +87,22 @@ class UPolynomial:
         return acc
 
 
-_DERIV_COEFFS: list[tuple[int, ...]] = [(0, 1)]  # p_0(u) = u
-
-
+@functools.cache
 def _derivative_coeffs(m: int) -> tuple[int, ...]:
-    while len(_DERIV_COEFFS) <= m:
-        prev = _DERIV_COEFFS[-1]
-        # q = p', then p_next = q - u^2 q
-        q = tuple(j * prev[j] for j in range(1, len(prev)))
-        nxt = [0] * (len(q) + 2)
-        for j, c in enumerate(q):
-            nxt[j] += c
-            nxt[j + 2] -= c
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        _DERIV_COEFFS.append(tuple(nxt))
-    return _DERIV_COEFFS[m]
+    """Integer coefficients of p_m, lowest power first."""
+
+    if m == 0:
+        return (0, 1)  # p_0(u) = u
+    prev = _derivative_coeffs(m - 1)
+    # q = p', then p_m = q - u^2 q
+    q = tuple(j * prev[j] for j in range(1, len(prev)))
+    nxt = [0] * (len(q) + 2)
+    for j, c in enumerate(q):
+        nxt[j] += c
+        nxt[j + 2] -= c
+    while len(nxt) > 1 and nxt[-1] == 0:
+        nxt.pop()
+    return tuple(nxt)
 
 
 def _check_order(m: int) -> None:
@@ -119,36 +124,34 @@ def tanh_derivative_poly(m: int) -> UPolynomial:
 # exact A_k rows
 
 
-# _A_ROWS[k][i] is the coefficient of L^i P^(k-i) in A_k, with L = lam^2
-# and P = pi^2 (A_k is homogeneous of degree k in L and P), computed
-# exactly and rounded to binary64 once; _A_E holds the exact e_n they
-# are built from
-_A_E: list[Fraction] = []
-_A_ROWS: list[list[float]] = []
-_A_LOCK = threading.Lock()
+@functools.cache
+def _e(n: int) -> Fraction:
+    """e_n of 1/D = sum e_n P^n y^n (see _a_rows), exactly."""
+
+    return Fraction(n == 0) - sum(
+        Fraction((-1) ** j, math.factorial(2 * j + 1)) * _e(n - j)
+        for j in range(1, n + 1)
+    )
 
 
-def _a_rows(k_max: int) -> list[list[float]]:
-    """Rows 0..k_max of the A_k; a larger k_max extends the cache.
+@functools.cache
+def _a_rows(k_max: int) -> tuple[tuple[float, ...], ...]:
+    """Rows 0..k_max of the A_k, each rounded to binary64 once.
 
+    Row k holds the coefficient of L^i P^(k-i) in A_k, i = 0..k, with
+    L = lam^2 and P = pi^2 (A_k is homogeneous of degree k in L and P).
     With y = -x^2, sum A_k y^k = N(y)/D(y) for N = sum L^k y^k/(2k+1)!
     (sin(lam x)/(lam x)) and D = sum (-P)^j y^j/(2j+1)! (sinh(pi x)/(pi x)).
     D has constant term 1, so 1/D = sum e_n P^n y^n follows from the
     triangular recurrence e_n = -sum_{j=1..n} (-1)^j e_(n-j)/(2j+1)!,
-    and A_k[i] = e_(k-i)/(2i+1)!.
+    and A_k[i] = e_(k-i)/(2i+1)!. Each k_max shares the rows of k_max - 1.
     """
 
-    with _A_LOCK:  # e_k is built from e_0..e_(k-1), so extend in order
-        e = _A_E
-        for k in range(len(e), k_max + 1):
-            e_k = Fraction(k == 0)
-            for j in range(1, k + 1):
-                e_k -= Fraction((-1) ** j, math.factorial(2 * j + 1)) * e[k - j]
-            e.append(e_k)
-            _A_ROWS.append(
-                [float(e[k - i] / math.factorial(2 * i + 1)) for i in range(k + 1)]
-            )
-        return _A_ROWS[: k_max + 1]
+    head = _a_rows(k_max - 1) if k_max else ()
+    k = k_max
+    return head + (
+        tuple(float(_e(k - i) / math.factorial(2 * i + 1)) for i in range(k + 1)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +211,11 @@ def b_coefficients(lam: float, K: int) -> CoefficientTable:
     return CoefficientTable("B", lam, K, values)
 
 
-# _Q[m - 1] is q_m = 4^m B_2m/(2m)! of coth x - 1/x = sum_{m>=1} q_m x^(2m-1)
-_Q: list[Fraction] = []
-_Q_LOCK = threading.Lock()
-
-
+@functools.cache
 def _q(m: int) -> Fraction:
-    """q_m for m >= 1; a larger m extends the cache one index at a time."""
+    """q_m = 4^m B_2m/(2m)! of coth x - 1/x = sum_{m>=1} q_m x^(2m-1)."""
 
-    with _Q_LOCK:
-        for j in range(len(_Q) + 1, m + 1):
-            _Q.append(Fraction(4) ** j * bernoulli_even(j) / math.factorial(2 * j))
-        return _Q[m - 1]
+    return Fraction(4) ** m * bernoulli_even(m) / math.factorial(2 * m)
 
 
 def _frac_log2(x: Fraction) -> int:

@@ -46,6 +46,7 @@ from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from .errors import NonConvergenceError, PreconditionError
 from .kernel import (
     accelerated_alternating_complex,
+    csum,
     gamma_real,
     integrate,
     kv_complex,
@@ -176,7 +177,7 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
     mu = p.mu
     a2 = _a2(p)
     n_head = max(50, math.ceil(3.0 * abs(p.a)) + 50)
-    head_val = _csum((n * n + a2) ** (-mu) for n in range(n_head))
+    head_val = csum((n * n + a2) ** (-mu) for n in range(n_head))
 
     nf = float(n_head)
     # tail integral: sum_j (-1)^j (mu)_j/j! a^(2j) N^(1-2mu-2j)/(2mu+2j-1)
@@ -209,16 +210,6 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
         truncation_index=n_head - 1,
         notes="lam = 0 head sum with Euler-Maclaurin tail",
     )
-
-
-def _csum(terms) -> complex:
-    re = []
-    im = []
-    for t in terms:
-        z = complex(t)
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
 
 
 def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
@@ -520,7 +511,7 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     pref = _apow(p.a, -2.0 * p.mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
     return Evaluation(
-        complex(pref * _csum(terms)),
+        complex(pref * csum(terms)),
         "algebraic-minus",
         abs(pref) * omitted,
         truncation_index=K,
@@ -554,7 +545,7 @@ def j_mu_asymptotic(p: SeriesParams, K: int = 5) -> Evaluation:
     pref = 0.5 * _apow(p.a, 1.0 - 2.0 * mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
     return Evaluation(
-        complex(pref * _csum(terms)),
+        complex(pref * csum(terms)),
         "j-mu-asymptotic",
         abs(pref) * omitted,
         truncation_index=K,
@@ -576,7 +567,7 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     jpart = j_mu_asymptotic(p, K)
     pref = _apow(p.a, -2.0 * p.mu)
     return Evaluation(
-        complex(pref * _csum(terms) + jpart.value),
+        complex(pref * csum(terms) + jpart.value),
         "algebraic-plus",
         abs(pref) * omitted + jpart.error_estimate,
         truncation_index=K,
@@ -624,7 +615,7 @@ def _kv_sums(
         if last_mag <= 1e-18 * max(abs(running), 1e-300):
             # thousands of terms at small Re a: a plain sum's rounding
             # would outgrow the eps |Z_k| |term| floor, fsum's does not
-            return [_csum(t) for t in terms], pairs, last_mag, mass
+            return [csum(t) for t in terms], pairs, last_mag, mass
     # a sum cut short can be far off: at small Re a the terms fall
     # slowly, and at large mu they stay near their Z -> 0 limit until
     # |Z_k| passes about |nu|
@@ -790,7 +781,7 @@ def _full(
     """
 
     values = [0.5 * _apow(p.a, -2.0 * p.mu)] + [e.value for e in parts]
-    value = _csum(values)
+    value = csum(values)
     # each part carries about one rounding error of its own size, so a
     # sum of parts is no better than eps * sum |part|; fsum keeps that
     # floor at or above eps |value| for real parts

@@ -7,18 +7,18 @@ from .bessel import kv_complex
 from .hyper import gamma_real, pfq_series
 from .quadrature import integrate
 from .summation import (
-    KahanSum,
     SeriesSum,
     accelerated_alternating_complex,
+    csum,
     sum_terms,
 )
 from .zeta import bernoulli_even, hurwitz_zeta
 
 __all__ = [
-    "KahanSum",
     "SeriesSum",
     "accelerated_alternating_complex",
     "bernoulli_even",
+    "csum",
     "gamma_real",
     "hurwitz_zeta",
     "integrate",

@@ -2,26 +2,27 @@
 
 Everything downstream (hypergeometric series, the evaluation routines)
 funnels floating-point accumulation through the helpers here so that
-rounding behavior is uniform and testable. The two hottest loops of
-the package, the quadrature scan and ``sum_terms``, write the same
-Neumaier steps as ``_NeumaierFloat.add`` inline, in the same order.
-They take a float term as it is, with no conversion to complex: its
-``.real``, ``.imag`` and ``abs`` are those of its complex value, and
-the imaginary step is skipped when it would add +-0 to a finite total,
-which leaves the total and its carry as they are.
+rounding behavior is uniform and testable. A finite list of terms is
+summed by ``csum``. The two hottest loops, the quadrature scan and
+``sum_terms``, keep a running sum s + c of each part inline, by
+Neumaier's step for a term x: t = s + x, then c += (s - t) + x if
+|s| >= |x| else (x - t) + s, then s = t. They take a float term as it
+is: its ``.real``, ``.imag`` and ``abs`` are those of its complex
+value, and the imaginary step is skipped when it would add +-0 to a
+finite total, which leaves the total and its carry as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..errors import NonConvergenceError, PreconditionError
 
 __all__ = [
-    "KahanSum",
     "SeriesSum",
+    "csum",
     "sum_terms",
 ]
 
@@ -44,50 +45,20 @@ class SeriesSum:
     abs_sum: float = 0.0
 
 
-class _NeumaierFloat:
-    """Scalar compensated accumulator (Kahan with Neumaier's carry).
+def csum(terms: Iterable[complex]) -> complex:
+    """Sum of real or complex terms, each part correctly rounded.
 
-    Keeps a running correction so terms much smaller than the partial
-    sum are not lost; unlike plain Kahan it also survives terms larger
-    than the current sum.
+    The real parts and the imaginary parts are summed by ``math.fsum``
+    separately, so the value does not depend on the order of the terms.
     """
 
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, term: float) -> None:
-        t = self.total + term
-        if abs(self.total) >= abs(term):
-            self.carry += (self.total - t) + term
-        else:
-            self.carry += (term - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.carry
-
-
-class KahanSum:
-    """Compensated accumulator for real or complex terms."""
-
-    __slots__ = ("_re", "_im")
-
-    def __init__(self) -> None:
-        self._re = _NeumaierFloat()
-        self._im = _NeumaierFloat()
-
-    def add(self, term: complex) -> None:
-        z = complex(term)
-        self._re.add(z.real)
-        self._im.add(z.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self._re.value, self._im.value)
+    re = []
+    im = []
+    for t in terms:
+        z = complex(t)
+        re.append(z.real)
+        im.append(z.imag)
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def sum_terms(
@@ -150,12 +121,12 @@ def _cvz_core(magnitudes: Sequence[complex], n: int) -> complex:
     d = (d + 1.0 / d) / 2.0
     b = -1.0
     c = -d
-    acc = KahanSum()
+    terms = []
     for k in range(n):
         c = b - c
-        acc.add(c * magnitudes[k])
+        terms.append(c * magnitudes[k])
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return acc.value / d
+    return csum(terms) / d
 
 
 def accelerated_alternating_complex(

@@ -1,6 +1,7 @@
 """Hurwitz zeta at odd integer s >= 3 by Euler-Maclaurin summation,
 plus the exact Bernoulli numbers B_2m that its correction terms and
-the coth series of ``mxsum.coefficients`` need, cached per process.
+the coth series of ``mxsum.coefficients`` need, each computed once per
+process by a ``functools.cache`` (immutable, so threads need no lock).
 
 zeta(s, q) = sum_{n<N} (n+q)^-s + (N+q)^{1-s}/(s-1) + (N+q)^{-s}/2
              + sum_j B_{2j}/(2j)! (s)_{2j-1} (N+q)^{-s-2j+1}
@@ -11,37 +12,36 @@ remainder safely below 1e-15 relative for every s >= 3.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 from ..errors import PreconditionError
+from .summation import csum
 
 __all__ = ["bernoulli_even", "hurwitz_zeta"]
 
-# growable cache of B_0, B_2, B_4, ... as exact Fractions
-_BERN_EVEN: list[Fraction] = [Fraction(1)]
-_BERN_LOCK = threading.Lock()
 
-
+@functools.cache
 def bernoulli_even(m: int) -> Fraction:
-    """Exact Bernoulli number B_{2m}; a larger m extends the cache.
+    """Exact Bernoulli number B_{2m}, computed once per process.
 
     sum_{j=0}^{n} C(n+1, j) B_j = 0 at n = 2m, with B_1 = -1/2 and the
     odd B_j beyond it zero, gives
     B_2m = -(1 - (2m+1)/2 + sum_{0<i<m} C(2m+1, 2i) B_2i) / (2m+1).
+    The sum asks for the B_2i in ascending order, so a cold call is a
+    few frames deep however large m is.
     """
 
     if m < 0:
         raise PreconditionError("bernoulli_even needs m >= 0")
-    with _BERN_LOCK:  # B_2m is built from B_0 .. B_2(m-1), so extend in order
-        for j in range(len(_BERN_EVEN), m + 1):
-            n1 = 2 * j + 1
-            total = Fraction(1) - Fraction(n1, 2)
-            for i in range(1, j):
-                total += math.comb(n1, 2 * i) * _BERN_EVEN[i]
-            _BERN_EVEN.append(-total / n1)
-        return _BERN_EVEN[m]
+    if m == 0:
+        return Fraction(1)
+    n1 = 2 * m + 1
+    total = Fraction(1) - Fraction(n1, 2)
+    for i in range(1, m):
+        total += math.comb(n1, 2 * i) * bernoulli_even(i)
+    return -total / n1
 
 
 _EM_TERMS = 12
@@ -64,12 +64,7 @@ def hurwitz_zeta(s: float, q: complex) -> complex:
     while abs(n_direct + q) < 22.0:
         n_direct += 1
 
-    direct_re = []
-    direct_im = []
-    for n in range(n_direct):
-        v = (n + q) ** (-si)
-        direct_re.append(v.real)
-        direct_im.append(v.imag)
+    total = csum((n + q) ** (-si) for n in range(n_direct))
     a = n_direct + q
     tail = a ** (1 - si) / (si - 1) + 0.5 * a ** (-si)
     correction: complex = 0.0
@@ -83,5 +78,4 @@ def hurwitz_zeta(s: float, q: complex) -> complex:
         )
         power /= a2
         poch *= (si + 2 * j - 1) * (si + 2 * j)
-    total = complex(math.fsum(direct_re), math.fsum(direct_im))
     return total + tail + correction

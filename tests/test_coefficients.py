@@ -2,10 +2,15 @@
 algebraic coefficient tables, and their independent oracles."""
 
 import cmath
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -17,6 +22,9 @@ from mxsum.coefficients import (
     tanh_derivative_poly,
 )
 from mxsum.errors import PreconditionError
+from mxsum.kernel import bernoulli_even
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_derivative_polynomials_low_orders():
@@ -286,3 +294,87 @@ def test_prefix_stability():
         short = maker(1.0, 3).values
         long = maker(1.0, 8).values
         assert short == long[:4], maker.__name__
+
+
+# Every per-process coefficient memo, filled from cold: B at K = 0, 5,
+# ..., 100 (the derivative polynomials up to p_200), Bhat on its lam >= 4
+# path and the A rows up to their cap. Prints the sha256 of the reprs;
+# with argv[1] == "threads", four threads run it at once, behind a
+# barrier and under a very short switch interval, and each prints its
+# own (a thread that died prints None).
+_RACE_SCRIPT = """
+import hashlib, sys, threading
+from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
+
+def run():
+    tables = [b_coefficients(1.0, K) for K in range(0, 101, 5)]
+    tables += [bhat_coefficients(6.0, 100), a_coefficients(1.0, 60)]
+    reprs = repr([t.values for t in tables])
+    return hashlib.sha256(reprs.encode()).hexdigest()
+
+if sys.argv[1] == "serial":
+    print(run())
+else:
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(k):
+            start.wait()
+            results[k] = run()
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    print(*results, sep="\\n")
+"""
+
+
+def _run_script(script, *args):
+    # a fresh interpreter, so every coefficient memo starts cold
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout.splitlines()
+
+
+def test_concurrent_cold_coefficients_give_the_same_bits():
+    (serial,) = _run_script(_RACE_SCRIPT, "serial")
+    for _ in range(3):
+        assert _run_script(_RACE_SCRIPT, "threads") == [serial] * 4
+
+
+# The deepest cold fills under a small recursion limit: a memo that
+# recurses stays within its index cap, and the Bernoulli numbers, which
+# have none (the coth series reaches m = k + 1500), fill in ascending
+# order. Prints the sha256 of the reprs.
+_DEPTH_SCRIPT = """
+import hashlib, sys
+sys.setrecursionlimit(250)
+from mxsum.coefficients import a_coefficients, b_coefficients
+from mxsum.kernel import bernoulli_even
+
+values = [b_coefficients(1.0, 100).values, a_coefficients(1.0, 60).values]
+values.append(bernoulli_even(400))
+print(hashlib.sha256(repr(values).encode()).hexdigest())
+"""
+
+
+def test_cold_memos_stay_shallow():
+    want = [b_coefficients(1.0, 100).values, a_coefficients(1.0, 60).values]
+    want.append(bernoulli_even(400))
+    assert _run_script(_DEPTH_SCRIPT) == [
+        hashlib.sha256(repr(want).encode()).hexdigest()
+    ]

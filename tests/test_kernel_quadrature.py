@@ -74,8 +74,9 @@ def test_nan_integrand_raises_on_half_line():
 
 
 # Runs the slowly decaying integrals, after the early-truncating ones
-# when argv[1] == "grown"; prints each result and the number of nodes in
-# the shared tables after the call.
+# when argv[1] == "grown"; prints each result, the number of nodes in
+# the shared tables after the call, and whether every level that an
+# earlier call had built is still the very same tuple.
 _ORDER_SCRIPT = """
 import math, sys
 from mxsum.kernel import integrate, quadrature
@@ -88,10 +89,14 @@ EARLY = [
     lambda t: math.exp(-50.0 * t),
     lambda t: t * math.exp(-t),
 ]
+built = {}
 for f in (EARLY if sys.argv[1] == "grown" else []) + SLOW:
     r = integrate(f)
-    nodes = sum(len(t.nodes) for ts in quadrature._TABLES.values() for t in ts)
-    print(repr(r.value), r.terms_used, repr(r.last_term_magnitude), nodes)
+    tables = quadrature._TABLES
+    nodes = sum(len(side) for sides in tables.values() for side in sides)
+    reused = all(tables[level] is sides for level, sides in built.items())
+    built.update(tables)
+    print(repr(r.value), r.terms_used, repr(r.last_term_magnitude), nodes, reused)
 """
 
 
@@ -109,12 +114,13 @@ def _run_script(script, *args):
 
 
 def test_results_do_not_depend_on_call_order():
-    fresh = [line.rsplit(" ", 1) for line in _run_script(_ORDER_SCRIPT, "fresh")]
-    grown = [line.rsplit(" ", 1) for line in _run_script(_ORDER_SCRIPT, "grown")]
-    assert [r for r, _ in grown[2:]] == [r for r, _ in fresh]
-    # the slow integrals extended tables that the early ones had started
-    sizes = [int(n) for _, n in grown]
-    assert sizes[2] > sizes[1] and sizes[3] > sizes[2]
+    fresh = [line.rsplit(" ", 2) for line in _run_script(_ORDER_SCRIPT, "fresh")]
+    grown = [line.rsplit(" ", 2) for line in _run_script(_ORDER_SCRIPT, "grown")]
+    assert [r for r, _, _ in grown[2:]] == [r for r, _, _ in fresh]
+    # the early integrals had built every level the slow ones scan, and
+    # the slow ones scanned those levels as the same immutable tuples
+    assert int(grown[1][1]) >= int(fresh[-1][1])
+    assert all(reused == "True" for _, _, reused in grown)
 
 
 # Three rounds of four threads that integrate the same integrals while
