@@ -34,7 +34,9 @@ Every memo here (the p_m, the q_m, the exact e_n behind the A rows, the
 rows) is a ``functools.cache`` of a pure function with an immutable
 result, so threads need no lock: two that miss at once compute the same
 value twice. p_m and e_n recurse on their predecessor, so a cold call
-is as deep as its index, which the caps bound (200 and 60).
+is as deep as its index; B and Bhat ask for p_0, p_2, p_4, ... and the A
+rows for e_0, e_1, ... in ascending order, so each call finds its
+predecessor cached and recurses a few frames at most.
 """
 
 from __future__ import annotations
@@ -50,11 +52,9 @@ from .kernel.zeta import bernoulli_even
 
 __all__ = [
     "CoefficientTable",
-    "UPolynomial",
     "a_coefficients",
     "b_coefficients",
     "bhat_coefficients",
-    "tanh_derivative_poly",
 ]
 
 _MAX_DERIVATIVE_ORDER = 200
@@ -65,31 +65,11 @@ _MAX_A_INDEX = 60
 # derivative polynomials
 
 
-@dataclass(frozen=True)
-class UPolynomial:
-    """Polynomial p(u) with exact rational coefficients.
-
-    Represents the m-th derivative of tanh at u = tanh x, and equally
-    that of coth at u = coth x: both satisfy the recurrence
-    p_{m+1}(u) = (1 - u^2) p_m'(u) from p_0(u) = u.
-    """
-
-    coeffs: tuple[Fraction, ...]  # coeffs[j] multiplies u^j
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate_exact(self, u: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-
 @functools.cache
 def _derivative_coeffs(m: int) -> tuple[int, ...]:
-    """Integer coefficients of p_m, lowest power first."""
+    """Integer coefficients of p_m, lowest power first: the m-th
+    derivative of tanh at u = tanh x, and equally that of coth at
+    u = coth x, both from p_{m+1}(u) = (1 - u^2) p_m'(u), p_0(u) = u."""
 
     if m == 0:
         return (0, 1)  # p_0(u) = u
@@ -103,21 +83,6 @@ def _derivative_coeffs(m: int) -> tuple[int, ...]:
     while len(nxt) > 1 and nxt[-1] == 0:
         nxt.pop()
     return tuple(nxt)
-
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, int) or m < 0 or m > _MAX_DERIVATIVE_ORDER:
-        raise PreconditionError(
-            f"derivative order must be an integer in [0, "
-            f"{_MAX_DERIVATIVE_ORDER}], got {m!r}"
-        )
-
-
-def tanh_derivative_poly(m: int) -> UPolynomial:
-    """p_m with (d/dx)^m tanh x = p_m(tanh x)."""
-
-    _check_order(m)
-    return UPolynomial(tuple(Fraction(c) for c in _derivative_coeffs(m)))
 
 
 # ---------------------------------------------------------------------------

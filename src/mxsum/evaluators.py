@@ -10,7 +10,7 @@ Routes provided:
   against which every other route is tested;
 * ``h_minus_quadrature`` / ``h_plus_quadrature``: the branch-cut
   contribution H, its defining integral over (0, 1) mapped onto
-  (0, inf) by t = tanh(sigma u) and summed by the exp-sinh rule;
+  (0, inf) by t = tanh(sigma u) and summed by the exp-exp rule;
 * ``small_a_minus``: convergent expansion of H^- in powers of a^2
   (radius |a| = 1), with alternating-series acceleration close to the
   boundary;
@@ -61,6 +61,12 @@ _EPS = sys.float_info.epsilon
 _MAX_TERMS = 5_000_000
 # lam |a| above which J is integrated in t = u/lam (see j_mu_quadrature)
 _J_RESCALE = 860.0
+# the least rate lam s at which J's integrand decays in its variable u:
+# its tail then ends near u = 5e7, inside the quadrature's nodes
+# (t <= e^23), where a slower decay would make the scan refuse
+_J_MIN_RATE = 1e-6
+# 1 - mu below which H subtracts g(1) from its integrand (see _h_quadrature)
+_H_SUBTRACT_Q = 1e-4
 # |Im a| from which the full routes take the rotated path; below it the
 # branch point x = a of the ray integrand comes within 1 of the real axis
 _ROTATE_IM_A = 1.0
@@ -304,9 +310,25 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
     # with q = 1 - mu: no singular factor is left. With e = exp(-2 sigma u),
     # t = (1 - e)/(1 + e) and sech^2 = 4e/(1 + e)^2. For large |a|, sigma
     # puts the peak of the integrand near t = 1/(pi |a|) at u = 1/(4 pi),
-    # the centre of the exp-sinh rule
+    # beside the centre of the exp-exp rule at 0.046
     sigma = min(0.5, 4.0 / abs(p.a))
     m2s, q, g0, ln4 = -2.0 * sigma, 1.0 - p.mu, p.lam / _PI, math.log(4.0)
+
+    # Near mu = 1, sech^(2q) decays at the slow rate 2 q sigma, and the
+    # plateau g(1) sech(sigma u)^(2q) would run past the last node, or be
+    # cut where its nodes look negligible though their sum is not. Below
+    # q = _H_SUBTRACT_Q the integrand takes g(t) - g(1), which falls like
+    # e^(-2 sigma u) whatever q, and g(1) int_0^1 (1 - t^2)^-mu dt
+    # = g(1) B(1/2, q)/2 is added in closed form; above it the plain
+    # integrand decays fast enough and needs neither
+    g1 = 0.0
+    if q < _H_SUBTRACT_Q:
+        try:
+            g1 = sin(la) / sinh(pa)
+        except OverflowError:
+            g1 = 2.0 * sin(la) * cexp(npa)
+        if with_exp:
+            g1 *= cexp(npa)
 
     def f(u: float) -> complex | float:
         x = m2s * u
@@ -317,7 +339,7 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
             t = (-expm1(x) if x > -0.7 else 1.0 - e) / (1.0 + e)
             w = (4.0 * e / ((1.0 + e) * (1.0 + e))) ** q
             if t < 1e-150:  # sin and sinh would round to 0/0
-                return g0 * w
+                return (g0 - g1) * w
         try:
             v = sin(la * t) / sinh(pa * t)
         except OverflowError:
@@ -327,16 +349,28 @@ def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Eval
             v = 2.0 * sin(la * t) * cexp(npa * t)
         if with_exp:
             v *= cexp(npa * t)
-        return v * w
+        return (v - g1) * w
 
     res = integrate(f, tol)
     pref = sigma * _apow(p.a, 1.0 - 2.0 * p.mu)
+    value = complex(pref * res.value)
+    estimate = abs(pref) * max(res.last_term_magnitude, _EPS * res.abs_sum)
+    if g1:
+        cut = g1 * _apow(p.a, 1.0 - 2.0 * p.mu) * _half_beta(q)
+        value += cut
+        # g(1) carries the rounding of lam a and pi a through sin, sinh
+        # and exp: relative errors of |lam a cot(lam a)| and |pi a| eps
+        cond = abs(la / m.tan(la)) + abs(pa) * (2.0 if with_exp else 1.0) + 4.0
+        estimate += cond * _EPS * abs(cut)
     return Evaluation(
-        complex(pref * res.value),
-        tag,
-        abs(pref) * max(res.last_term_magnitude, _EPS * res.abs_sum),
-        notes=f"{res.terms_used} integrand evaluations",
+        value, tag, estimate, notes=f"{res.terms_used} integrand evaluations"
     )
+
+
+def _half_beta(q: float) -> float:
+    """int_0^1 (1 - t^2)^(q-1) dt = B(1/2, q)/2 for 0 < q < 1."""
+
+    return 0.5 * _SQRT_PI * gamma_real(q) / gamma_real(q + 0.5)
 
 
 def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
@@ -345,12 +379,15 @@ def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     H = a^(1-2 mu) * int_0^1 sin(lam a t)/sinh(pi a t) (1-t^2)^(-mu) dt.
     With t = tanh(sigma u), sigma = min(1/2, 4/|a|), this is
     a^(1-2 mu) sigma int_0^inf g(tanh sigma u) sech(sigma u)^(2-2mu) du,
-    g = sin(lam a t)/sinh(pi a t), evaluated by exp-sinh quadrature: the
+    g = sin(lam a t)/sinh(pi a t), evaluated by exp-exp quadrature: the
     endpoint singularity becomes a decay like exp(-2 (1-mu) sigma u).
     Where sinh(pi a t) overflows (pi Re(a t) > 710), g is formed as
-    2 sin(lam a t) e^(-pi a t). The estimate is the last level-to-level
-    delta, floored at eps times the absolute mass of the quadrature sum.
-    Requires 0 <= mu < 1.
+    2 sin(lam a t) e^(-pi a t). For 1 - mu < 1e-4 that decay is too slow
+    for the nodes, so the integrand takes g(t) - g(1), which decays like
+    exp(-2 sigma u), and g(1) B(1/2, 1-mu)/2 is added in closed form. The
+    estimate is the last level-to-level delta, floored at eps times the
+    absolute mass of the quadrature sum (and of the closed-form part,
+    times the condition of g(1)). Requires 0 <= mu < 1.
     """
 
     return _h_quadrature(p, tol, False, "h-minus-quadrature")
@@ -796,7 +833,7 @@ def _full(
 
 
 def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
-    """int_0^inf g(x) (a^2 - x^2)^-mu dx for Im a > 0, by exp-sinh.
+    """int_0^inf g(x) (a^2 - x^2)^-mu dx for Im a > 0, by exp-exp.
 
     g(x) = sin(lam x)/sinh(pi x), times exp(-pi x) if ``with_exp``: H's
     integrand on the ray t = x/a, where a t is real. (a^2 - x^2)^-mu
@@ -910,12 +947,12 @@ def full_minus(p: SeriesParams) -> Evaluation:
 
 
 def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
-    """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-sinh quadrature.
+    """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-exp quadrature.
 
-    Integrated in t = s u with s = |a|, or s = 1/lam once lam |a| > 860.
-    The integrand takes (u^2 + a^2/s^2) ** -mu on the principal branch,
-    as direct_sum takes (n^2 + a^2) ** -mu. The estimate is floored like
-    H's.
+    Integrated in t = s u with s = |a|, s = 1e-6/lam below
+    lam |a| = 1e-6, or s = 1/lam once lam |a| > 860. The integrand takes
+    (u^2 + a^2/s^2) ** -mu on the principal branch, as direct_sum takes
+    (n^2 + a^2) ** -mu. The estimate is floored like H's.
     """
 
     if p.lam <= 0.0:
@@ -924,12 +961,16 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         return Evaluation(
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
-    # in t = |a| u the integrand falls on the exp-sinh rule's own scale,
-    # and (t^2 + a^2)^-mu = |a|^-2mu (u^2 + a^2/|a|^2)^-mu exactly. Once
-    # lam |a| passes about 863, exp(-lam |a| u) underflows at two nodes in
-    # a row beside u = 1 and the scan of every refined level stops there;
-    # in t = u/lam the exponential falls on the unit scale instead
-    s = abs(p.a)
+    # in t = |a| u the algebraic factor turns over at u = 1, beside the
+    # rule's centre, and (t^2 + a^2)^-mu = |a|^-2mu (u^2 + a^2/|a|^2)^-mu
+    # exactly. At small lam |a| the exponential decays far out, near
+    # u = 5e7 for lam |a| = 1e-6; below that, s = 1e-6/lam keeps it there,
+    # inside the nodes, and moves the turn-over towards 0, where the
+    # nodes crowd (t = u/lam would put it at u = lam |a| at once, and
+    # take 2 to 7 times the evaluations). Once lam |a| passes about 860
+    # the mass sits at u < 1e-3 instead, so J runs in t = u/lam, where
+    # the exponential falls on the unit scale
+    s = max(abs(p.a), _J_MIN_RATE / p.lam)
     if p.lam * s > _J_RESCALE:
         s = 1.0 / p.lam
     nlam, nmu, b2, exp = -p.lam * s, -p.mu, _a2(p) / (s * s), math.exp

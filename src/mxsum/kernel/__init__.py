@@ -1,5 +1,6 @@
-"""Numeric kernel: compensated summation, exp-sinh quadrature on
-(0, inf), K-Bessel evaluation, hypergeometric series and Hurwitz zeta.
+"""Numeric kernel: compensated summation, exp-exp quadrature on
+(0, inf) for exponentially decaying integrands, K-Bessel evaluation,
+hypergeometric series and Hurwitz zeta.
 Everything above this layer builds on these primitives.
 """
 

@@ -1,7 +1,9 @@
-"""Exact expansion-coefficient generation: derivative polynomials,
-algebraic coefficient tables, and their independent oracles."""
+"""Exact expansion-coefficient generation: algebraic coefficient tables
+and their independent oracles, among them an exact Fraction evaluator of
+the tanh derivative polynomials p_m."""
 
 import cmath
+import functools
 import hashlib
 import math
 import os
@@ -15,16 +17,35 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from mxsum.coefficients import (
-    a_coefficients,
-    b_coefficients,
-    bhat_coefficients,
-    tanh_derivative_poly,
-)
+from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from mxsum.errors import PreconditionError
 from mxsum.kernel import bernoulli_even
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@functools.cache
+def _p(m):
+    """p_m with (d/dx)^m tanh x = p_m(tanh x), as exact Fraction
+    coefficients, lowest power first: p_(m+1)(u) = (1 - u^2) p_m'(u)
+    from p_0(u) = u. The reference for B_k and Bhat_k below."""
+
+    if m == 0:
+        return (Fraction(0), Fraction(1))
+    dp = [j * c for j, c in enumerate(_p(m - 1))][1:]
+    nxt = dp + [Fraction(0), Fraction(0)]
+    for j, c in enumerate(dp):
+        nxt[j + 2] -= c
+    while len(nxt) > 1 and nxt[-1] == 0:
+        nxt.pop()
+    return tuple(nxt)
+
+
+def _horner(coeffs, u):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
 
 
 def test_derivative_polynomials_low_orders():
@@ -36,16 +57,14 @@ def test_derivative_polynomials_low_orders():
         3: (-2, 0, 8, 0, -6),
     }
     for m, coeffs in want.items():
-        p = tanh_derivative_poly(m)
-        assert p.coeffs == tuple(Fraction(c) for c in coeffs), (m, p.coeffs)
+        assert _p(m) == tuple(Fraction(c) for c in coeffs), (m, _p(m))
 
 
 def test_derivative_polynomial_structure():
     for m in range(1, 40):
-        p = tanh_derivative_poly(m)
-        assert p.degree == m + 1, m
+        assert len(_p(m)) - 1 == m + 1, m
         # parity: even m keeps odd powers only, odd m even powers only
-        for j, c in enumerate(p.coeffs):
+        for j, c in enumerate(_p(m)):
             if (j + m) % 2 == 0:
                 assert c == 0, (m, j, c)
 
@@ -54,19 +73,10 @@ def test_derivative_polynomials_match_calculus():
     x = 0.7
     u = math.tanh(x)
     sech2 = 1.0 - u * u
-    p1 = float(tanh_derivative_poly(1).evaluate_exact(Fraction(u)))
-    assert abs(p1 - sech2) < 1e-15
-    p2 = float(tanh_derivative_poly(2).evaluate_exact(Fraction(u)))
-    assert abs(p2 - (-2.0 * u * sech2)) < 1e-15
+    assert abs(float(_horner(_p(1), Fraction(u))) - sech2) < 1e-15
+    assert abs(float(_horner(_p(2), Fraction(u))) - (-2.0 * u * sech2)) < 1e-15
     # exact evaluation stays rational
-    v = tanh_derivative_poly(1).evaluate_exact(Fraction(3, 5))
-    assert v == Fraction(16, 25)
-
-
-def test_derivative_polynomial_domain():
-    for m in (-1, 201, 2.5):
-        with pytest.raises(PreconditionError):
-            tanh_derivative_poly(m)
+    assert _horner(_p(1), Fraction(3, 5)) == Fraction(16, 25)
 
 
 def test_b_frozen_values():
@@ -130,8 +140,7 @@ def _fraction_horner_b(lam, K):
     u = Fraction(math.tanh(0.5 * lam))
     return [
         float(
-            tanh_derivative_poly(2 * k).evaluate_exact(u)
-            * Fraction((-1) ** k, 2 ** (2 * k + 1))
+            _horner(_p(2 * k), u) * Fraction((-1) ** k, 2 ** (2 * k + 1))
         )
         for k in range(K + 1)
     ]
@@ -144,7 +153,7 @@ def _fraction_horner_bhat(lam, K):
     return [
         float(
             (
-                tanh_derivative_poly(2 * k).evaluate_exact(u)
+                _horner(_p(2 * k), u)
                 - Fraction(math.factorial(2 * k)) / x ** (2 * k + 1)
             )
             * Fraction(1, 2 ** (2 * k + 1))
@@ -356,25 +365,39 @@ def test_concurrent_cold_coefficients_give_the_same_bits():
         assert _run_script(_RACE_SCRIPT, "threads") == [serial] * 4
 
 
-# The deepest cold fills under a small recursion limit: a memo that
-# recurses stays within its index cap, and the Bernoulli numbers, which
-# have none (the coth series reaches m = k + 1500), fill in ascending
-# order. Prints the sha256 of the reprs.
+# The deepest cold fills, each in its own interpreter under a small
+# recursion limit: p_200, which B and Bhat (lam >= 4) reach at K = 100,
+# would need about 400 frames if asked for cold, so both must fill p_m
+# in ascending order; the A rows and e_n recurse within their index cap
+# of 60; and the Bernoulli numbers, which have none (the coth series of
+# Bhat below lam = 4 reaches m = k + 1500), fill in ascending order.
+# Prints the sha256 of the repr of the values named by argv[1].
 _DEPTH_SCRIPT = """
 import hashlib, sys
 sys.setrecursionlimit(250)
-from mxsum.coefficients import a_coefficients, b_coefficients
+from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from mxsum.kernel import bernoulli_even
 
-values = [b_coefficients(1.0, 100).values, a_coefficients(1.0, 60).values]
-values.append(bernoulli_even(400))
-print(hashlib.sha256(repr(values).encode()).hexdigest())
+CALLS = {
+    "b": lambda: b_coefficients(1.0, 100).values,
+    "bhat-poly": lambda: bhat_coefficients(6.0, 100).values,
+    "bhat-series": lambda: bhat_coefficients(1.0, 100).values,
+    "a": lambda: a_coefficients(1.0, 60).values,
+    "bernoulli": lambda: bernoulli_even(400),
+}
+print(hashlib.sha256(repr(CALLS[sys.argv[1]]()).encode()).hexdigest())
 """
 
 
 def test_cold_memos_stay_shallow():
-    want = [b_coefficients(1.0, 100).values, a_coefficients(1.0, 60).values]
-    want.append(bernoulli_even(400))
-    assert _run_script(_DEPTH_SCRIPT) == [
-        hashlib.sha256(repr(want).encode()).hexdigest()
-    ]
+    want = {
+        "b": b_coefficients(1.0, 100).values,
+        "bhat-poly": bhat_coefficients(6.0, 100).values,
+        "bhat-series": bhat_coefficients(1.0, 100).values,
+        "a": a_coefficients(1.0, 60).values,
+        "bernoulli": bernoulli_even(400),
+    }
+    for name, values in want.items():
+        assert _run_script(_DEPTH_SCRIPT, name) == [
+            hashlib.sha256(repr(values).encode()).hexdigest()
+        ], name

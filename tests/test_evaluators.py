@@ -746,6 +746,132 @@ def test_j_quadrature_at_large_lam_a():
         assert ok, (mu, lam, a, actual, got.error_estimate)
 
 
+def test_j_quadrature_at_small_lam_a():
+    # in t = |a| u the exponential decayed past the quadrature's last
+    # node, t = e^23, once lam |a| fell below about 2e-8, and J refused;
+    # below lam |a| = 1e-6 J runs in t = s u with s = 1e-6/lam
+    for mu, lam_a, a in [
+        (0.1, 1e-9, 1.5),
+        (0.5, 1e-9, 6 + 3j),
+        (0.9, 1e-12, 2 + 1.5j),
+        (0.999, 1e-12, 40.0),
+    ]:
+        lam = lam_a / abs(a)
+        got = j_mu_quadrature(SeriesParams(mu, lam, a, "plus"), 1e-14)
+        ok, actual = _meets_estimate(got, _j_reference(mu, lam, a))
+        assert ok, (mu, lam, a, actual, got.error_estimate)
+
+
+def _h_reference_near_mu_one(mu, lam, a, sign):
+    """a^(1-2mu) int_0^1 g(t) (1-t^2)^-mu dt at 40 digits, as
+    int_0^1 (g(t) - g(1)) (1-t^2)^-mu dt + g(1) B(1/2, 1-mu)/2."""
+
+    with mpmath.workdps(40):
+        mu, lam, a = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpc(a)
+
+        def g(t):
+            v = mpmath.sin(lam * a * t) / mpmath.sinh(mpmath.pi * a * t)
+            return v * mpmath.exp(-mpmath.pi * a * t) if sign == "plus" else v
+
+        g1 = g(mpmath.mpf(1))
+        body = mpmath.quad(
+            lambda t: (g(t) - g1) * (1 - t * t) ** -mu, [0, 0.5, 0.9, 0.99, 1]
+        )
+        return a ** (1 - 2 * mu) * (body + g1 * mpmath.beta(0.5, 1 - mu) / 2)
+
+
+def test_h_and_full_routes_near_mu_one():
+    # the plateau g(1) sech(sigma u)^(2 - 2mu) of H's integrand decays at
+    # the rate 2 (1 - mu) sigma: from 1 - mu ~ 1e-8 it ran past the last
+    # node at |a| <= 10 and H refused, and the exp-sinh rule, whose nodes
+    # went further, cut it short, 5e-10 off at 1 - mu = 1e-15. Below
+    # 1 - mu = 1e-4, H integrates g(t) - g(1) and adds g(1) B(1/2, 1-mu)/2
+    for q in (1e-5, 1e-8, 1e-12):
+        mu = 1.0 - q
+        for a in (1.5, 3 + 0.5j, 10.0):
+            for sign in ("minus", "plus"):
+                p = SeriesParams(mu, 1.0, a, sign)
+                hq = h_minus_quadrature if sign == "minus" else h_plus_quadrature
+                got = hq(p, 1e-14)
+                ok, actual = _meets_estimate(
+                    got, _h_reference_near_mu_one(mu, 1.0, a, sign)
+                )
+                assert ok, (q, a, sign, actual, got.error_estimate)
+                fn = full_minus if sign == "minus" else full_plus
+                got = fn(p)
+                ok, actual = _meets_estimate(got, _explicit_sum(mu, 1.0, a, sign))
+                assert ok, (q, a, sign, got.method, actual, got.error_estimate)
+
+
+def _count_grid():
+    # seed 16: full routes at benchmark-like points, both signs, a third
+    # at real a, a third at |Im a| < 1 inside the tail's sector and a
+    # third on the rotated path (|Im a| >= 1), with mu = 0.999 at every
+    # fourth point; then J alone at lam = 1e-6, whose scan runs out to
+    # u = 1e6 to 3e7 on the rule's scale |a|
+    rng = random.Random(16)
+    routes = []
+    for i in range(24):
+        sign = ("minus", "plus")[i % 2]
+        mu = 0.999 if i % 4 == 3 else rng.uniform(0.05, 0.95)
+        lam = math.exp(rng.uniform(math.log(0.05), math.log(8.0)))
+        mod = math.exp(rng.uniform(math.log(1.5), math.log(40.0)))
+        if i % 3 == 0:
+            a = complex(mod)
+        elif i % 3 == 1:
+            base = 1.0 if sign == "minus" else 2.0
+            limit = min(0.9 * math.atan(base * math.pi / lam), math.asin(0.9 / mod))
+            a = cmath.rect(mod, rng.uniform(-limit, limit))
+        else:
+            a = complex(mod, rng.choice((-1, 1)) * rng.uniform(1.0, max(1.0, mod)))
+        routes.append((mu, lam, a, sign))
+    j_points = [(mu, 1e-6, a) for mu in (0.05, 0.5, 0.999) for a in (1.5, 6 + 3j, 40.0)]
+    return routes, j_points
+
+
+def _j_reference(mu, lam, a):
+    with mpmath.workdps(40):
+        a_mp, mu_mp = mpmath.mpc(a), mpmath.mpf(mu)
+        cuts = [0, abs(a)] + [abs(a) * 10**k for k in range(1, 12) if abs(a) * 10**k < 1 / lam]
+        return mpmath.quad(
+            lambda t: mpmath.exp(-lam * t) / (t * t + a_mp * a_mp) ** mu_mp,
+            cuts + [1 / lam, 10 / lam, 100 / lam, mpmath.inf],
+        )
+
+
+# evaluations of each integrand on _count_grid, by the integrand's
+# function; the exp-sinh rule took 3168 (H), 1451 (ray) and 8644 (J)
+GRID_EVALUATIONS = {"_h_quadrature": 1863, "_ray_quadrature": 821, "j_mu_quadrature": 3633}
+
+
+def test_quadrature_evaluation_counts(monkeypatch):
+    # every H, ray and J value behind these counts is checked: the full
+    # routes against 40-digit sums, J at lam = 1e-6 against 40-digit
+    # quadrature, each within 2x its estimate
+    from mxsum import evaluators
+
+    integrate = evaluators.integrate
+    counts = dict.fromkeys(GRID_EVALUATIONS, 0)
+
+    def counting(f, tol):
+        res = integrate(f, tol)
+        counts[f.__qualname__.split(".")[0]] += res.terms_used
+        return res
+
+    monkeypatch.setattr(evaluators, "integrate", counting)
+    routes, j_points = _count_grid()
+    for mu, lam, a, sign in routes:
+        fn = full_minus if sign == "minus" else full_plus
+        got = fn(SeriesParams(mu, lam, a, sign))
+        ok, actual = _meets_estimate(got, _explicit_sum(mu, lam, a, sign))
+        assert ok, (mu, lam, a, sign, actual, got.error_estimate)
+    for mu, lam, a in j_points:
+        got = j_mu_quadrature(SeriesParams(mu, lam, a, "plus"), 1e-14)
+        ok, actual = _meets_estimate(got, _j_reference(mu, lam, a))
+        assert ok, (mu, lam, a, actual, got.error_estimate)
+    assert counts == GRID_EVALUATIONS
+
+
 def test_full_lam0_minus_reduction():
     p = SeriesParams(0.75, 0.0, 5.0)
     got = full_minus(p).value.real

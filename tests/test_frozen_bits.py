@@ -46,6 +46,26 @@ integrands take t alone, every route value, both streams and the
 half-line integrals kept their bits. The finite-interval integrals went
 with the tanh-sinh rule: four of them were recorded again as integrals
 over (0, inf), by the two-rule scan before its removal.
+
+The integrals, the route values and the quadrature stream were recorded
+again when the exp-exp map t = exp(5s/8 - e^-s)/8 replaced exp-sinh,
+checked first against 40-digit references (explicit sums for the full
+routes, quadrature in t = tanh(u/2) for H, closed forms for the
+integrals). Of the 40 route pins, 13 values moved; the worst relative
+distance went from 2.8e-16 to 3.8e-16 (h_minus_quadrature at
+(0.2, 6, 8+3i)) and the median from 9.2e-17 to 7.2e-17. In the stream
+28 of 64 values moved; the worst distance stayed 2.8e-16 and the
+median went from 8.3e-17 to 7.6e-17. The rest moved in their
+evaluation counts and estimates only. No value misses 2x its estimate.
+Of the integrals, oscillating-exp moved by one ulp (5.0e-17 ->
+5.7e-17), the algebraic slow-power now refuses at the last node, and the
+other five moved in count, message or refusal estimate. Zero takes 187
+evaluations in place of 13: a side counts its nodes as negligible only
+after a nonzero value, so a side that is 0 everywhere runs to its end.
+That rule added off-centre-gaussian, which both maps had returned as 0
+or refused because its values underflow near the centre; its relative
+distance to sqrt(pi), 1.3e-15, is the rounding of t near 30 carried
+through the steep exp(-(t - 30)^2), not quadrature error.
 """
 
 import cmath
@@ -74,45 +94,45 @@ from mxsum.kernel import integrate, kv_complex
 # full routes pin tail_terms_used instead of the estimate, which carries a
 # rounding floor (see test_evaluators); notes give the integrand evaluations
 ROUTES = {
-    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "6.245004513516506e-17", "113 integrand evaluations"),
-    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.013680784954509789+0j)", "5.204170427930421e-18", "110 integrand evaluations"),
-    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "5.551115123125783e-17", "103 integrand evaluations"),
-    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "113 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "8.599879728587932e-18", "125 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.01368078495450979+0j)", "3.037744501970347e-18", "113 integrand evaluations"),
+    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "3.6148040349059026e-17", "99 integrand evaluations"),
+    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "125 integrand evaluations"),
     (0.5, 1.0, 6.0, "full_plus"): ("(0.25981041933403903+0j)", 3, ""),
-    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330803+0j)", "2.0211020435769273e-18", "207 integrand evaluations"),
-    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "6.586429140634393e-19", "207 integrand evaluations"),
-    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501215+0j)", "2.0850827851320535e-13", "219 integrand evaluations"),
-    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "207 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330801+0j)", "2.0211020435769285e-18", "124 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "6.586429140634393e-19", "123 integrand evaluations"),
+    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501215+0j)", "1.399636679111631e-15", "150 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "124 integrand evaluations"),
     (0.25, 0.05, 2.0, "full_plus"): ("(6.65992405719362+0j)", 5, ""),
-    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.09607649986371068+0j)", "2.958255708958778e-17", "215 integrand evaluations"),
-    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.735997910288193e-17", "213 integrand evaluations"),
-    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.02399470653205321+0j)", "5.327895132201822e-18", "93 integrand evaluations"),
-    (0.75, 8.0, 3.0, "full_minus"): ("(0.19239045153446388+0j)", 4, "215 integrand evaluations"),
+    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.0960764998637107+0j)", "2.3075552236602768e-15", "138 integrand evaluations"),
+    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.7361954731252666e-17", "135 integrand evaluations"),
+    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.02399470653205321+0j)", "5.327895132201822e-18", "81 integrand evaluations"),
+    (0.75, 8.0, 3.0, "full_minus"): ("(0.1923904515344639+0j)", 4, "263 integrand evaluations"),
     (0.75, 8.0, 3.0, "full_plus"): ("(0.1925097607999111+0j)", 4, ""),
-    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240314+0j)", "2.566182353449878e-17", "389 integrand evaluations"),
-    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431373+0j)", "1.5825785546239946e-17", "174 integrand evaluations"),
-    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "3.518888530021103e-18", "157 integrand evaluations"),
-    (0.4, 10.0, 10.0, "full_minus"): ("(0.15848215274546376+0j)", 2, "389 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240315+0j)", "2.5666347368641764e-17", "224 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431373+0j)", "1.5823458829578353e-17", "154 integrand evaluations"),
+    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "3.518888530021102e-18", "117 integrand evaluations"),
+    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 2, "224 integrand evaluations"),
     (0.4, 10.0, 10.0, "full_plus"): ("(0.15849648638993075+0j)", 2, ""),
-    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380457e-17", "211 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.5961722538520605e-18", "112 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.22673275152522182-0.05256934453435507j)", "1.9985941820837785e-15", "105 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106392j)", 3, "370 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380461e-17", "128 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.596172253852066e-18", "123 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.22673275152522182-0.05256934453435507j)", "5.1698300437578795e-17", "103 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106392j)", 3, "383 integrand evaluations"),
     (0.5, 1.0, (4+1j), "full_plus"): ("(0.3637095701546108-0.08684116109610586j)", 3, ""),
-    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.031638201602113114j)", "3.7766922367820625e-17", "208 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.055542416857564454+0.01293876098373191j)", "1.401300361559724e-17", "203 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.1768287893014251+0.040476584214947944j)", "4.028026038844107e-17", "99 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167095j)", 3, "369 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_plus"): ("(0.40972178339699455+0.09462362219598912j)", 3, ""),
-    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.3057827627485266e-17", "211 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.1777300712164744e-18", "212 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "3.0390474688629016e-15", "216 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "211 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.0316382016021131j)", "3.776692236782066e-17", "124 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.05554241685756446+0.012938760983731912j)", "1.401300361559723e-17", "117 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.1768287893014251+0.040476584214947944j)", "4.0280260388441064e-17", "91 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167093j)", 3, "200 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_plus"): ("(0.4097217833969945+0.09462362219598912j)", 3, ""),
+    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.132918540345233e-18", "132 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.177730071216475e-18", "132 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797433-0.2937924199940496j)", "3.740092126326973e-16", "143 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "132 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.914722192507366-0.4043762032119788j)", 6, ""),
-    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883942j)", "1.362544955759446e-16", "395 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.02036815813448689j)", "4.028062846094566e-17", "201 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.0699283292155935-0.0100976406523348j)", "1.568825482420889e-17", "87 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 2, "370 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883998j)", "1.362544955759445e-16", "235 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.020368158134486898j)", "4.028062846094565e-17", "212 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.06992832921559348-0.010097640652334799j)", "1.5688254824208897e-17", "72 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 2, "201 integrand evaluations"),
     (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.06078310724450071j)", 2, ""),
 }
 # (nu, z) -> K_nu(z)
@@ -125,11 +145,13 @@ KV = {
     (0.45, (0.3+2j)): (-0.5883429387924489-0.2775372306103074j),
 }
 
-# name -> integrand on (0, inf); covers a zero at the centre node t = 1,
-# an integrand that is zero on the right half of the rule, a singular
-# endpoint, two integrands that shift their own argument (the integrals
-# over (2, inf) and (0.5, inf)), the NaN/infinity messages, and (the
-# first two) exhaustion of the 12-level budget
+# name -> integrand on (0, inf); covers a zero integral, an integrand
+# that is zero beyond t = 1, a singular endpoint, two integrands that
+# shift their own argument (the integrals over (2, inf) and (0.5, inf)),
+# the NaN/infinity messages, exhaustion of the 12-level budget (the first
+# two and the jump of step-at-one), an algebraic decay, which refuses at
+# the last node (slow-power), and a peak whose value underflows to 0 at
+# every node near the centre (off-centre-gaussian, sqrt(pi))
 INTEGRANDS = {
     "centre-zero": lambda t: (t - 1.0) * math.exp(-t),
     "left-half-only": lambda t: 0.0 if t > 1.0 else math.sqrt(t),
@@ -141,21 +163,24 @@ INTEGRANDS = {
     "zero": lambda t: 0.0,
     "inf-far": lambda t: math.inf if t > 4.0 else 1.0,
     "nan-near": lambda t: math.nan if t < 1e-3 else math.exp(-t),
+    "off-centre-gaussian": lambda t: math.exp(-((t - 30.0) ** 2)),
+    "step-at-one": lambda t: math.exp(-t) if t >= 1.0 else 0.0,
 }
 
 # name -> (repr(value), terms_used, repr(last_term_magnitude)), or
-# (exception type, message); centre-zero, left-half-only, shifted-sqrt
-# and nan-near were recorded again on (0, inf) when the finite-interval
-# rule was removed, the rest keep their bits
+# (exception type, message); every entry was recorded again when the
+# exp-exp map replaced exp-sinh (see the module docstring)
 INTEGRALS = {
-    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 8.010e-19, estimate (5.220339676354285e-18+0j))"),
-    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 1.918e-04, estimate (0.6668584326487229+0j))"),
-    "shifted-sqrt": ("(1.7724538509055159+0j)", 228, "2.220446049250313e-16"),
-    "slow-power": ("(1.1547005383792515+0j)", 161, "0.0"),
-    "oscillating-exp": ("(0.12074722100148944+0.4115335092141813j)", 389, "5.551115123125783e-17"),
-    "zero": ("0j", 13, "0.0"),
-    "inf-far": ("IntegrandError", "integrand returned an infinity at t = 6.334441939256981"),
-    "nan-near": ("IntegrandError", "integrand returned NaN at t = 1.465291959965372e-07"),
+    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 1.265e-18, estimate (-2.234345800582733e-18+0j))"),
+    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 8.044e-05, estimate (0.6666462518267274+0j))"),
+    "shifted-sqrt": ("(1.7724538509055159+0j)", 126, "2.220446049250313e-16"),
+    "slow-power": ("NonConvergenceError", "quadrature reached its last node, t = 9000612417.173248, before the integrand became negligible: it must decay at least exponentially"),
+    "oscillating-exp": ("(0.12074722100148942+0.4115335092141813j)", 230, "2.7755575615628914e-17"),
+    "zero": ("0j", 187, "0.0"),
+    "inf-far": ("IntegrandError", "integrand returned an infinity at t = 5.301976662114237"),
+    "nan-near": ("IntegrandError", "integrand returned NaN at t = 2.2131743100271307e-05"),
+    "off-centre-gaussian": ("(1.7724538509055137+0j)", 2023, "2.220446049250313e-16"),
+    "step-at-one": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 2.959e-05, estimate (0.36788695089119117+0j))"),
 }
 
 # (mu, lam, a, K, route) -> (repr(value), repr(error_estimate), notes);
@@ -212,12 +237,13 @@ SMALL_A = {
 # sha256 of the reprs of bhat_coefficients(lam, 20).values, lam = 0.2, 1, 3
 BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
 # sha256 of the 64 results of _quadrature_stream, re-recorded when H
-# and J moved to their half-line variables and when the full routes at
-# |Im a| >= 1 moved to the rotated path; and of the 30 K_nu
+# and J moved to their half-line variables, when the full routes at
+# |Im a| >= 1 moved to the rotated path and when the exp-exp map
+# replaced exp-sinh; and of the 30 K_nu
 # values of _kv_stream, recorded again when CF2 and Temme's series
 # replaced the quadrature below |z| = 20 (the ten Hankel values did not
 # move)
-QUADRATURE_STREAM_SHA256 = "eb1f17750437a21bfb8d2ee27c3fd9471a2bd988086d2cfa1e36caec87106147"
+QUADRATURE_STREAM_SHA256 = "885c94626939074b666d07a70770fe384c61819438fd677b9db314d871289ae6"
 KV_STREAM_SHA256 = "995c28aa54ada48c540a83311e51ad5b2a7a6eef70944afd09df29801650dbab"
 
 ROUTE_FUNCTIONS = {

@@ -1,4 +1,4 @@
-"""Exp-sinh quadrature on (0, inf): values, return types, shared node
+"""Exp-exp quadrature on (0, inf): values, return types, shared node
 tables, failure modes."""
 
 import cmath
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mxsum.errors import IntegrandError, NonConvergenceError, PreconditionError
-from mxsum.kernel import integrate
+from mxsum.kernel import integrate, quadrature
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,6 +42,16 @@ def test_complex_integrand():
     assert abs(r.value - complex(0.5, 0.5)) < 1e-13
 
 
+def test_integrand_zero_near_the_centre():
+    # exp(-(t - 30)^2) underflows to 0 at every node near the centre;
+    # those zeros are not its tail, so the scan goes on to its mass
+    r = integrate(lambda t: math.exp(-((t - 30.0) ** 2)))
+    assert abs(r.value - math.sqrt(math.pi)) < 4e-15
+    # a jump defeats the rule, which refuses instead of returning 0
+    with pytest.raises(NonConvergenceError, match="within 12 refinements"):
+        integrate(lambda t: math.exp(-t) if t >= 1.0 else 0.0)
+
+
 def test_level_budget_exhaustion_raises():
     # a kink defeats the double-exponential rule, and so does a zero
     # integral, where a relative tolerance cannot be met
@@ -51,6 +61,43 @@ def test_level_budget_exhaustion_raises():
     ):
         with pytest.raises(NonConvergenceError, match="within 12 refinements"):
             integrate(f)
+
+
+def test_slower_than_exponential_decay_refuses():
+    # the nodes stop at t = e^23: an algebraic tail, or an exponential
+    # one on a longer scale, is not negligible there, and the side scan
+    # refuses instead of truncating it
+    for f in (
+        lambda t: (1.0 + t) ** -1.5,
+        lambda t: t**-0.5 * (1.0 + t) ** -1.25,
+        lambda t: math.exp(-1e-10 * t),
+    ):
+        with pytest.raises(NonConvergenceError, match="last node, t = 9"):
+            integrate(f)
+    # the same towards t = 0: t^-0.999 e^-t has about half its integral
+    # below t = e^-740, where no node can go
+    with pytest.raises(NonConvergenceError, match=r"last node, t = [0-9.]+e-\d{3},"):
+        integrate(lambda t: t**-0.999 * math.exp(-t))
+
+
+def test_node_tables_are_bounded():
+    # every side ends inside [e^-740, e^23], so the 13 levels hold
+    # 191,387 nodes; only levels 0 to 8, 11,962 nodes (about 1.3 MB),
+    # are kept, even after an integral that runs out of levels: deeper
+    # levels are generated as far as each scan goes
+    with pytest.raises(NonConvergenceError, match="within 12 refinements"):
+        integrate(lambda t: abs(t - 0.3) * math.exp(-t))
+    assert sorted(quadrature._TABLES) == list(range(9))
+    kept = sum(len(side) for sides in quadrature._TABLES.values() for side in sides)
+    assert kept == 11_962
+    nodes = 0
+    for level in range(13):
+        for side in quadrature._level_sides(level):
+            side = tuple(side)
+            nodes += len(side)
+            ends = (side[0][0], side[-1][0])
+            assert all(math.exp(-740.0) <= t <= math.exp(23.0) for t in ends)
+    assert nodes == 191_387
 
 
 def test_spec_validation():
@@ -76,17 +123,20 @@ def test_nan_integrand_raises_on_half_line():
 # Runs the slowly decaying integrals, after the early-truncating ones
 # when argv[1] == "grown"; prints each result, the number of nodes in
 # the shared tables after the call, and whether every level that an
-# earlier call had built is still the very same tuple.
+# earlier call had built is still the very same tuple. Both kinds decay
+# exponentially, as the rule requires; the slow ones scan out to
+# t = 1e4, the early ones stop near t = 25, and the first of each needs
+# 8 levels, so the first call builds the tables to 11,962 nodes.
 _ORDER_SCRIPT = """
 import math, sys
 from mxsum.kernel import integrate, quadrature
 
 SLOW = [
-    lambda t: (1.0 + t) ** -1.5,
-    lambda t: t**-0.5 * (1.0 + t) ** -1.25,
+    lambda t: math.exp(-0.01 * t) / (9e-4 + (t - 1.0) ** 2),
+    lambda t: math.exp(-0.01 * t) * (1e-6 + t) ** -0.5,
 ]
 EARLY = [
-    lambda t: math.exp(-50.0 * t),
+    lambda t: math.exp(-5.0 * t) / (1e-4 + (t - 0.2) ** 2),
     lambda t: t * math.exp(-t),
 ]
 built = {}
@@ -125,8 +175,9 @@ def test_results_do_not_depend_on_call_order():
 
 # Three rounds of four threads that integrate the same integrals while
 # the shared tables are still empty, under a very short switch interval:
-# a slowly decaying one and a kink that runs all 12 levels and fails, so
-# the tables grow by thousands of nodes while the threads interleave.
+# a slowly but exponentially decaying one that needs 8 levels, and a
+# kink that runs all 12 levels and fails, so the tables grow by
+# thousands of nodes while the threads interleave.
 # Prints how many thread results differ from a serial run (a thread that
 # died leaves None, which differs too).
 _THREADS_SCRIPT = """
@@ -134,7 +185,7 @@ import math, sys, threading
 from mxsum.kernel import integrate, quadrature
 
 CASES = [
-    lambda t: (1.0 + t) ** -1.5,
+    lambda t: math.exp(-0.01 * t) / (9e-4 + (t - 1.0) ** 2),
     lambda t: abs(t - 0.3) * math.exp(-t),
 ]
 
@@ -224,14 +275,15 @@ RETURN_TYPES = {
     },
 }
 # family -> (repr(value), terms_used, repr(last_term_magnitude)), recorded
-# when the scan still converted every integrand value to complex; the
-# constant and real-mixed families were recorded again on (0, inf), by
-# the same scan, when the finite-interval rule was removed
+# again when the exp-exp map replaced exp-sinh; against the exact values
+# (0.1, 3, sqrt(pi)/2 and 0.5 + 0.2931...i) the relative distances went
+# from 8.3e-17, 0, 4.3e-17 and 1.8e-17 to 5.0e-16, 0, 4.3e-17 and
+# 1.8e-17, each within 2x the rule's estimate
 RETURN_TYPE_BITS = {
-    "damped-cosine": ("(0.09999999999999999+0j)", 1478, "0.0"),
-    "constant": ("(3+0j)", 205, "0.0"),
-    "real-mixed": ("(0.886226925452758+0j)", 193, "0.0"),
-    "complex-mixed": ("(0.5+0.29312676277195554j)", 389, "5.551115123125783e-17"),
+    "damped-cosine": ("(0.09999999999999995+0j)", 445, "4.163336342344337e-17"),
+    "constant": ("(3+0j)", 121, "0.0"),
+    "real-mixed": ("(0.886226925452758+0j)", 119, "0.0"),
+    "complex-mixed": ("(0.5+0.29312676277195554j)", 230, "7.850462293418876e-17"),
 }
 
 
