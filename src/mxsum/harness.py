@@ -24,7 +24,9 @@ against the independently measured defect S - 1/(2 a^(2 mu)) - H,
 ``decay_rate_fit`` extracts the exponential decay rate of that defect
 from a high-precision remainder (expected -pi for sign -, -2 pi for
 sign +), and ``emit_report`` writes rows as CSV or JSON with
-round-trip float formatting.
+round-trip float formatting. The high-precision S, H and J of the two
+checks come from ``mxsum.oracles``, imported only when a check runs, so
+the tables and the CLI start without mpmath.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .evaluators import (
     algebraic_plus,
     bessel_tail_minus,
     direct_sum,
-    h_minus_quadrature,
     mu_step_check,
 )
 
@@ -348,21 +349,22 @@ def tail_agreement_check(a: float = 3.0) -> ReportRow:
     """Bessel tail vs the measured defect S - 1/(2 a^(2 mu)) - H.
 
     Fixed mu = 1/2, lam = 1, sign -. computed is the tail, reference
-    the defect: a 40-digit explicit sum and lead less quadrature H at
-    1e-14. The tail falls like e^(-pi a), so a binary64 S, whose error
-    is a few 1e-18, would leave the defect only eleven good digits at
-    a = 4; with the 40-digit S both sides are exact to roughly twelve
-    significant digits, so the row passes at 1e-11 relative.
+    the defect, formed at 40 digits from ``oracles.explicit_sum`` and
+    ``oracles.branch_cut``. The tail falls like e^(-pi a), so binary64 S
+    or H, each off by a few 1e-18, would leave the defect only eleven
+    good digits at a = 4; at 40 digits the defect is exact to binary64
+    and the row passes at 1e-11 relative, the tail's own accuracy.
     """
 
-    from mpmath import mp  # deferred: only the reference sum needs it
+    from mpmath import mp  # deferred, with the references
+
+    from . import oracles
 
     params = SeriesParams(0.5, 1.0, a, "minus")
-    h_value = h_minus_quadrature(params, tol=1e-14).value.real
     with mp.workdps(40):
-        mu_mp = mp.mpf(params.mu)
-        s_value = _mp_reference_sum(mu_mp, params.lam, a, "minus")
-        defect = float(s_value - mp.mpf(a) ** (-2 * mu_mp) / 2 - h_value)
+        s_value = oracles.explicit_sum(params.mu, params.lam, a, "minus").value
+        h_value = oracles.branch_cut(params.mu, params.lam, a, "minus")
+        defect = float(s_value - mp.mpf(a) ** (-2 * mp.mpf(params.mu)) / 2 - h_value)
     tail, _ = bessel_tail_minus(params)
     computed = tail.value.real
     rel = abs(computed - defect) / abs(defect)
@@ -387,17 +389,18 @@ def decay_rate_fit(
 ) -> float:
     """Least-squares slope of ln|remainder| + (2 mu - 1) ln a against a.
 
-    The remainder is S minus its algebraic content, computed in
-    40-digit arithmetic so that exponentially small values survive:
-    S - 1/(2 a^(2 mu)) - H for sign -, additionally minus the Laplace
-    integral J for sign +.  The slope estimates the decay rate of the
-    Bessel tail: -pi (sign -) or -2 pi (sign +), independent of mu.
+    The remainder is S - 1/(2 a^(2 mu)) - H for sign -, additionally
+    minus the Laplace integral J for sign +, each from ``oracles``. It
+    falls like e^(-rate a), rate = pi (sign -) or 2 pi (sign +), which
+    is the slope expected, independent of mu; so each point keeps 25 good
+    digits at 25 + rate a / ln 10 digits, rounded up to a multiple of 10
+    (few precisions, few mpmath node tables) and at most 60.
 
     pre: sign in {"plus", "minus"}; 0 <= mu < 1; lam > 0; a_grid holds
          at least 4 distinct real points, each > 0.
-    errors: NonConvergenceError when a remainder falls below the
-        40-digit noise floor (grid reaches too far right); shrink the
-        grid.  Roughly a <= 25 is safe for sign -, a <= 12 for sign +.
+    errors: NonConvergenceError when a remainder falls below the noise
+        floor (grid reaches too far right); shrink the grid.  Roughly
+        a <= 25 is safe for sign -, a <= 12 for sign +.
     """
 
     if sign not in ("plus", "minus"):
@@ -415,21 +418,24 @@ def decay_rate_fit(
     if any(not (a > 0.0 and math.isfinite(a)) for a in grid):
         raise PreconditionError("a_grid points must be positive real numbers")
 
-    from mpmath import mp  # deferred: only this fit needs it
+    from mpmath import mp  # deferred, with the references
 
+    from . import oracles
+
+    rate = math.pi if sign == "minus" else 2.0 * math.pi
     xs: list[float] = []
     ys: list[float] = []
-    with mp.workdps(40):
-        mu_mp = mp.mpf(mu)
-        for a in grid:
-            s_value = _mp_reference_sum(mu_mp, lam, a, sign)
-            remainder = s_value - mp.mpf(a) ** (-2 * mu_mp) / 2
-            remainder -= _mp_branch_cut(mu_mp, lam, a, sign)
+    for a in grid:
+        dps = min(10 * math.ceil((25 + rate * a / math.log(10.0)) / 10), _DECAY_MAX_DPS)
+        with mp.workdps(dps):
+            s_value = oracles.explicit_sum(mu, lam, a, sign, dps).value
+            remainder = s_value - mp.mpf(a) ** (-2 * mp.mpf(mu)) / 2
+            remainder -= oracles.branch_cut(mu, lam, a, sign, dps)
             if sign == "plus":
-                remainder -= _mp_laplace(mu_mp, lam, a)
-            if abs(remainder) < abs(s_value) * mp.mpf(10) ** -34:
+                remainder -= oracles.laplace(mu, lam, a, dps)
+            if abs(remainder) < abs(s_value) * mp.mpf(10) ** (6 - dps):
                 raise NonConvergenceError(
-                    f"remainder at a = {a} is below the 40-digit noise "
+                    f"remainder at a = {a} is below the {dps}-digit noise "
                     f"floor; shrink the grid"
                 )
             xs.append(a)
@@ -442,61 +448,7 @@ def decay_rate_fit(
     return sxy / sxx
 
 
-def _mp_reference_sum(mu, lam, a, sign):
-    # brute high-precision sum; converges for lam > 0 only
-    from mpmath import mp
-
-    alt = sign == "minus"
-    a_sq = mp.mpf(a) ** 2
-    total = mp.mpf(0)
-    floor = mp.mpf(10) ** -38
-    n = 0
-    while True:
-        term = mp.e ** (-lam * n) * (n * n + a_sq) ** (-mu)
-        if alt and n % 2 == 1:
-            term = -term
-        total += term
-        if n > 5 and abs(term) < floor * abs(total):
-            return total
-        n += 1
-        if n > 500_000:
-            raise NonConvergenceError(
-                f"reference sum did not converge at lam = {lam}"
-            )
-
-
-def _mp_branch_cut(mu, lam, a, sign):
-    # H as its defining integral over (0, 1); integrable endpoint
-    # singularity (1 - t^2)^(-mu) is handled by tanh-sinh quadrature
-    from mpmath import mp
-
-    damped = sign == "plus"
-
-    def integrand(t):
-        value = mp.sin(lam * a * t) / mp.sinh(mp.pi * a * t)
-        value *= (1 - t * t) ** (-mu)
-        if damped:
-            value *= mp.e ** (-mp.pi * a * t)
-        return value
-
-    return mp.mpf(a) ** (1 - 2 * mu) * mp.quad(integrand, [0, 1])
-
-
-def _mp_laplace(mu, lam, a):
-    # J = int_0^inf e^(-lam t) (t^2 + a^2)^(-mu) dt in closed form
-    # via the Struve-H and Bessel-Y pair of order 1/2 - mu
-    from mpmath import mp
-
-    nu = mp.mpf(1) / 2 - mu
-    prefactor = (
-        mp.sqrt(mp.pi)
-        * mp.mpf(a) ** (1 - 2 * mu)
-        * mp.gamma(1 - mu)
-        / (2 * (lam * a / 2) ** nu)
-    )
-    return prefactor * (mp.struveh(nu, lam * a) - mp.bessely(nu, lam * a))
-
-
+_DECAY_MAX_DPS = 60
 _DECAY_GRID = (5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 
 

@@ -7,10 +7,9 @@ acceptance report. One Table 1 reference value carries a single-digit
 transcription slip (cell k0-a08: recorded 4.859e-4, true 9.859e-4).
 The harness keeps it verbatim, so its report row reads false; criterion
 1 accepts that one row only after a 40-digit explicit sum, independent
-of the package, confirms the corrected value and the program's figure.
+of the routes, confirms the corrected value and the program's figure.
 """
 
-import cmath
 import math
 import time
 
@@ -35,6 +34,7 @@ from mxsum.harness import (
     reproduce_table3,
     table2_convention_report,
 )
+from mxsum.oracles import coefficient, explicit_sum
 
 
 def _verdict(n, ok, detail):
@@ -68,22 +68,11 @@ _T1_ERRATUM_RECORDED = 4.859e-4
 _T1_ERRATUM_CORRECTED = 9.859e-4
 
 
-def _k0_minus_relative_error(a, mu=0.5, lam=1.0, terms=200):
-    """|S - a^(-2mu) (1 + tanh(lam/2))/2| / |S| for sign -, at 40 digits.
-
-    S is the explicit sum of the first `terms` terms of
-    sum (-1)^n e^(-lam n) / (n^2 + a^2)^mu; the omitted tail is below
-    e^(-lam terms). Uses mpmath only, so it does not share code with
-    the package under test.
-    """
-
+def _k0_minus_relative_error(a, mu=0.5, lam=1.0):
+    # |S - a^(-2mu) (1 + tanh(lam/2))/2| / |S| for sign -, at 40 digits
     with mpmath.workdps(40):
-        a, mu, lam = mpmath.mpf(a), mpmath.mpf(mu), mpmath.mpf(lam)
-        s = mpmath.fsum(
-            (-1) ** n * mpmath.exp(-lam * n) / (n * n + a * a) ** mu
-            for n in range(terms)
-        )
-        lead = a ** (-2 * mu) * (1 + mpmath.tanh(lam / 2)) / 2
+        s = explicit_sum(mu, lam, a, "minus").value
+        lead = mpmath.mpf(a) ** (-2 * mpmath.mpf(mu)) * (1 + mpmath.tanh(lam / 2)) / 2
         return float(abs(s - lead) / abs(s))
 
 
@@ -202,34 +191,16 @@ def test_criterion_06_lambda0_reductions():
     assert _verdict(6, ok, detail), detail
 
 
-def _b_cauchy_oracle(k, lam):
-    if k == 0:
-        return math.tanh(lam / 2.0) / 2.0
-    n = 256
-    parts = []
-    for j in range(n):
-        th = 2.0 * math.pi * j / n
-        z = complex(lam / 2.0 + math.cos(th), math.sin(th))
-        hv = 1.0 / (cmath.exp(2.0 * z) + 1.0)
-        parts.append((hv * cmath.exp(complex(0.0, -2.0 * k * th))).real)
-    deriv = math.factorial(2 * k) * math.fsum(parts) / n
-    return (-1.0) ** (k + 1) * deriv / 4.0**k
-
-
 def test_criterion_07_coefficient_oracles():
     worst_b = worst_bh = 0.0
     for lam in (0.2, 1.0, 3.0):
         bv = b_coefficients(lam, 6).values
         bh = bhat_coefficients(lam, 6).values
         for k in range(7):
-            ref = _b_cauchy_oracle(k, lam)
+            ref = float(coefficient("B", k, lam))
             worst_b = max(worst_b, abs(bv[k] - ref) / max(1.0, abs(ref)))
         for k in range(1, 7):
-            z = mpmath.zeta(2 * k + 1, mpmath.mpc(1.0, lam / (2.0 * math.pi)))
-            ref = float(
-                2.0 * (-1.0) ** (k - 1) * math.factorial(2 * k)
-                / (2.0 * math.pi) ** (2 * k + 1) * z.imag
-            )
+            ref = float(coefficient("Bhat", k, lam))
             worst_bh = max(worst_bh, abs(bh[k] - ref) / max(1.0, abs(ref)))
     x = 0.3
     av = a_coefficients(1.0, 20).values
@@ -238,7 +209,7 @@ def test_criterion_07_coefficient_oracles():
     e_a = abs(acc - target)
     ok = worst_b <= 1e-10 and worst_bh <= 1e-10 and e_a <= 1e-12
     detail = (
-        f"B vs contour quadrature {worst_b:.1e}, Bhat vs zeta route "
+        f"B vs 40-digit zeta form {worst_b:.1e}, Bhat vs zeta form "
         f"{worst_bh:.1e} (need <= 1e-10); series reconstruction at "
         f"x=0.3 {e_a:.1e} (need <= 1e-12)"
     )

@@ -2,7 +2,6 @@
 and their independent oracles, among them an exact Fraction evaluator of
 the tanh derivative polynomials p_m."""
 
-import cmath
 import functools
 import hashlib
 import math
@@ -14,12 +13,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from mxsum.errors import PreconditionError
 from mxsum.kernel import bernoulli_even
+from mxsum.oracles import coefficient
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -109,28 +108,12 @@ def test_b_closed_forms():
         assert abs(vals[2] - b2) < 1e-15 * max(1.0, abs(b2))
 
 
-def _b_cauchy_oracle(k, lam):
-    # 2k-th derivative of h(x) = 1/(e^(2x)+1) at lam/2 by trapezoid
-    # quadrature of the Cauchy integral on a unit circle (poles of h sit
-    # at distance >= pi/2 from the real axis); B_k = (-1)^(k+1) h^(2k)/4^k
-    if k == 0:
-        return math.tanh(lam / 2.0) / 2.0
-    n = 256
-    parts = []
-    for j in range(n):
-        th = 2.0 * math.pi * j / n
-        z = complex(lam / 2.0 + math.cos(th), math.sin(th))
-        h = 1.0 / (cmath.exp(2.0 * z) + 1.0)
-        parts.append((h * cmath.exp(complex(0.0, -2.0 * k * th))).real)
-    deriv = math.factorial(2 * k) * math.fsum(parts) / n
-    return (-1.0) ** (k + 1) * deriv / 4.0**k
-
-
 def test_b_against_quadrature_oracle():
+    # the 40-digit partial-fraction (zeta) form, not a quadrature
     for lam in (0.2, 1.0, 1.5, 3.0):
         vals = b_coefficients(lam, 6).values
         for k in range(7):
-            ref = _b_cauchy_oracle(k, lam)
+            ref = float(coefficient("B", k, lam))
             assert abs(vals[k] - ref) <= 1e-10 * max(1.0, abs(ref)), (lam, k)
 
 
@@ -203,19 +186,10 @@ def test_bhat_frozen_values():
 
 
 def test_bhat_against_zeta_oracle():
-    # Bhat_k = 2 (-1)^(k-1) (2k)!/(2 pi)^(2k+1) Im zeta(2k+1, 1+i lam/(2 pi))
     for lam in (0.2, 1.0, 1.5, 3.0, 5.0):
         vals = bhat_coefficients(lam, 6).values
         for k in range(1, 7):
-            q = mpmath.mpc(1.0, lam / (2.0 * math.pi))
-            z = mpmath.zeta(2 * k + 1, q)
-            ref = float(
-                2.0
-                * (-1.0) ** (k - 1)
-                * math.factorial(2 * k)
-                / (2.0 * math.pi) ** (2 * k + 1)
-                * z.imag
-            )
+            ref = float(coefficient("Bhat", k, lam))
             assert abs(vals[k] - ref) <= 1e-10 * max(1.0, abs(ref)), (lam, k)
 
 
