@@ -44,8 +44,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
 from .kernel.zeta import bernoulli_even
@@ -123,15 +123,14 @@ def _a_rows(k_max: int) -> tuple[tuple[float, ...], ...]:
 # coefficient tables
 
 
-@dataclass
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Computed coefficients values[k] for k = 0..K of one kind
     ('A', 'B' or 'Bhat') at a fixed lam."""
 
     kind: str
     lam: float
     K: int
-    values: list[float] = field(default_factory=list)
+    values: list[float]
 
 
 def _check_k(K: int, cap: int) -> None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from .errors import NonConvergenceError, PreconditionError
@@ -72,41 +72,46 @@ _H_SUBTRACT_Q = 1e-4
 _ROTATE_IM_A = 1.0
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class _SeriesFields(NamedTuple):
+    mu: float
+    lam: float
+    a: complex
+    sign: str = "minus"
+
+
+class SeriesParams(_SeriesFields):
     """Parameter bundle for one sum evaluation.
 
     mu: exponent on n^2 + a^2 (>= 0)
     lam: exponential decay rate (>= 0)
     a: shift parameter, must satisfy Re a > 0 (sector |arg a| < pi/2)
     sign: "minus" for the alternating sum, "plus" otherwise
+
+    An immutable named tuple. Construction, ``_replace`` and unpickling
+    all pass through ``__new__``, which coerces mu and lam to float and
+    a to complex and checks the domain.
     """
 
-    mu: float
-    lam: float
-    a: complex
-    sign: str = "minus"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "a", complex(self.a))
-        if self.sign not in ("plus", "minus"):
+    def __new__(cls, mu: float, lam: float, a: complex, sign: str = "minus"):
+        mu, lam, a = float(mu), float(lam), complex(a)
+        if sign not in ("plus", "minus"):
+            raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")
+        if not (math.isfinite(mu) and mu >= 0.0):
+            raise PreconditionError(f"mu must be finite and >= 0, got {mu}")
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise PreconditionError(f"lam must be finite and >= 0, got {lam}")
+        if not (math.isfinite(a.real) and math.isfinite(a.imag) and a.real > 0.0):
             raise PreconditionError(
-                f"sign must be 'plus' or 'minus', got {self.sign!r}"
+                f"a must lie in the open half-plane Re a > 0, got {a}"
             )
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise PreconditionError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise PreconditionError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (
-            math.isfinite(self.a.real)
-            and math.isfinite(self.a.imag)
-            and self.a.real > 0.0
-        ):
-            raise PreconditionError(
-                f"a must lie in the open half-plane Re a > 0, got {self.a}"
-            )
+        return tuple.__new__(cls, (mu, lam, a, sign))
+
+    @classmethod
+    def _make(cls, iterable) -> SeriesParams:
+        # the namedtuple _make, and so _replace, would skip the checks
+        return cls(*iterable)
 
     @property
     def real_a(self) -> bool:
@@ -117,8 +122,7 @@ class SeriesParams:
         return -1.0 if self.sign == "minus" else 1.0
 
 
-@dataclass
-class Evaluation:
+class Evaluation(NamedTuple):
     """One computed value plus diagnostics.
 
     value: the estimate (imaginary part ~0 for real a)
@@ -137,8 +141,7 @@ class Evaluation:
     notes: str = ""
 
 
-@dataclass
-class TailTerm:
+class TailTerm(NamedTuple):
     """One term of the Bessel tail, in display form.
 
     k: term index
@@ -908,14 +911,14 @@ def _full_rotated(p: SeriesParams, tag: str, plus: bool) -> Evaluation:
     _subdominant_tail. Im a < 0 is served by S(conj a) = conj S(a).
     """
 
-    q = p if p.a.imag > 0.0 else replace(p, a=p.a.conjugate())
+    q = p if p.a.imag > 0.0 else p._replace(a=p.a.conjugate())
     ray = _ray_quadrature(q, plus)
     tail = _subdominant_tail(q, 2.0 if plus else 1.0, _tail_budget(q.a))
     if plus:
         e = _full(q, tag, [j_mu_quadrature(q, 1e-14), ray, tail])
     else:
         e = _full(q, tag, [ray, tail], ray.notes)
-    return e if q is p else replace(e, value=e.value.conjugate())
+    return e if q is p else e._replace(value=e.value.conjugate())
 
 
 def full_minus(p: SeriesParams) -> Evaluation:
@@ -1077,7 +1080,7 @@ def _lambda0_bessel(mu: float, a: complex, n_terms: int, sign: str) -> Evaluatio
         parts.append(Evaluation(complex(v), "lambda0-gamma-term", err))
     parts.append(_subdominant_tail(p, 2.0 if sign == "plus" else 1.0, n_terms))
     e = _full(p, f"lambda0-{sign}", parts)
-    return replace(e, value=complex(e.value.real)) if p.real_a else e
+    return e._replace(value=complex(e.value.real)) if p.real_a else e
 
 
 # ---------------------------------------------------------------------------
@@ -1149,9 +1152,9 @@ def mu_step_check(p: SeriesParams, h: float = 1e-4) -> float:
     if not 0.0 < h < p.a.real:
         raise PreconditionError("step h must satisfy 0 < h < a")
 
-    up = direct_sum(replace(p, a=p.a.real + h)).value.real
-    dn = direct_sum(replace(p, a=p.a.real - h)).value.real
+    up = direct_sum(p._replace(a=p.a.real + h)).value.real
+    dn = direct_sum(p._replace(a=p.a.real - h)).value.real
     derivative = (up - dn) / (2.0 * h)
     stepped = -derivative / (2.0 * p.mu * p.a.real)
-    reference = direct_sum(replace(p, mu=p.mu + 1.0)).value.real
+    reference = direct_sum(p._replace(mu=p.mu + 1.0)).value.real
     return abs(stepped - reference) / abs(reference)

@@ -37,7 +37,7 @@ import math
 import sys
 from contextlib import contextmanager
 from csv import writer as _csv_writer
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
 from .evaluators import (
@@ -83,8 +83,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One checked quantity.
 
     table: "1" | "2" | "3" for grid rows, "check" for the consistency
@@ -115,8 +114,7 @@ class ReportRow:
     tolerance_used: float
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     """Frozen definition of one reference table.
 
     parameter_grid: (row_id, params, truncation index or None) per cell

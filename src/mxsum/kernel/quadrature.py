@@ -26,7 +26,9 @@ two negligible nodes in a row raises NonConvergenceError: an algebraic
 decay such as (1 + t)^-1.5 refuses at level 0 instead of returning a
 truncated value. A node counts as negligible only once its side has
 met a nonzero value, so an integrand that underflows to 0 near the
-centre is scanned out to its mass.
+centre is scanned out to its mass, and a refined side does not stop
+short of the last node where a coarser level still found mass, so a
+negligible stretch between the centre and the mass does not end it.
 
 Shared node tables. The nodes ``(t, weight)`` depend only on s, so
 each level's sides are built whole, as tuples in scan order, the first
@@ -117,7 +119,9 @@ def _level_sides(level: int) -> tuple[_Side, ...]:
     return sides
 
 
-def _scan(side: _Side, f: Callable, acc: tuple) -> tuple:
+def _scan(
+    side: _Side, f: Callable, acc: tuple, first: float, spacing: float, edges: list
+) -> tuple:
     """Add the weighted values of ``side``'s nodes to ``acc`` until two
     nodes in a row are negligible. A refined level restarts at the
     centre, where an integrand peaked near an endpoint is still rising,
@@ -129,15 +133,31 @@ def _scan(side: _Side, f: Callable, acc: tuple) -> tuple:
     for the nodes to reach its tail. A side that is 0 at every node
     adds nothing.
 
+    Edges. The side's node i lies at |s| = ``first + spacing * i``, its
+    reach. A side's edge is the (reach, |weighted value|) of the last
+    node before the negligible nodes that ended it; ``edges`` holds
+    those of the coarser levels on this side that were not negligible
+    against the mass after their side, the farthest first, and the scan
+    adds its own. A side stops only beyond every edge that is not
+    negligible against the mass as it stands, so a refined level does
+    not stop in a negligible stretch between the centre and the mass,
+    as it would on exp(-(ln t + 12)^2)/t + 1e-25 e^-t. On a tail that
+    falls monotonically, a node beyond the stop is smaller than the
+    stopping nodes, so the edges change nothing there.
+
     ``acc`` is (real total, real carry, imaginary total, imaginary carry,
     absolute mass, evaluations); the two sums are Neumaier-compensated.
     """
 
     re_total, re_carry, im_total, im_carry, abs_mass, evals = acc
+    start = evals
     isfinite = cmath.isfinite
     streak = 0
     prev_mag = math.inf
-    seen = False  # a nonzero value on this side
+    # 0.0 until the side meets a nonzero value, then the |weighted value|
+    # of the last node that ended a streak (before any, of the first
+    # nonzero node)
+    seen = 0.0
     for t, w in side:
         evals += 1
         try:
@@ -168,13 +188,18 @@ def _scan(side: _Side, f: Callable, acc: tuple) -> tuple:
         abs_mass += mag
         if mag <= _TRUNC_FRACTION * abs_mass and mag <= prev_mag:
             if mag or seen:  # a 0 before any nonzero value is no tail
-                seen = True
+                seen = seen or mag
                 streak += 1
                 if streak >= _TRUNC_STREAK:
-                    break
+                    reach = first + spacing * (evals - start - 1)
+                    if not edges or reach > edges[0][0]:
+                        break
+                    floor = _TRUNC_FRACTION * abs_mass
+                    if not any(reach < r and m > floor for r, m in edges):
+                        break
         else:  # mag > 0 here
             streak = 0
-            seen = True
+            seen = mag
         prev_mag = mag
     else:
         if seen:
@@ -183,6 +208,12 @@ def _scan(side: _Side, f: Callable, acc: tuple) -> tuple:
                 f"integrand became negligible: it must decay at least "
                 f"exponentially"
             )
+    if seen > _TRUNC_FRACTION * abs_mass:
+        edge = (first + spacing * (evals - start - 1 - streak), seen)
+        if edges and edge[0] < edges[0][0]:
+            edges.append(edge)
+        else:
+            edges.insert(0, edge)
     return re_total, re_carry, im_total, im_carry, abs_mass, evals
 
 
@@ -209,16 +240,20 @@ def integrate(f: Callable, tol: float = 1e-13) -> SeriesSum:
     if not 0.0 < tol < 1.0:
         raise PreconditionError("tol must lie in (0, 1)")
     acc = (0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    for side in _level_sides(0):
-        acc = _scan(side, f, acc)
+    up, down = [], []  # the edges of each side
+    # level 0 holds s = 0, 1, 2, ... and s = -1, -2, ...
+    pos, neg = _level_sides(0)
+    acc = _scan(pos, f, acc, 0.0, 1.0, up)
+    acc = _scan(neg, f, acc, 1.0, 1.0, down)
     estimate = complex(acc[0] + acc[1], acc[2] + acc[3])
     delta = math.inf
 
     h = 1.0
     for level in range(1, _MAX_LEVELS + 1):
         h *= 0.5
-        for side in _level_sides(level):
-            acc = _scan(side, f, acc)
+        pos, neg = _level_sides(level)  # s = h, 3h, ... and -h, -3h, ...
+        acc = _scan(pos, f, acc, h, 2.0 * h, up)
+        acc = _scan(neg, f, acc, h, 2.0 * h, down)
         new_estimate = h * complex(acc[0] + acc[1], acc[2] + acc[3])
         delta = abs(new_estimate - estimate)
         estimate = new_estimate

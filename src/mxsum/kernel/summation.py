@@ -15,8 +15,7 @@ finite total, which leaves the total and its carry as they are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import NonConvergenceError, PreconditionError
 
@@ -27,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class SeriesSum:
+class SeriesSum(NamedTuple):
     """Result of an adaptive summation or quadrature.
 
     value: accumulated sum (complex; imaginary part 0.0 for real input)

@@ -3,12 +3,35 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from mxsum.cli import main
 from mxsum.oracles import explicit_sum
+
+
+def test_import_footprint():
+    # every mxsum process pays for its imports before any numerical work:
+    # the package and its CLI load no dataclasses (with the inspect, ast
+    # and dis that it pulls in) and no mpmath, which only the oracles use
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, mxsum, mxsum.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'mpmath') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout == "[]\n", done.stdout + done.stderr
 
 
 def test_eval_oracle_text(capsys):

@@ -52,6 +52,23 @@ def test_integrand_zero_near_the_centre():
         integrate(lambda t: math.exp(-t) if t >= 1.0 else 0.0)
 
 
+def test_negligible_stretch_before_the_mass():
+    # the mass sits at ln t = -12, and the 1e-25 term falls outwards from
+    # the centre: on a refined level two falling nodes below 1e-19 of
+    # the mass lie between the centre and the peak; they must not end
+    # the side before the nodes under the peak
+    def peak(t):
+        return math.exp(-((math.log(t) + 12.0) ** 2)) / t
+
+    r = integrate(lambda t: peak(t) + 1e-25 * math.exp(-t))
+    assert abs(r.value - math.sqrt(math.pi)) <= r.last_term_magnitude
+    # without the term the side rises from the centre to the peak, and
+    # the edges of the coarser levels cost the scan no extra node
+    r = integrate(peak)
+    assert abs(r.value - math.sqrt(math.pi)) <= r.last_term_magnitude
+    assert r.terms_used == 203
+
+
 def test_level_budget_exhaustion_raises():
     # a kink defeats the double-exponential rule, and so does a zero
     # integral, where a relative tolerance cannot be met
