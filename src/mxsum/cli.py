@@ -87,16 +87,16 @@ methods and what they evaluate:
   full        the sum itself, as algebraic part + Bessel tail (0 < mu < 1)
   algebraic   the sum's large-a algebraic expansion, truncated at --K
   integer-mu  the sum itself, hypergeometric closed form (mu = 1 .. 5)
-  lambda0     the sum itself at lam = 0 (requires --lambda 0; --K caps
-              the Bessel terms, default 30, exit 4 if it needs more)
+  lambda0     the sum itself at lam = 0 (requires --lambda 0)
   small-a     the branch-cut contribution H alone, convergent small-a
               series (--sign minus only, |a| <= 1)
-  tail        the exponentially small Bessel tail alone (--K caps the
-              tail terms as for lambda0)
+  tail        the exponentially small Bessel tail alone
   j-mu        the Laplace integral J alone: quadrature by default
-              (uses --tol), or the large-a expansion when --K is given
+              (uses --tol), or its large-a expansion truncated at --K
 
 default method: full when mu < 1, oracle otherwise.
+--K is accepted by algebraic and j-mu only (exit 2 elsewhere); the other
+routes size their own sums.
 --format csv prints header and one row:
   value_re,value_im,method,error_estimate,truncation_index,tail_terms_used,notes
 """
@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", choices=_METHODS, default=None,
                     help="evaluation route (see below; default depends on mu)")
     ev.add_argument("--K", type=int, default=None,
-                    help="truncation index / term count, where the route has one")
+                    help="truncation index of the asymptotic expansion "
+                         "(algebraic and j-mu only)")
     ev.add_argument("--tol", type=float, default=1e-12,
                     help="target tolerance for oracle and quadrature routes")
     ev.add_argument("--format", choices=("text", "csv", "json"), default="text",
@@ -206,41 +207,27 @@ def build_parser() -> argparse.ArgumentParser:
 # eval
 
 def _run_method(method: str, p: SeriesParams, ns: argparse.Namespace) -> Evaluation:
-    K = ns.K
-    if method == "oracle":
-        return direct_sum(p, tol=ns.tol)
-    if method == "small-a":
-        if p.sign != "minus":
-            raise PreconditionError(
-                "method small-a applies to the alternating sum; use --sign minus"
-            )
-        return small_a_minus(p, K=K) if K is not None else small_a_minus(p)
-    if method == "algebraic":
-        if p.sign == "minus":
-            return algebraic_minus(p, K=K) if K is not None else algebraic_minus(p)
-        return algebraic_plus(p, K=K) if K is not None else algebraic_plus(p)
-    if method == "full":
-        return full_minus(p) if p.sign == "minus" else full_plus(p)
-    if method == "tail":
-        tail_fn = bessel_tail_minus if p.sign == "minus" else bessel_tail_plus
-        evaluation, _terms = tail_fn(p, n_terms=K) if K is not None else tail_fn(p)
-        return evaluation
-    if method == "j-mu":
-        if K is not None:
-            return j_mu_asymptotic(p, K=K)
-        return j_mu_quadrature(p, tol=ns.tol)
-    if method == "integer-mu":
-        return integer_mu_closed_form(int(round(p.mu)), p)
-    # lambda0
-    if p.lam != 0.0:
-        raise PreconditionError(
-            f"method lambda0 evaluates the lam = 0 sum; pass --lambda 0 "
-            f"(got lambda = {p.lam})"
-        )
-    reduce_fn = olver_lambda0_minus if p.sign == "minus" else lambda0_plus
-    if K is not None:
-        return reduce_fn(p.mu, p.a, n_terms=K)
-    return reduce_fn(p.mu, p.a)
+    """Evaluate by the route of ``method`` for p.sign; every route checks
+    its own domain, the sign included, and sizes its own sums."""
+
+    minus = p.sign == "minus"
+    # looked up per call, so that a route replaced on this module runs
+    route = {
+        "oracle": direct_sum,
+        "small-a": small_a_minus,
+        "algebraic": algebraic_minus if minus else algebraic_plus,
+        "full": full_minus if minus else full_plus,
+        "tail": bessel_tail_minus if minus else bessel_tail_plus,
+        "j-mu": j_mu_quadrature if ns.K is None else j_mu_asymptotic,
+        "integer-mu": integer_mu_closed_form,
+        "lambda0": olver_lambda0_minus if minus else lambda0_plus,
+    }[method]
+    if ns.K is not None:
+        return route(p, K=ns.K)
+    if method in ("oracle", "j-mu"):
+        return route(p, tol=ns.tol)
+    result = route(p)
+    return result[0] if method == "tail" else result
 
 
 def _scalar(value) -> float | complex:
@@ -342,6 +329,9 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if ns.subcommand == "eval" and ns.K is not None:
+        if ns.method not in ("algebraic", "j-mu"):  # the asymptotic expansions
+            parser.error("--K applies to --method algebraic and j-mu only")
     try:
         return _DISPATCH[ns.subcommand](ns)
     except PreconditionError as exc:

@@ -171,6 +171,14 @@ def _a2(p: SeriesParams) -> complex | float:
     return p.a.real * p.a.real if p.real_a else p.a * p.a
 
 
+def _need_sign(p: SeriesParams, sign: str, route: str) -> None:
+    # each _minus/_plus route evaluates the sum of its own sign only
+    if p.sign != sign:
+        raise PreconditionError(
+            f"{route} evaluates the {sign} sum; got sign = {p.sign!r}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # reference summation
 
@@ -295,7 +303,9 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
 # branch-cut contribution H
 
 
-def _h_quadrature(p: SeriesParams, tol: float, with_exp: bool, tag: str) -> Evaluation:
+def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
+    _need_sign(p, sign, f"h_{sign}_quadrature")
+    tag, with_exp = f"h-{sign}-quadrature", sign == "plus"
     if not 0.0 <= p.mu < 1.0:
         raise PreconditionError(
             f"H integral needs 0 <= mu < 1 for integrability, got mu = {p.mu}"
@@ -393,7 +403,7 @@ def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     times the condition of g(1)). Requires 0 <= mu < 1.
     """
 
-    return _h_quadrature(p, tol, False, "h-minus-quadrature")
+    return _h_quadrature(p, tol, "minus")
 
 
 def h_plus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
@@ -402,26 +412,28 @@ def h_plus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     Same integrand as the minus case times an extra exp(-pi a t) factor.
     """
 
-    return _h_quadrature(p, tol, True, "h-plus-quadrature")
+    return _h_quadrature(p, tol, "plus")
 
 
-def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
+def small_a_minus(p: SeriesParams) -> Evaluation:
     """Convergent expansion of H^- in powers of a^2 (radius |a| = 1).
 
     H^- = (lam a^(1-2mu) / 2pi) Gamma(1-mu)
           * sum_k (-1)^k A_k Gamma(k+1/2)/Gamma(k+3/2-mu) a^(2k).
 
-    Plain summation for |a| <= 0.7; alternating-series acceleration
-    closer to the boundary, which converges even at |a| = 1 where the
-    plain series is hopelessly slow. The acceleration degrades as
-    |arg a| grows; when it cannot settle it raises, and the quadrature
-    route remains available. |a| beyond the radius is rejected.
+    Plain summation for |a| <= 0.7 up to a term below 1e-17 of the sum
+    (at large lam the terms grow for a few k before they fall), over the
+    A_k it needs: about (ln 1e17 + lam)/ln(1/|a|^2) of them. Closer to
+    the boundary a 36-stage alternating-series acceleration converges
+    even at |a| = 1, where the plain series is hopelessly slow. The
+    acceleration degrades as |arg a| grows; when it cannot settle it
+    raises, and the quadrature route remains available. |a| beyond the
+    radius is rejected.
     """
 
+    _need_sign(p, "minus", "small_a_minus")
     if not p.mu < 1.0:
         raise PreconditionError(f"small-a expansion needs mu < 1, got {p.mu}")
-    if not 0 <= K <= 60:
-        raise PreconditionError("K must lie in 0 .. 60 (coefficient cap)")
     if p.lam == 0.0:
         return Evaluation(0j, "small-a-minus", 0.0, notes="prefactor lam = 0")
     mod_a = abs(p.a)
@@ -431,8 +443,6 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
         )
 
     mu, lam = p.mu, p.lam
-    # the call is cheap for K <= 60: the rounded coefficients are cached
-    coeff = a_coefficients(lam, K).values
     g = gamma_real(0.5) / gamma_real(1.5 - mu)  # Gamma(k+1/2)/Gamma(k+3/2-mu) at k=0
     pref = (lam / (2.0 * _PI)) * gamma_real(1.0 - mu) * _apow(p.a, 1.0 - 2.0 * mu)
     a2 = _a2(p)
@@ -442,30 +452,22 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
     rnd = (4.0 + abs((1.0 - 2.0 * mu) * cmath.log(p.a))) * _EPS
 
     if mod_a <= 0.7:
+        # in a seeded probe of 9360 points (mu up to 1 - 1e-6, lam 1e-3
+        # to 25, |a| 0.01 to 0.7) the stop came at most 4 past this estimate
+        stop = (math.log(1e17) + lam) / (-2.0 * math.log(mod_a))
+        K = 60 if stop > 54.0 else math.ceil(stop) + 6
+        # the rounded coefficients are cached
+        coeff = a_coefficients(lam, K).values
         acc: complex = 0.0
         apow: complex = 1.0
-        prev_mag = math.inf
-        grow_streak = 0
-        last_mag = 0.0
         abs_sum = 0.0
-        used = 0
         for k in range(K + 1):
             t = (-1.0) ** k * coeff[k] * g * apow
             acc += t
             last_mag = abs(t)
             abs_sum += last_mag
-            used = k
-            if last_mag >= prev_mag and k >= 2:
-                grow_streak += 1
-                if grow_streak >= 2:
-                    raise NonConvergenceError(
-                        f"term ratio reached 1 at k = {k} before K = {K}"
-                    )
-            else:
-                grow_streak = 0
             if last_mag <= 1e-17 * max(abs(acc), 1e-300) and k >= 2:
                 break
-            prev_mag = last_mag
             g *= (k + 0.5) / (k + 1.5 - mu)
             apow *= a2
         tail_bound = last_mag * mod_a**2 / max(1.0 - mod_a**2, 1e-3)
@@ -473,21 +475,20 @@ def small_a_minus(p: SeriesParams, K: int = 40) -> Evaluation:
             complex(pref * acc),
             "small-a-minus",
             abs(pref) * max(tail_bound, rnd * abs_sum),
-            truncation_index=used,
+            truncation_index=k,
         )
 
-    # near the boundary: accelerate sum (-1)^k c_k
-    stages = min(max(K, 8), 56)
+    # near the boundary: accelerate sum (-1)^k c_k over k < stages + 4
+    stages = 36
+    coeff = a_coefficients(lam, stages + 3).values
     gs = [g]
-    for k in range(stages + 4):
+    for k in range(stages + 3):
         g *= (k + 0.5) / (k + 1.5 - mu)
         gs.append(g)
 
     def magnitude(k: int) -> complex:
-        return coeff[k] * gs[k] * a2**k if k <= K else 0.0
+        return coeff[k] * gs[k] * a2**k
 
-    # acceleration order never exceeds K, so coeff[k] is always valid
-    stages = min(stages, max(K - 4, 4))
     res = accelerated_alternating_complex(magnitude, 1e-15, stages=stages)
     scale = max(abs(res.value), 1e-300)
     if res.last_term_magnitude > 1e-9 * scale:
@@ -544,6 +545,7 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     index where terms start growing, if they do within the range.
     """
 
+    _need_sign(p, "minus", "algebraic_minus")
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bvals = b_coefficients(p.lam, K + 1).values
@@ -600,6 +602,7 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     with the same truncation index K in both series.
     """
 
+    _need_sign(p, "plus", "algebraic_plus")
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bhat = bhat_coefficients(p.lam, K + 1).values
@@ -620,27 +623,28 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
 
 
 def _kv_sums(
-    p: SeriesParams, base: float, offsets: tuple[complex, ...], n_terms: int
-) -> tuple[list[complex], list[tuple[complex, complex]], float, float]:
+    p: SeriesParams, base: float, offsets: tuple[complex, ...], pairs: list | None = None
+) -> tuple[list[complex], int, float, float]:
     """sum_k (2/Z_k)^nu K_nu(Z_k), nu = 1/2 - mu, for each offset, over
     Z_k = (2k + base) pi a + offset, all in one loop.
 
     The loop stops once a term of the first sum falls below 1e-18 of
-    its plain running sum; NonConvergenceError if n_terms run out first.
+    its plain running sum; NonConvergenceError past _tail_budget(p).
     Returns the sums, each compensated (fsum of the real and imaginary
-    parts), the pairs (Z_k, K_nu(Z_k)) of the first sum, the magnitude of
-    its last term and the mass sum |Z_k| |term| over every sum. The mass
-    sets the rounding floor: K_nu(Z) falls like e^-Z, so the rounding of
-    Z_k, about eps |Z_k|, becomes a relative error of its term.
+    parts), the number of terms, the magnitude of the first sum's last
+    term and the mass sum |Z_k| |term| over every sum. The mass sets the
+    rounding floor: K_nu(Z) falls like e^-Z, so the rounding of Z_k,
+    about eps |Z_k|, becomes a relative error of its term. ``pairs``,
+    if given, receives the (Z_k, K_nu(Z_k)) of the first sum.
     """
 
     nu, a = 0.5 - p.mu, p.a
     terms: list[list[complex]] = [[] for _ in offsets]
     running = 0j  # plain sum of the first series, for the stop test only
-    pairs: list[tuple[complex, complex]] = []
     mass = 0.0
     last_mag = 0.0
-    for k in range(n_terms):
+    budget = _tail_budget(p)
+    for k in range(budget):
         ma = (2 * k + base) * _PI * a
         for i, off in enumerate(offsets):
             Z = ma + off
@@ -650,37 +654,43 @@ def _kv_sums(
             mass += abs(Z) * abs(w)
             if i == 0:
                 running += w
-                pairs.append((Z, kv))
                 last_mag = abs(w)
+                if pairs is not None:
+                    pairs.append((Z, kv))
         if last_mag <= 1e-18 * max(abs(running), 1e-300):
             # thousands of terms at small Re a: a plain sum's rounding
             # would outgrow the eps |Z_k| |term| floor, fsum's does not
-            return [csum(t) for t in terms], pairs, last_mag, mass
-    # a sum cut short can be far off: at small Re a the terms fall
-    # slowly, and at large mu they stay near their Z -> 0 limit until
-    # |Z_k| passes about |nu|
+            return [csum(t) for t in terms], k + 1, last_mag, mass
     raise NonConvergenceError(
-        f"Bessel sum did not reach its 1e-18 stop within n_terms = "
-        f"{n_terms} (last term {last_mag:.3e} of sum {abs(running):.3e})"
+        f"Bessel sum did not reach its 1e-18 stop within its budget of "
+        f"{budget} terms (last term {last_mag:.3e} of sum {abs(running):.3e})"
     )
 
 
-def _tail_budget(a: complex) -> int:
-    """Terms the full routes allow their Bessel sums.
+def _tail_budget(p: SeriesParams) -> int:
+    """Terms every Bessel sum is allowed.
 
-    The terms fall by e^(-2 pi Re a) or faster, so the 1e-18 stop takes
-    about ln(1e18)/(2 pi Re a) of them, 30 more cover the slower start
-    at small |Z_k|. Capped at 10^4 + 30 (half a second of K_nu calls),
-    so Re a below about 7e-4 refuses instead of running for seconds.
+    A term is about |Z_k|^(mu-1) e^(-Re Z_k) once |Z_k| passes |nu|, and
+    Re Z_k grows by 2 pi Re a a term: the 1e-18 stop takes about
+    ln(1e18)/(2 pi Re a) terms, 3 mu more in the exponent for the power
+    and the plateau before |nu|, and at steep a, where |Z_k| is |a|/Re a
+    times Re Z_k, twice (mu - 1) ln(|a|/Re a) more; 30 more terms cover
+    the slower start at small |Z_k|. In seeded probes of 1600 sums
+    (mu 0.05 to 10, Re a 1e-3 to 5, |Im a| up to 30, lam = 0 and lam > 0,
+    both bases) every sum below the cap stopped within 0.93 of this.
+    Capped at 10^4 + 30 (half a second of K_nu calls), so Re a below
+    about 6.6e-4 refuses instead of running for seconds.
     """
 
-    return 30 + math.ceil(min(math.log(1e18) / (2.0 * _PI * a.real), 1e4))
+    steep = 2.0 * (p.mu - 1.0) * math.log(abs(p.a) / p.a.real) if p.mu > 1.0 else 0.0
+    exponent = math.log(1e18) + 3.0 * p.mu + steep
+    return 30 + math.ceil(min(exponent / (2.0 * _PI * p.a.real), 1e4))
 
 
 def _bessel_tail(
-    p: SeriesParams, n_terms: int, step_even: bool, tag: str
-) -> tuple[Evaluation, list[TailTerm]]:
-    """Shared tail evaluator.
+    p: SeriesParams, sign: str, pairs: list | None = None
+) -> Evaluation:
+    """The Bessel tail of the sum of ``sign``.
 
     The arguments run over X_k = (2k+1) pi a + i lam a (minus case) or
     X_k = (2k+2) pi a + i lam a (plus case). The tail is
@@ -693,16 +703,16 @@ def _bessel_tail(
     2 Re I2 is returned. Gamma(1-mu) keeps the prefactor regular for
     all 0 < mu < 1 (no 1/sin(pi mu)). The estimate is the next term's
     size, floored at eps |prefactor| sum |X_k| |term| (see _kv_sums).
+    ``pairs`` collects (X_k, K_nu(X_k)) as in _kv_sums.
     """
 
+    _need_sign(p, sign, f"bessel_tail_{sign}")
     mu, lam, a = p.mu, p.lam, p.a
     if not 0.0 < mu < 1.0:
         raise PreconditionError(
             f"Bessel tail is defined for 0 < mu < 1 only, got mu = {mu}"
         )
-    if n_terms < 1:
-        raise PreconditionError("n_terms must be >= 1")
-    base = 2.0 if step_even else 1.0
+    base = 2.0 if sign == "plus" else 1.0
     # every argument needs Re X_k > 0; k = 0 is the binding case
     if base * _PI * a.real - lam * abs(a.imag) <= 0.0:
         raise PreconditionError(
@@ -716,12 +726,7 @@ def _bessel_tail(
 
     ila = 1j * lam * a
     offsets = (ila,) if p.real_a else (ila, -ila)
-    sums, pairs, last_mag, mass = _kv_sums(p, base, offsets, n_terms)
-    nu = 0.5 - mu
-    terms = []
-    for k, (X, kv) in enumerate(pairs):
-        disp = kv * X ** (-nu)
-        terms.append(TailTerm(k, X, kv, cmath.phase(disp), abs(disp)))
+    sums, n, last_mag, mass = _kv_sums(p, base, offsets, pairs)
 
     i2 = rot * apw * gpref * sums[0]
     if p.real_a:
@@ -736,30 +741,33 @@ def _bessel_tail(
         2.0 * scale * last_mag * math.exp(-2.0 * _PI * a.real),
         _EPS * scale * mass,
     )
-    return (
-        Evaluation(value, tag, err, tail_terms_used=len(terms)),
-        terms,
-    )
+    return Evaluation(value, f"bessel-tail-{sign}", err, tail_terms_used=n)
 
 
-def bessel_tail_minus(
-    p: SeriesParams, n_terms: int = 30
-) -> tuple[Evaluation, list[TailTerm]]:
+def _displayed_tail(p: SeriesParams, sign: str) -> tuple[Evaluation, list[TailTerm]]:
+    pairs: list[tuple[complex, complex]] = []
+    tail = _bessel_tail(p, sign, pairs)
+    terms = []
+    for k, (X, kv) in enumerate(pairs):
+        disp = kv * X ** (p.mu - 0.5)
+        terms.append(TailTerm(k, X, kv, cmath.phase(disp), abs(disp)))
+    return tail, terms
+
+
+def bessel_tail_minus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
     """Exponentially small tail of the alternating sum.
 
     Arguments X_k = (2k+1) pi a + i lam a; leading magnitude
     O(a^(1-2mu) exp(-pi a)). Terms are added until one contributes
-    less than 1e-18 relatively; NonConvergenceError if n_terms run out
-    first, which at Re a below about 0.2 takes more than the default
-    30. Also returns the per-term display data (theta_k, magnitudes).
+    less than 1e-18 relatively, within the budget of _tail_budget
+    (NonConvergenceError past it, at Re a below about 6.6e-4). Also
+    returns the per-term display data (theta_k, magnitudes).
     """
 
-    return _bessel_tail(p, n_terms, False, "bessel-tail-minus")
+    return _displayed_tail(p, "minus")
 
 
-def bessel_tail_plus(
-    p: SeriesParams, n_terms: int = 30
-) -> tuple[Evaluation, list[TailTerm]]:
+def bessel_tail_plus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
     """Exponentially small tail of the non-alternating sum.
 
     Arguments X_k = (2k+2) pi a + i lam a, so the leading magnitude
@@ -767,7 +775,7 @@ def bessel_tail_plus(
     and refuses as bessel_tail_minus.
     """
 
-    return _bessel_tail(p, n_terms, True, "bessel-tail-plus")
+    return _displayed_tail(p, "plus")
 
 
 def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
@@ -835,10 +843,10 @@ def _full(
     )
 
 
-def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
+def _ray_quadrature(p: SeriesParams) -> Evaluation:
     """int_0^inf g(x) (a^2 - x^2)^-mu dx for Im a > 0, by exp-exp.
 
-    g(x) = sin(lam x)/sinh(pi x), times exp(-pi x) if ``with_exp``: H's
+    g(x) = sin(lam x)/sinh(pi x), times exp(-pi x) for sign +: H's
     integrand on the ray t = x/a, where a t is real. (a^2 - x^2)^-mu
     stays in the upper half-plane, so its principal value is
     a^-2mu (1 - x^2/a^2)^-mu. For x > 1/2, g is formed as
@@ -849,6 +857,7 @@ def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
         return Evaluation(0j, "ray", 0.0, notes="integrand vanishes when lam = 0")
     lam, a2, nmu, g0 = p.lam, p.a * p.a, -p.mu, p.lam / _PI
     sin, sinh, exp, npi = math.sin, math.sinh, math.exp, -_PI
+    with_exp = p.sign == "plus"
 
     def f(x: float) -> complex:
         if x > 0.5:
@@ -875,9 +884,10 @@ def _ray_quadrature(p: SeriesParams, with_exp: bool) -> Evaluation:
     )
 
 
-def _subdominant_tail(p: SeriesParams, base: float, n_terms: int) -> Evaluation:
+def _subdominant_tail(p: SeriesParams) -> Evaluation:
     """(2 sqrt(pi)/Gamma(mu)) a^(1-2mu) sum_k (2/Y_k)^(1/2-mu) K_(1/2-mu)(Y_k)
-    over Y_k = (2k + base) pi a - i lam a, for Im a > 0 (Re Y_k > 0).
+    over Y_k = (2k + base) pi a - i lam a, base 1 for sign - and 2 for
+    sign +, for Im a > 0 (Re Y_k > 0).
 
     This is (1 - e^(-2 pi i mu)) I3 of the Bessel tail. Terms fall by
     r = e^(-2 pi Re a) or faster, so the omitted ones add up to at most
@@ -885,18 +895,19 @@ def _subdominant_tail(p: SeriesParams, base: float, n_terms: int) -> Evaluation:
     At lam = 0 it is the Bessel sum of the lam = 0 routes.
     """
 
-    sums, pairs, last_mag, mass = _kv_sums(p, base, (-1j * p.lam * p.a,), n_terms)
+    base = 2.0 if p.sign == "plus" else 1.0
+    sums, n, last_mag, mass = _kv_sums(p, base, (-1j * p.lam * p.a,))
     pref = 2.0 * _SQRT_PI / gamma_real(p.mu) * _apow(p.a, 1.0 - 2.0 * p.mu)
     r = math.exp(-2.0 * _PI * p.a.real)
     return Evaluation(
         pref * sums[0],
         "subdominant-tail",
         abs(pref) * max(last_mag * r / (1.0 - r), _EPS * mass),
-        tail_terms_used=len(pairs),
+        tail_terms_used=n,
     )
 
 
-def _full_rotated(p: SeriesParams, tag: str, plus: bool) -> Evaluation:
+def _full_rotated(p: SeriesParams) -> Evaluation:
     """A full route for |Im a| >= 1, on the path rotated onto t = x/a.
 
     The segment t in [0, 1] of H is deformed onto the ray t = x/a and
@@ -912,12 +923,12 @@ def _full_rotated(p: SeriesParams, tag: str, plus: bool) -> Evaluation:
     """
 
     q = p if p.a.imag > 0.0 else p._replace(a=p.a.conjugate())
-    ray = _ray_quadrature(q, plus)
-    tail = _subdominant_tail(q, 2.0 if plus else 1.0, _tail_budget(q.a))
-    if plus:
-        e = _full(q, tag, [j_mu_quadrature(q, 1e-14), ray, tail])
+    ray = _ray_quadrature(q)
+    tail = _subdominant_tail(q)
+    if p.sign == "plus":
+        e = _full(q, "full-plus", [j_mu_quadrature(q, 1e-14), ray, tail])
     else:
-        e = _full(q, tag, [ray, tail], ray.notes)
+        e = _full(q, "full-minus", [ray, tail], ray.notes)
     return e if q is p else e._replace(value=e.value.conjugate())
 
 
@@ -941,11 +952,12 @@ def full_minus(p: SeriesParams) -> Evaluation:
     eps * sum |part|.
     """
 
+    _need_sign(p, "minus", "full_minus")
     _check_full_mu(p, "use algebraic_minus at mu = 0, where it is exact")
     if abs(p.a.imag) >= _ROTATE_IM_A:
-        return _full_rotated(p, "full-minus", False)
+        return _full_rotated(p)
     h = h_minus_quadrature(p, 1e-14)
-    tail, _ = bessel_tail_minus(p, _tail_budget(p.a))
+    tail = _bessel_tail(p, "minus")
     return _full(p, "full-minus", [h, tail], h.notes)
 
 
@@ -1003,14 +1015,15 @@ def full_plus(p: SeriesParams) -> Evaluation:
     parts' estimates, floored at eps * sum |part|.
     """
 
+    _need_sign(p, "plus", "full_plus")
     _check_full_mu(p, "use algebraic_plus at mu = 0")
     if p.lam <= 0.0:
         raise PreconditionError("full representation needs lam > 0")
     if abs(p.a.imag) >= _ROTATE_IM_A:
-        return _full_rotated(p, "full-plus", True)
+        return _full_rotated(p)
     j = j_mu_quadrature(p, 1e-14)
     h = h_plus_quadrature(p, 1e-14)
-    tail, _ = bessel_tail_plus(p, _tail_budget(p.a))
+    tail = _bessel_tail(p, "plus")
     return _full(p, "full-plus", [j, h, tail])
 
 
@@ -1018,58 +1031,55 @@ def full_plus(p: SeriesParams) -> Evaluation:
 # lam = 0 closed forms
 
 
-def olver_lambda0_minus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
+def olver_lambda0_minus(p: SeriesParams) -> Evaluation:
     """Alternating sum at lam = 0 via the classical Bessel representation.
 
     S = 1/(2a^(2mu)) + 2^(3/2-mu) sqrt(pi) a^(1-2mu)/Gamma(mu)
         * sum_k K_{1/2-mu}((2k+1) pi a) / ((2k+1) pi a)^(1/2-mu),
 
-    valid for mu > 0, Re a > 0 (mu is not restricted to (0, 1) here).
-    The Bessel sum is _subdominant_tail at lam = 0: terms are added
-    until one contributes less than 1e-18 relatively, NonConvergenceError
-    if n_terms runs out first, which at small |a| and large mu takes
-    hundreds of terms. The estimate is assembled as in the full routes,
-    floored at the rounding of the parts and of the Bessel arguments.
+    for lam = 0, sign -, 0 < mu <= 10 (not only 0 < mu < 1) and Re a > 0.
+    The Bessel sum is _subdominant_tail at lam = 0, stopped as the full
+    routes' sums are (hundreds of terms at small |a| and large mu). The
+    estimate is assembled as in the full routes, floored at the rounding
+    of the parts and of the Bessel arguments.
     """
 
-    return _lambda0_bessel(mu, a, n_terms, "minus")
+    return _lambda0_bessel(p, "minus")
 
 
-def lambda0_plus(mu: float, a: complex, n_terms: int = 30) -> Evaluation:
+def lambda0_plus(p: SeriesParams) -> Evaluation:
     """Non-alternating sum at lam = 0.
 
     S = 1/(2a^(2mu)) + sqrt(pi) Gamma(mu-1/2)/(2 a^(2mu-1) Gamma(mu))
         + the Bessel sum over arguments (2k+2) pi a.
 
-    Needs mu > 1/2 (the sum itself diverges otherwise). The Bessel sum
-    stops as in olver_lambda0_minus.
+    Needs mu > 1/2 (the sum itself diverges otherwise), p.lam = 0 and
+    sign +. The Bessel sum stops as in olver_lambda0_minus.
     """
 
-    if not float(mu) > 0.5:
+    if not p.mu > 0.5:
         raise PreconditionError(
-            f"lam = 0 non-alternating sum diverges for mu <= 1/2, got {mu}"
+            f"lam = 0 non-alternating sum diverges for mu <= 1/2, got {p.mu}"
         )
-    return _lambda0_bessel(mu, a, n_terms, "plus")
+    return _lambda0_bessel(p, "plus")
 
 
-def _lambda0_bessel(mu: float, a: complex, n_terms: int, sign: str) -> Evaluation:
+def _lambda0_bessel(p: SeriesParams, sign: str) -> Evaluation:
     """The lam = 0 routes: the lead, for sign + the Gamma(mu - 1/2) term,
     and _subdominant_tail at lam = 0, assembled and floored by _full."""
 
-    mu = float(mu)
-    a = complex(a)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise PreconditionError(f"mu must be positive, got {mu}")
-    if not a.real > 0.0:
-        raise PreconditionError(f"need Re a > 0, got a = {a}")
-    if mu > 10.0:
+    _need_sign(p, sign, "olver_lambda0_minus" if sign == "minus" else "lambda0_plus")
+    if p.lam != 0.0:
         raise PreconditionError(
-            "mu above 10 exceeds the Bessel-order range of the kernel"
+            f"the lam = 0 routes evaluate the lam = 0 sum, got lam = {p.lam}"
         )
-    if n_terms < 1:
-        raise PreconditionError("n_terms must be >= 1")
+    mu, a = p.mu, p.a
+    if not 0.0 < mu <= 10.0:
+        raise PreconditionError(
+            f"the lam = 0 routes need 0 < mu <= 10 (the Bessel-order range "
+            f"of the kernel), got {mu}"
+        )
 
-    p = SeriesParams(mu, 0.0, a, sign)
     parts = []
     if sign == "plus":
         # a few roundings in the Gamma ratio, and the rounding of log a,
@@ -1078,7 +1088,7 @@ def _lambda0_bessel(mu: float, a: complex, n_terms: int, sign: str) -> Evaluatio
         v = _SQRT_PI * gamma_real(mu - 0.5) / (2.0 * gamma_real(mu)) * _apow(a, e)
         err = (4.0 + abs(e * cmath.log(a))) * _EPS * abs(v)
         parts.append(Evaluation(complex(v), "lambda0-gamma-term", err))
-    parts.append(_subdominant_tail(p, 2.0 if sign == "plus" else 1.0, n_terms))
+    parts.append(_subdominant_tail(p))
     e = _full(p, f"lambda0-{sign}", parts)
     return e._replace(value=complex(e.value.real)) if p.real_a else e
 
@@ -1096,18 +1106,17 @@ _INT_MU_COMBO = {
 }
 
 
-def integer_mu_closed_form(n: int, p: SeriesParams) -> Evaluation:
+def integer_mu_closed_form(p: SeriesParams) -> Evaluation:
     """Hypergeometric closed form for integer mu = n in 1 .. 5.
 
     Uses F_m = (m+1)F_m(1, ia, ..., ia; 1+ia, ..., 1+ia; z) with
     z = sign * exp(-lam), combined with fixed rational weights; e.g.
-    mu = 2 gives (F-comb)/(4 a^4). Requires p.mu == n and lam > 0.
+    mu = 2 gives (F-comb)/(4 a^4). Requires lam > 0.
     """
 
-    if n not in _INT_MU_COMBO:
-        raise PreconditionError(f"closed forms cover mu = 1 .. 5, got n = {n}")
-    if float(n) != p.mu:
-        raise PreconditionError(f"n = {n} does not match p.mu = {p.mu}")
+    n = int(p.mu)
+    if n != p.mu or n not in _INT_MU_COMBO:
+        raise PreconditionError(f"closed forms cover mu = 1 .. 5, got mu = {p.mu}")
     if p.lam <= 0.0:
         raise PreconditionError("hypergeometric argument needs lam > 0")
 

@@ -171,18 +171,18 @@ def test_criterion_05_closure_grid():
 
 
 def test_criterion_06_lambda0_reductions():
-    m11 = olver_lambda0_minus(1.0, 1.0).value.real
+    m11 = olver_lambda0_minus(SeriesParams(1.0, 0.0, 1.0)).value.real
     w_m = (1.0 + math.pi / math.sinh(math.pi)) / 2.0
-    p11 = lambda0_plus(1.0, 1.0).value.real
+    p11 = lambda0_plus(SeriesParams(1.0, 0.0, 1.0, "plus")).value.real
     w_p = (1.0 + math.pi / math.tanh(math.pi)) / 2.0
     e1 = abs(m11 - w_m) / w_m
     e2 = abs(p11 - w_p) / w_p
     # oracles at (3/4, 5): accelerated alternating sum and
     # Euler-Maclaurin continued brute sum
-    e3 = abs(olver_lambda0_minus(0.75, 5.0).value.real - 0.04472146216536063)
-    e3 /= 0.04472146216536063
-    e4 = abs(lambda0_plus(0.75, 5.0).value.real - 1.2173411460128138)
-    e4 /= 1.2173411460128138
+    m34 = olver_lambda0_minus(SeriesParams(0.75, 0.0, 5.0)).value.real
+    e3 = abs(m34 - 0.04472146216536063) / 0.04472146216536063
+    p34 = lambda0_plus(SeriesParams(0.75, 0.0, 5.0, "plus")).value.real
+    e4 = abs(p34 - 1.2173411460128138) / 1.2173411460128138
     ok = e1 <= 1e-12 and e2 <= 1e-12 and e3 <= 1e-10 and e4 <= 1e-10
     detail = (
         f"mu=1 closed forms {e1:.1e}/{e2:.1e} (need <= 1e-12); "
@@ -238,7 +238,7 @@ def test_criterion_09_integer_mu():
             for sign in ("minus", "plus"):
                 p = SeriesParams(float(n), 1.0, a, sign)
                 ref = direct_sum(p).value.real
-                v = integer_mu_closed_form(n, p).value.real
+                v = integer_mu_closed_form(p).value.real
                 worst = max(worst, abs(v - ref) / abs(ref))
     ok = worst <= 1e-12
     detail = (

@@ -100,6 +100,14 @@ def test_eval_named_routes(capsys):
     assert rc == 0
     assert "method = lambda0-minus" in capsys.readouterr().out
 
+    # at large lam the small-a terms grow for a few k before they fall;
+    # that used to be refused as divergence (exit 4)
+    rc = main(
+        ["eval", "--mu", "0.9", "--lambda", "12", "--a", "0.5", "--method", "small-a"]
+    )
+    assert rc == 0
+    assert "method = small-a-minus" in capsys.readouterr().out
+
     rc = main(
         ["eval", "--sign", "plus", "--mu", "0.25", "--a", "10", "--method", "j-mu"]
     )
@@ -137,27 +145,18 @@ def test_eval_algebraic(sign, K, value, index, capsys):
 
 
 def test_eval_lambda0_term_cap(capsys):
-    # --K caps the Bessel terms of lambda0 and tail; at a = 0.2 the
-    # lambda0 sum needs 34 to reach its stop. A cap below that is a
-    # refusal (exit 4): with --K 5 the sum used to return
-    # 10.436330651676043, 5.5e-4 off
+    # the Bessel sums of lambda0 and tail size themselves: at a = 0.2 the
+    # lambda0 sum needs 34 terms, at a = 0.08 the tail 78, and a fixed
+    # cap of 30 (the old --K default) refused both with exit 4
     argv = ["eval", "--mu", "0.75", "--lambda", "0", "--a", "0.2",
             "--method", "lambda0"]
-    for cap in (["--K", "5"], []):
-        assert main(argv + cap) == 4
-        assert capsys.readouterr().err.startswith("non-convergence: ")
-    assert main(argv + ["--K", "40"]) == 0
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "tail_terms_used = 34" in out
     assert "value = 10.442027486375242" in out
-    # --method tail caps its terms the same way: at a = 0.08 the tail
-    # needs 78, and the default 30 used to return a truncated sum
     argv = ["eval", "--mu", "0.5", "--lambda", "1", "--a", "0.08",
             "--method", "tail"]
-    for cap in (["--K", "77"], []):
-        assert main(argv + cap) == 4
-        assert capsys.readouterr().err.startswith("non-convergence: ")
-    assert main(argv + ["--K", "78"]) == 0
+    assert main(argv) == 0
     assert "tail_terms_used = 78" in capsys.readouterr().out
 
 
@@ -215,6 +214,14 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+    # --K is the truncation index of algebraic and j-mu; every other
+    # method used to ignore it (full, oracle, integer-mu) or take it as
+    # a term cap (lambda0, tail, small-a)
+    for method in ("full", "oracle", "integer-mu", "lambda0", "tail", "small-a", None):
+        argv = ["eval", "--mu", "0.5", "--a", "3", "--K", "5"]
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--method", method] if method else argv)
+        assert e.value.code == 2, method
 
 
 def test_eval_output_file(tmp_path, capsys):

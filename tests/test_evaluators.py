@@ -32,6 +32,7 @@ from mxsum.evaluators import (
     small_a_minus,
     tail_display_form,
 )
+from mxsum.evaluators import _tail_budget
 from mxsum.oracles import branch_cut, explicit_sum, lambda0_sum, laplace
 
 
@@ -165,8 +166,6 @@ def test_small_a_domain():
         small_a_minus(SeriesParams(0.5, 1.0, 1.5))  # outside radius
     with pytest.raises(PreconditionError):
         small_a_minus(SeriesParams(1.2, 1.0, 0.5))  # mu cap
-    with pytest.raises(PreconditionError):
-        small_a_minus(SeriesParams(0.5, 1.0, 0.5), K=61)
     # near the radius at steep angle the acceleration cannot settle
     with pytest.raises(NonConvergenceError):
         small_a_minus(SeriesParams(0.5, 1.0, 0.9 * cmath.exp(0.3j * math.pi)))
@@ -265,8 +264,6 @@ def test_bessel_tail_domain():
     for mu in (0.0, 1.0, 1.5):
         with pytest.raises(PreconditionError):
             bessel_tail_minus(SeriesParams(mu, 1.0, 3.0))
-    with pytest.raises(PreconditionError):
-        bessel_tail_minus(SeriesParams(0.5, 1.0, 3.0), n_terms=0)
     # steep a with large lam pushes X_0 out of the right half-plane
     with pytest.raises(PreconditionError):
         bessel_tail_minus(SeriesParams(0.5, 80.0, complex(0.05, 1.4)))
@@ -291,12 +288,81 @@ def test_full_routes_match_direct():
 
 def test_bessel_tail_term_cap_refuses():
     # at Re a = 0.08 the terms fall by e^(-2 pi 0.08) ~ 0.6 a term, and
-    # the 1e-18 stop takes 78 of them; the default 30 used to stop short
-    # without saying so
-    p = SeriesParams(0.5, 1.0, 0.08)
-    with pytest.raises(NonConvergenceError):
-        bessel_tail_minus(p)
-    assert bessel_tail_minus(p, n_terms=78)[0].tail_terms_used == 78
+    # the 1e-18 stop takes 78 of them; a fixed 30 used to refuse here.
+    # The budget now grows like 1/Re a up to 10^4 + 30 terms, which
+    # Re a = 5e-4 would need more than: there the sum refuses
+    tail, terms = bessel_tail_minus(SeriesParams(0.5, 1.0, 0.08))
+    assert tail.tail_terms_used == len(terms) == 78
+    with pytest.raises(NonConvergenceError, match="budget of 10030 terms"):
+        bessel_tail_minus(SeriesParams(0.5, 1.0, 5e-4))
+
+
+TWINS = [
+    (h_minus_quadrature, "minus"),
+    (h_plus_quadrature, "plus"),
+    (small_a_minus, "minus"),
+    (algebraic_minus, "minus"),
+    (algebraic_plus, "plus"),
+    (bessel_tail_minus, "minus"),
+    (bessel_tail_plus, "plus"),
+    (full_minus, "minus"),
+    (full_plus, "plus"),
+    (olver_lambda0_minus, "minus"),
+    (lambda0_plus, "plus"),
+]
+
+
+@pytest.mark.parametrize("route, sign", TWINS, ids=[r.__name__ for r, _ in TWINS])
+def test_twin_routes_refuse_the_other_sign(route, sign):
+    # full_minus(SeriesParams(0.5, 1, 3, "plus")) used to return S^-,
+    # 0.2456, where S^+ is 0.5043
+    lam = 0.0 if "lambda0" in route.__name__ else 1.0
+    p = SeriesParams(0.75, lam, 0.5 if route is small_a_minus else 3.0, sign)
+    route(p)
+    other = "plus" if sign == "minus" else "minus"
+    with pytest.raises(PreconditionError, match=route.__name__):
+        route(p._replace(sign=other))
+
+
+def _lambda0(p):
+    return (olver_lambda0_minus if p.sign == "minus" else lambda0_plus)(p)
+
+
+def test_tail_budget_covers_every_bessel_sum():
+    # mu in 0.05 .. 10, Re a log-uniform on 1e-3 .. 5, three points in
+    # four at complex a (|Im a| up to 30), both bases: the lam = 0 routes
+    # for every mu, the tails at lam > 0 for mu < 1. Each sum stops
+    # inside its budget with room to spare, or refuses at the cap; the
+    # budget without its steep-a term ran out at (2.1, 0.0011 - 0.27i)
+    rng = random.Random(19)
+    worst = 0.0
+    for i in range(60):
+        mu = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+        re_a = math.exp(rng.uniform(math.log(1e-3), math.log(5.0)))
+        im_a = (0.0, rng.uniform(-3.0, 3.0), rng.uniform(-30.0, 30.0), -0.27)[i % 4]
+        a = complex(re_a, im_a)
+        sign = "plus" if i % 3 == 2 else "minus"
+        p = SeriesParams(mu, 0.0, a, sign)
+        routes = []
+        if sign == "minus" or mu > 0.5:
+            routes.append((_lambda0, p))
+        if mu < 1.0:
+            # lam > 0, inside the tail's sector base pi Re a > lam |Im a|
+            base = 1.0 if sign == "minus" else 2.0
+            lam = rng.uniform(0.05, 5.0)
+            if im_a:
+                lam = min(lam, 0.9 * base * math.pi * re_a / abs(im_a))
+            tail = bessel_tail_minus if sign == "minus" else bessel_tail_plus
+            routes.append((lambda q: tail(q)[0], p._replace(lam=lam)))
+        for route, q in routes:
+            budget = _tail_budget(q)
+            try:
+                used = route(q).tail_terms_used
+            except NonConvergenceError:
+                assert budget == 10030, q
+                continue
+            worst = max(worst, used / budget)
+    assert worst <= 0.95, worst
 
 
 def test_full_routes_at_small_re_a():
@@ -363,6 +429,16 @@ def test_small_a_minus_estimate_sweep():
         except NonConvergenceError:  # the acceleration near |a| = 1 at steep arg
             assert mod > 0.7 and arg == 0.8, (mu, lam, mod, arg)
             continue
+        ok, actual = _meets_estimate(got, branch_cut(mu, lam, a, "minus"))
+        assert ok, (mu, lam, mod, arg, actual, got.error_estimate)
+    # at large lam the terms grow for a few k before they fall; the
+    # plain branch used to take that for divergence and refuse, as at
+    # (0.9, 12, 0.5)
+    for mu, lam, mod, arg in itertools.product(
+        (0.1, 0.5, 0.9), (8.0, 12.0, 16.0, 20.0), (0.3, 0.5, 0.7), (0.0, 0.8)
+    ):
+        a = cmath.rect(mod, arg) if arg else mod
+        got = small_a_minus(SeriesParams(mu, lam, a))
         ok, actual = _meets_estimate(got, branch_cut(mu, lam, a, "minus"))
         assert ok, (mu, lam, mod, arg, actual, got.error_estimate)
 
@@ -785,22 +861,22 @@ def test_full_domain():
 
 def test_lambda0_closed_forms():
     # mu = 1: (1 + pi csch pi)/2 and (1 + pi coth pi)/2 at a = 1
-    got = olver_lambda0_minus(1.0, 1.0).value.real
+    got = olver_lambda0_minus(SeriesParams(1.0, 0.0, 1.0)).value.real
     want = (1.0 + math.pi / math.sinh(math.pi)) / 2.0
     assert abs(got - want) < 1e-12 * want
-    gp = lambda0_plus(1.0, 1.0).value.real
+    gp = lambda0_plus(SeriesParams(1.0, 0.0, 1.0, "plus")).value.real
     wp = (1.0 + math.pi / math.tanh(math.pi)) / 2.0
     assert abs(gp - wp) < 1e-12 * wp
     # cotangent identity at a = 2: 1/(2a^2) + pi coth(pi a)/(2a)
-    gp2 = lambda0_plus(1.0, 2.0).value.real
+    gp2 = lambda0_plus(SeriesParams(1.0, 0.0, 2.0, "plus")).value.real
     wp2 = 0.125 + math.pi / (4.0 * math.tanh(2.0 * math.pi))
     assert abs(gp2 - wp2) < 1e-12 * wp2
 
 
 def test_lambda0_against_summation_oracles():
-    gm = olver_lambda0_minus(0.75, 5.0).value.real
+    gm = olver_lambda0_minus(SeriesParams(0.75, 0.0, 5.0)).value.real
     assert abs(gm - 0.04472146216536063) <= 1e-10 * 0.0447
-    gp = lambda0_plus(0.75, 5.0).value.real
+    gp = lambda0_plus(SeriesParams(0.75, 0.0, 5.0, "plus")).value.real
     assert abs(gp - 1.2173411460128138) <= 1e-10 * 1.2173
     # and both against the direct route in-process
     dm = direct_sum(SeriesParams(0.75, 0.0, 5.0, "minus")).value.real
@@ -812,8 +888,8 @@ def test_lambda0_minus_large_mu_small_a(mu, a):
     # K_{9.5}(pi a) at |pi a| = 0.06 sent the quadrature of K_nu into
     # NonConvergenceError. The Bessel terms stay near their z -> 0 limit
     # until (2k+1) pi |a| ~ 10, so the sum needs a few hundred of them
-    # (459 and 309 here), not the default 30.
-    got = olver_lambda0_minus(mu, a, n_terms=1000)
+    # (459 and 309 here), inside its budget of 599 and 398.
+    got = olver_lambda0_minus(SeriesParams(mu, 0.0, a))
     # 20 digits serve a 1e-13 check (1.8 s here; 4.6 s at 40)
     ref = lambda0_sum(mu, a, "minus", dps=20).value
     rel = _meets_estimate(got, ref)[1] / float(abs(ref))
@@ -830,7 +906,7 @@ def test_lambda0_estimate_sweep():
             for fn, sign in ((olver_lambda0_minus, "minus"), (lambda0_plus, "plus")):
                 if sign == "plus" and mu <= 0.5:
                     continue
-                got = fn(mu, a)
+                got = fn(SeriesParams(mu, 0.0, a, sign))
                 ok, actual = _meets_estimate(got, lambda0_sum(mu, a, sign).value)
                 assert ok, (mu, a, sign, actual, got.error_estimate)
                 if a.imag == 0.0:
@@ -838,38 +914,41 @@ def test_lambda0_estimate_sweep():
 
 
 def test_lambda0_term_cap_refuses():
-    # at a = 0.02 the default 30 terms reach only (2k+1) pi |a| ~ 3.7,
-    # where the terms of K_{9.5} are still near their z -> 0 limit; the
-    # capped sum was 19% off against an estimate of 0.7%
-    with pytest.raises(NonConvergenceError):
-        olver_lambda0_minus(10.0, 0.02)
+    # a sum cut short at a fixed 30 terms was 19% off at (10, 0.02),
+    # against an estimate of 0.7%; the budget grows with mu and 1/Re a,
+    # and only past its cap of 10^4 + 30 terms does the sum refuse
+    for mu, sign in ((0.75, "minus"), (10.0, "minus"), (0.75, "plus")):
+        with pytest.raises(NonConvergenceError, match="budget of"):
+            _lambda0(SeriesParams(mu, 0.0, 6e-4 + 0.5j, sign))
     # at mu <= 2 and a >= 0.5 both sums meet their stop within 16 terms
     for mu in (0.6, 1.3, 2.0):
         for a in (0.5, 0.5 + 0.3j, 8.0):
-            assert olver_lambda0_minus(mu, a).tail_terms_used <= 16
-            assert lambda0_plus(mu, a).tail_terms_used <= 16
+            for sign in ("minus", "plus"):
+                assert _lambda0(SeriesParams(mu, 0.0, a, sign)).tail_terms_used <= 16
 
 
 def test_lambda0_domain():
     with pytest.raises(PreconditionError):
-        olver_lambda0_minus(0.0, 1.0)
+        olver_lambda0_minus(SeriesParams(0.0, 0.0, 1.0))
     with pytest.raises(PreconditionError):
-        lambda0_plus(0.5, 1.0)
+        olver_lambda0_minus(SeriesParams(10.5, 0.0, 1.0))
     with pytest.raises(PreconditionError):
-        olver_lambda0_minus(0.5, -1.0)
+        lambda0_plus(SeriesParams(0.5, 0.0, 1.0, "plus"))
+    with pytest.raises(PreconditionError, match="lam = 0"):
+        olver_lambda0_minus(SeriesParams(0.5, 1.0, 1.0))
 
 
 def test_integer_mu_closed_forms():
-    got = integer_mu_closed_form(2, SeriesParams(2.0, 1.0, 2.0, "minus"))
+    got = integer_mu_closed_form(SeriesParams(2.0, 1.0, 2.0, "minus"))
     assert abs(got.value.real - 0.04964389879410491) < 1e-16
-    gp = integer_mu_closed_form(3, SeriesParams(3.0, 1.0, 3.0, "plus"))
+    gp = integer_mu_closed_form(SeriesParams(3.0, 1.0, 3.0, "plus"))
     assert abs(gp.value.real - 0.0018111350531342925) < 1e-17
     for n in (1, 2, 3):
         for a in (2.0, 3.0):
             for sign in ("minus", "plus"):
                 p = SeriesParams(float(n), 1.0, a, sign)
                 ref = direct_sum(p).value.real
-                v = integer_mu_closed_form(n, p).value.real
+                v = integer_mu_closed_form(p).value.real
                 assert abs(v - ref) <= 1e-12 * abs(ref), (n, a, sign)
 
 
@@ -882,7 +961,7 @@ def test_integer_mu_closed_forms_complex_a(n):
         (1.5 + 0.5j, 2.0, "plus"),
         (6 + 4j, 0.3, "minus"),
     ):
-        got = integer_mu_closed_form(n, SeriesParams(float(n), lam, a, sign))
+        got = integer_mu_closed_form(SeriesParams(float(n), lam, a, sign))
         ref = explicit_sum(float(n), lam, a, sign).value
         actual = _meets_estimate(got, ref)[1]
         rel = actual / float(abs(ref))
@@ -891,11 +970,11 @@ def test_integer_mu_closed_forms_complex_a(n):
 
 def test_integer_mu_domain():
     with pytest.raises(PreconditionError):
-        integer_mu_closed_form(6, SeriesParams(6.0, 1.0, 2.0))
+        integer_mu_closed_form(SeriesParams(6.0, 1.0, 2.0))
     with pytest.raises(PreconditionError):
-        integer_mu_closed_form(2, SeriesParams(2.5, 1.0, 2.0))
+        integer_mu_closed_form(SeriesParams(2.5, 1.0, 2.0))
     with pytest.raises(PreconditionError):
-        integer_mu_closed_form(2, SeriesParams(2.0, 0.0, 2.0))
+        integer_mu_closed_form(SeriesParams(2.0, 0.0, 2.0))
 
 
 def test_j_routes():

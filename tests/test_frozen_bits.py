@@ -270,7 +270,8 @@ def test_integrate_bits(name):
 
 def test_route_bits():
     for (mu, lam, a, route), want in ROUTES.items():
-        e = ROUTE_FUNCTIONS[route](SeriesParams(mu, lam, a))
+        sign = "plus" if "plus" in route else "minus"
+        e = ROUTE_FUNCTIONS[route](SeriesParams(mu, lam, a, sign))
         if route.startswith("full"):
             got = (repr(e.value), e.tail_terms_used, e.notes)
         else:
