@@ -5,6 +5,11 @@ Subcommands: ``eval`` (one sum evaluation by a chosen route),
 ``coeffs`` (expansion-coefficient generation as CSV) and ``check``
 (tail-agreement, decay-rate and recurrence consistency suite).
 
+``eval`` runs every method from one table, ``_METHODS``: the route each
+method runs for sign - and sign +, and the option it passes (``--tol``,
+or ``--K`` where the method has an asymptotic expansion). ``table`` and
+``check`` write their report and judge it by the rows' own verdicts.
+
 Exit status:
 
 * 0: success (and, for ``table``/``check``, every judged row passed);
@@ -54,16 +59,28 @@ from .harness import (
 
 __all__ = ["cmd_check", "cmd_coeffs", "cmd_eval", "cmd_table", "main"]
 
-_METHODS = (
-    "oracle",
-    "small-a",
-    "algebraic",
-    "full",
-    "tail",
-    "j-mu",
-    "integer-mu",
-    "lambda0",
-)
+# every eval method: {keyword: (route for sign -, route for sign +)}. The
+# keyword is what the route takes from the command line: "tol", "K" (an
+# asymptotic expansion truncated at --K, run only when --K is given) or
+# None (the route sizes its own sums); a method with no "K" entry refuses
+# --K. Routes are named here and looked up on this module per call, so
+# that a route replaced on it is the one that runs
+_METHODS = {
+    "oracle": {"tol": ("direct_sum", "direct_sum")},
+    "small-a": {None: ("small_a_minus", "small_a_minus")},
+    "algebraic": {
+        None: ("algebraic_minus", "algebraic_plus"),
+        "K": ("algebraic_minus", "algebraic_plus"),
+    },
+    "full": {None: ("full_minus", "full_plus")},
+    "tail": {None: ("bessel_tail_minus", "bessel_tail_plus")},
+    "j-mu": {
+        "tol": ("j_mu_quadrature", "j_mu_quadrature"),
+        "K": ("j_mu_asymptotic", "j_mu_asymptotic"),
+    },
+    "integer-mu": {None: ("integer_mu_closed_form", "integer_mu_closed_form")},
+    "lambda0": {None: ("olver_lambda0_minus", "lambda0_plus")},
+}
 
 EVAL_CSV_HEADER = (
     "value_re",
@@ -210,23 +227,10 @@ def _run_method(method: str, p: SeriesParams, ns: argparse.Namespace) -> Evaluat
     """Evaluate by the route of ``method`` for p.sign; every route checks
     its own domain, the sign included, and sizes its own sums."""
 
-    minus = p.sign == "minus"
-    # looked up per call, so that a route replaced on this module runs
-    route = {
-        "oracle": direct_sum,
-        "small-a": small_a_minus,
-        "algebraic": algebraic_minus if minus else algebraic_plus,
-        "full": full_minus if minus else full_plus,
-        "tail": bessel_tail_minus if minus else bessel_tail_plus,
-        "j-mu": j_mu_quadrature if ns.K is None else j_mu_asymptotic,
-        "integer-mu": integer_mu_closed_form,
-        "lambda0": olver_lambda0_minus if minus else lambda0_plus,
-    }[method]
-    if ns.K is not None:
-        return route(p, K=ns.K)
-    if method in ("oracle", "j-mu"):
-        return route(p, tol=ns.tol)
-    result = route(p)
+    routes = _METHODS[method]
+    keyword = "K" if ns.K is not None else next(k for k in routes if k != "K")
+    route = globals()[routes[keyword][p.sign == "plus"]]
+    result = route(p, **{keyword: getattr(ns, keyword)}) if keyword else route(p)
     return result[0] if method == "tail" else result
 
 
@@ -276,28 +280,28 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # table / check / coeffs
 
+def _emit_judged(rows, ns: argparse.Namespace, judged=None) -> int:
+    """Write the report; 0 if every judged row (by default every row)
+    passed, else 1."""
+
+    emit_report(rows, ns.format, ns.output)
+    return 0 if all(r.passed for r in (rows if judged is None else judged)) else 1
+
+
 def cmd_table(ns: argparse.Namespace) -> int:
     if ns.table_id == 1:
-        rows = reproduce_table1()
-        ok = all(r.passed for r in rows)
-    elif ns.table_id == 3:
-        rows = reproduce_table3()
-        ok = all(r.passed for r in rows)
-    elif ns.convention is not None:
-        rows = reproduce_table2(ns.convention)
-        ok = all(r.passed for r in rows)
-    else:
-        rows = table2_convention_report()
-        marker = next(r for r in rows if r.row_id.startswith("matching-"))
-        ok = marker.passed
-    emit_report(rows, ns.format, ns.output)
-    return 0 if ok else 1
+        return _emit_judged(reproduce_table1(), ns)
+    if ns.table_id == 3:
+        return _emit_judged(reproduce_table3(), ns)
+    if ns.convention is not None:
+        return _emit_judged(reproduce_table2(ns.convention), ns)
+    rows = table2_convention_report()
+    # the marker row judges the rows of the convention that matched
+    return _emit_judged(rows, ns, [r for r in rows if r.row_id.startswith("matching-")])
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    rows = check_suite()
-    emit_report(rows, ns.format, ns.output)
-    return 0 if all(r.passed for r in rows) else 1
+    return _emit_judged(check_suite(), ns)
 
 
 def cmd_coeffs(ns: argparse.Namespace) -> int:
@@ -330,8 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.subcommand == "eval" and ns.K is not None:
-        if ns.method not in ("algebraic", "j-mu"):  # the asymptotic expansions
-            parser.error("--K applies to --method algebraic and j-mu only")
+        if "K" not in _METHODS.get(ns.method, ()):
+            expansions = " and ".join(m for m, routes in _METHODS.items() if "K" in routes)
+            parser.error(f"--K applies to --method {expansions} only")
     try:
         return _DISPATCH[ns.subcommand](ns)
     except PreconditionError as exc:

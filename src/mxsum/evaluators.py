@@ -171,6 +171,17 @@ def _a2(p: SeriesParams) -> complex | float:
     return p.a.real * p.a.real if p.real_a else p.a * p.a
 
 
+def _shifted_square(p: SeriesParams):
+    # n -> n^2 + a^2: for real a the float n*n + a^2; for complex a the
+    # product (n + ia)(n - ia), as n*n + a^2 with a^2 rounded first
+    # cancels near a = +-i n
+    if p.real_a:
+        a2 = p.a.real * p.a.real
+        return lambda n: n * n + a2
+    ia = 1j * p.a
+    return lambda n: (n + ia) * (n - ia)
+
+
 def _need_sign(p: SeriesParams, sign: str, route: str) -> None:
     # each _minus/_plus route evaluates the sum of its own sign only
     if p.sign != sign:
@@ -191,10 +202,9 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
     valid because N is chosen > 3|a|.
     """
 
-    mu = p.mu
-    a2 = _a2(p)
+    mu, a2, base = p.mu, _a2(p), _shifted_square(p)
     n_head = max(50, math.ceil(3.0 * abs(p.a)) + 50)
-    head_val = csum((n * n + a2) ** (-mu) for n in range(n_head))
+    head_val = csum(base(n) ** (-mu) for n in range(n_head))
 
     nf = float(n_head)
     # tail integral: sum_j (-1)^j (mu)_j/j! a^(2j) N^(1-2mu-2j)/(2mu+2j-1)
@@ -211,7 +221,7 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
         apow *= a2
         j += 1
 
-    u = nf * nf + a2
+    u = base(nf)
     f_n = u ** (-mu)
     fp_n = -2.0 * mu * nf * u ** (-mu - 1.0)
     fppp_n = 12.0 * mu * (mu + 1.0) * nf * u ** (-mu - 2.0) - 8.0 * mu * (
@@ -233,7 +243,8 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
     """Brute-force reference value of the sum.
 
     Each term takes (n^2 + a^2) ** -mu on the principal branch: float
-    pow for real a, complex ** for complex a. For lam > 0 this is plain
+    pow for real a, complex ** of (n + ia)(n - ia) for complex a, which
+    does not cancel near a = +-i n. For lam > 0 this is plain
     compensated summation, stopped when |term| <= tol * |partial sum|
     twice in a row; with sign + and lam < ln 2 the omitted tail is up to
     e^-lam/(1 - e^-lam) times that term, and the stop is tightened by
@@ -246,12 +257,12 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
     tail (mu > 1/2 required; the series diverges for mu <= 1/2).
     """
 
-    mu, lam, a2 = p.mu, p.lam, _a2(p)
+    mu, lam, base = p.mu, p.lam, _shifted_square(p)
     if lam > 0.0:
         s = p.sign_factor
 
         def term(n: int) -> complex | float:
-            return s**n * math.exp(-lam * n) * (n * n + a2) ** (-mu)
+            return s**n * math.exp(-lam * n) * base(n) ** (-mu)
 
         # the omitted tail is at most geo times the last term; with sign +
         # it does not alternate and comes near that bound, so below
@@ -275,7 +286,7 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
                 "lam = 0 alternating sum needs mu > 0 (the terms must decay)"
             )
         res = accelerated_alternating_complex(
-            lambda n: (n * n + a2) ** (-mu), tol, stages=30
+            lambda n: base(n) ** (-mu), tol, stages=30
         )
         if not res.converged:
             raise NonConvergenceError(
@@ -337,9 +348,17 @@ def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
     g1 = 0.0
     if q < _H_SUBTRACT_Q:
         try:
-            g1 = sin(la) / sinh(pa)
+            sin_la = sin(la)
+        except OverflowError as exc:
+            # complex sin overflows once |Im(lam a)| > 710, as the
+            # integrand's does near t = 1, where the rule refuses too
+            raise NonConvergenceError(
+                f"g(1) = sin(lam a)/sinh(pi a) overflowed at lam a = {la}"
+            ) from exc
+        try:
+            g1 = sin_la / sinh(pa)
         except OverflowError:
-            g1 = 2.0 * sin(la) * cexp(npa)
+            g1 = 2.0 * sin_la * cexp(npa)
         if with_exp:
             g1 *= cexp(npa)
 

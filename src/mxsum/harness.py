@@ -19,6 +19,12 @@ error references carry four significant figures, so a 2 percent
 comparison tolerance absorbs their last-digit rounding (value rows
 carry six figures and get 1e-5).
 
+Every row, of the tables and of the checks, is built by one rule: its
+relative error is |computed - reference| / |reference|, and it passes
+when that is within the row's tolerance (a row with no reference, when
+the computed value itself is). Only the table-2 marker row, which
+records the matching angle convention, brings its own verdict.
+
 Beyond the tables: ``tail_agreement_check`` compares the Bessel tail
 against the independently measured defect S - 1/(2 a^(2 mu)) - H,
 ``decay_rate_fit`` extracts the exponential decay rate of that defect
@@ -129,8 +135,6 @@ class TableSpec(NamedTuple):
 # ---------------------------------------------------------------------------
 # frozen reference data
 
-_T1_MU, _T1_LAM = 0.5, 1.0
-_T1_A = (6.0, 8.0, 10.0)
 # error cells, one tuple per truncation index, columns a = 6, 8, 10;
 # the (k=0, a=8) entry disagrees with 30-digit recomputation of the
 # same quantity (9.85925e-4) and with the monotone trend of its row;
@@ -144,7 +148,6 @@ _T1_ERRORS = {
     6: (1.278e-8, 2.411e-10, 1.000e-11),
     8: (3.294e-9, 3.834e-12, 7.940e-14),
 }
-_T1_S = (1.22060e-1, 9.14725e-2, 7.31518e-2)
 
 _T2_RADIUS = 6.0
 _T2_K = 8
@@ -158,8 +161,7 @@ _T2_ERRORS = {
     0.40: (2.615e-4, 5.917e-6, 2.698e-3),
 }
 
-_T3_MU, _T3_LAM = 0.25, 1.0
-_T3_A = (10.0, 15.0, 20.0)
+# columns a = 10, 15, 20
 _T3_ERRORS = {
     0: (2.959e-3, 1.358e-3, 7.736e-4),
     1: (1.991e-4, 4.293e-5, 1.408e-5),
@@ -168,7 +170,15 @@ _T3_ERRORS = {
     4: (9.491e-6, 2.214e-7, 1.433e-8),
     5: (9.129e-6, 1.010e-7, 3.817e-9),
 }
-_T3_S = (4.98789e-1, 4.07911e-1, 3.53467e-1)
+
+# tables 1 and 3 on the real axis: (mu, lam, sign, a values, error cells
+# by truncation index, direct-sum values)
+_REAL_AXIS_TABLES = {
+    1: (0.5, 1.0, "minus", (6.0, 8.0, 10.0), _T1_ERRORS,
+        (1.22060e-1, 9.14725e-2, 7.31518e-2)),
+    3: (0.25, 1.0, "plus", (10.0, 15.0, 20.0), _T3_ERRORS,
+        (4.98789e-1, 4.07911e-1, 3.53467e-1)),
+}
 
 _ERROR_CELL_TOL = 0.02  # four-significant-figure references
 _VALUE_CELL_TOL = 1e-5  # six-significant-figure references
@@ -190,84 +200,75 @@ def table_spec(table_id: int, convention: str = "pi_phi") -> TableSpec:
         raise PreconditionError(
             f"convention must be one of {_CONVENTIONS}, got {convention!r}"
         )
-    grid: list[tuple[str, SeriesParams, int | None]] = []
-    refs: list[tuple[str, float]] = []
-    if table_id == 1:
-        for k in sorted(_T1_ERRORS):
-            for a, ref in zip(_T1_A, _T1_ERRORS[k]):
-                rid = f"k{k}-a{a:02.0f}"
-                grid.append((rid, SeriesParams(_T1_MU, _T1_LAM, a, "minus"), k))
-                refs.append((rid, ref))
-        for a, ref in zip(_T1_A, _T1_S):
-            rid = f"s-a{a:02.0f}"
-            grid.append((rid, SeriesParams(_T1_MU, _T1_LAM, a, "minus"), None))
-            refs.append((rid, ref))
-    elif table_id == 2:
-        for phi in _T2_PHI:
-            ang = (math.pi if convention == "pi_phi" else 1.0) * phi
-            a = _T2_RADIUS * cmath.exp(1j * ang)
-            for col, (mu, lam) in enumerate(_T2_COLUMNS, start=1):
-                rid = f"{convention}:phi{phi:.2f}-c{col}"
-                grid.append((rid, SeriesParams(mu, lam, a, "minus"), _T2_K))
-                refs.append((rid, _T2_ERRORS[phi][col - 1]))
+    # (row_id, params, truncation index or None, reference) per cell
+    if table_id == 2:
+        scale = math.pi if convention == "pi_phi" else 1.0
+        cells = [
+            (
+                f"{convention}:phi{phi:.2f}-c{col}",
+                SeriesParams(mu, lam, _T2_RADIUS * cmath.exp(1j * (scale * phi)), "minus"),
+                _T2_K,
+                _T2_ERRORS[phi][col - 1],
+            )
+            for phi in _T2_PHI
+            for col, (mu, lam) in enumerate(_T2_COLUMNS, start=1)
+        ]
     else:
-        for k in sorted(_T3_ERRORS):
-            for a, ref in zip(_T3_A, _T3_ERRORS[k]):
-                rid = f"k{k}-a{a:02.0f}"
-                grid.append((rid, SeriesParams(_T3_MU, _T3_LAM, a, "plus"), k))
-                refs.append((rid, ref))
-        for a, ref in zip(_T3_A, _T3_S):
-            rid = f"s-a{a:02.0f}"
-            grid.append((rid, SeriesParams(_T3_MU, _T3_LAM, a, "plus"), None))
-            refs.append((rid, ref))
-    return TableSpec(table_id, tuple(grid), tuple(refs))
+        mu, lam, sign, a_values, errors, sums = _REAL_AXIS_TABLES[table_id]
+        cells = [
+            (f"k{k}-a{a:02.0f}", SeriesParams(mu, lam, a, sign), k, ref)
+            for k in sorted(errors)
+            for a, ref in zip(a_values, errors[k])
+        ]
+        cells += [
+            (f"s-a{a:02.0f}", SeriesParams(mu, lam, a, sign), None, ref)
+            for a, ref in zip(a_values, sums)
+        ]
+    return TableSpec(
+        table_id,
+        tuple(cell[:3] for cell in cells),
+        tuple((cell[0], cell[3]) for cell in cells),
+    )
 
 
 # ---------------------------------------------------------------------------
 # grid evaluation
 
-def _cell_tolerance(table_id: int, row_id: str, k: int | None) -> float:
-    if k is None:
-        return _VALUE_CELL_TOL
-    if table_id == 2 and "phi0.00" not in row_id:
-        return _T2_OFFAXIS_TOL
-    return _ERROR_CELL_TOL
-
-
-def _evaluate_cell(
-    table_id: int, row_id: str, params: SeriesParams, k: int | None, reference: float
+def _row(
+    table: str, row_id: str, point, k: int | None, computed: float,
+    reference: float | None, tolerance: float, passed: bool | None = None,
 ) -> ReportRow:
-    if k is None:
-        computed = direct_sum(params, tol=1e-15).value.real
-    else:
-        expansion = algebraic_minus if params.sign == "minus" else algebraic_plus
-        exact = direct_sum(params, tol=1e-15).value
-        approx = expansion(params, K=k).value
-        computed = abs(exact - approx) / abs(exact)
-    tol = _cell_tolerance(table_id, row_id, k)
-    rel = abs(computed - reference) / abs(reference)
+    """The report row of one checked quantity.
+
+    point is (mu, lam, a, sign), a SeriesParams or a tuple with None for
+    an input that does not apply. relative_error is |computed - reference|
+    / |reference|, and the row passes when it is within tolerance; a row
+    with no reference passes when computed itself is. A row that judges
+    itself (the table-2 marker) passes its own verdict as passed.
+    """
+
+    mu, lam, a, sign = point
+    rel = None if reference is None else abs(computed - reference) / abs(reference)
+    if passed is None:
+        passed = (computed if rel is None else rel) <= tolerance
     return ReportRow(
-        table=str(table_id),
-        row_id=row_id,
-        sign=params.sign,
-        mu=params.mu,
-        lam=params.lam,
-        a=params.a,
-        k=k,
-        computed=computed,
-        reference=reference,
-        relative_error=rel,
-        passed=rel <= tol,
-        tolerance_used=tol,
+        table, row_id, sign, mu, lam, a, k, computed, reference, rel, passed, tolerance
     )
 
 
 def _reproduce(spec: TableSpec) -> list[ReportRow]:
-    ref_by_id = dict(spec.reference_values)
-    return [
-        _evaluate_cell(spec.table_id, rid, params, k, ref_by_id[rid])
-        for rid, params, k in spec.parameter_grid
-    ]
+    rows = []
+    for (rid, params, k), (_, reference) in zip(spec.parameter_grid, spec.reference_values):
+        exact = direct_sum(params, tol=1e-15).value
+        if k is None:
+            computed, tol = exact.real, _VALUE_CELL_TOL
+        else:
+            expansion = algebraic_minus if params.sign == "minus" else algebraic_plus
+            computed = abs(exact - expansion(params, K=k).value) / abs(exact)
+            offaxis = spec.table_id == 2 and "phi0.00" not in rid
+            tol = _T2_OFFAXIS_TOL if offaxis else _ERROR_CELL_TOL
+        rows.append(_row(str(spec.table_id), rid, params, k, computed, reference, tol))
+    return rows
 
 
 def reproduce_table1() -> list[ReportRow]:
@@ -314,28 +315,14 @@ def table2_convention_report() -> list[ReportRow]:
         rows.extend(sub)
     total = len(rows) // 2
     matching = [c for c in _CONVENTIONS if counts[c] == total]
-    if len(matching) == 1:
-        name, passed = matching[0], True
-    elif not matching:
-        name, passed = "none", False
+    passed = len(matching) == 1
+    if passed:
+        name, best = matching[0], counts[matching[0]]
     else:
-        name, passed = "ambiguous", False
-    best = max(counts.values()) if name in ("none", "ambiguous") else counts[name]
+        name, best = "ambiguous" if matching else "none", max(counts.values())
     rows.append(
-        ReportRow(
-            table="2",
-            row_id=f"matching-{name}",
-            sign="minus",
-            mu=None,
-            lam=None,
-            a=None,
-            k=None,
-            computed=float(best),
-            reference=float(total),
-            relative_error=abs(best - total) / total,
-            passed=passed,
-            tolerance_used=0.0,
-        )
+        _row("2", f"matching-{name}", (None, None, None, "minus"), None,
+             float(best), float(total), 0.0, passed)
     )
     return rows
 
@@ -364,22 +351,7 @@ def tail_agreement_check(a: float = 3.0) -> ReportRow:
         h_value = oracles.branch_cut(params.mu, params.lam, a, "minus")
         defect = float(s_value - mp.mpf(a) ** (-2 * mp.mpf(params.mu)) / 2 - h_value)
     tail, _ = bessel_tail_minus(params)
-    computed = tail.value.real
-    rel = abs(computed - defect) / abs(defect)
-    return ReportRow(
-        table="check",
-        row_id=f"tail-a{a:g}",
-        sign="minus",
-        mu=params.mu,
-        lam=params.lam,
-        a=params.a,
-        k=None,
-        computed=computed,
-        reference=defect,
-        relative_error=rel,
-        passed=rel <= 1e-11,
-        tolerance_used=1e-11,
-    )
+    return _row("check", f"tail-a{a:g}", params, None, tail.value.real, defect, 1e-11)
 
 
 def decay_rate_fit(
@@ -463,41 +435,13 @@ def check_suite() -> list[ReportRow]:
     rows = [tail_agreement_check(3.0), tail_agreement_check(4.0)]
     for sign, mu, target in (("minus", 0.5, -math.pi), ("plus", 0.25, -2 * math.pi)):
         slope = decay_rate_fit(sign, mu, 1.0, _DECAY_GRID)
-        rel = abs(slope - target) / abs(target)
         rows.append(
-            ReportRow(
-                table="check",
-                row_id=f"decay-{sign}-mu{mu:g}",
-                sign=sign,
-                mu=mu,
-                lam=1.0,
-                a=None,
-                k=None,
-                computed=slope,
-                reference=target,
-                relative_error=rel,
-                passed=rel <= 0.02,
-                tolerance_used=0.02,
-            )
+            _row("check", f"decay-{sign}-mu{mu:g}", (mu, 1.0, None, sign), None,
+                 slope, target, 0.02)
         )
     params = SeriesParams(0.5, 1.0, 4.0, "minus")
     discrepancy = mu_step_check(params, h=1e-4)
-    rows.append(
-        ReportRow(
-            table="check",
-            row_id="mu-step-h1e-04",
-            sign="minus",
-            mu=params.mu,
-            lam=params.lam,
-            a=params.a,
-            k=None,
-            computed=discrepancy,
-            reference=None,
-            relative_error=None,
-            passed=discrepancy <= 1e-7,
-            tolerance_used=1e-7,
-        )
-    )
+    rows.append(_row("check", "mu-step-h1e-04", params, None, discrepancy, None, 1e-7))
     return rows
 
 

@@ -11,7 +11,7 @@ wraps these names on the modules that import them, the CLI included.
 
 import io
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import mxsum
 from mxsum import cli, evaluators, kernel
@@ -43,6 +43,42 @@ KERNEL = (
     "accelerated_alternating_complex",
 )
 COEFFICIENTS = ("a_coefficients", "b_coefficients", "bhat_coefficients")
+# (eval method, sign, --K) -> the route it runs; method None is the default
+EVAL_ROUTES = {
+    ("oracle", "minus", None): "direct_sum",
+    ("oracle", "plus", None): "direct_sum",
+    ("small-a", "minus", None): "small_a_minus",
+    ("small-a", "plus", None): "small_a_minus",
+    ("algebraic", "minus", None): "algebraic_minus",
+    ("algebraic", "plus", None): "algebraic_plus",
+    ("algebraic", "minus", "2"): "algebraic_minus",
+    ("algebraic", "plus", "2"): "algebraic_plus",
+    ("full", "minus", None): "full_minus",
+    ("full", "plus", None): "full_plus",
+    ("tail", "minus", None): "bessel_tail_minus",
+    ("tail", "plus", None): "bessel_tail_plus",
+    ("j-mu", "minus", None): "j_mu_quadrature",
+    ("j-mu", "plus", None): "j_mu_quadrature",
+    ("j-mu", "minus", "2"): "j_mu_asymptotic",
+    ("j-mu", "plus", "2"): "j_mu_asymptotic",
+    ("integer-mu", "minus", None): "integer_mu_closed_form",
+    ("integer-mu", "plus", None): "integer_mu_closed_form",
+    ("lambda0", "minus", None): "olver_lambda0_minus",
+    ("lambda0", "plus", None): "lambda0_plus",
+    (None, "minus", None): "full_minus",
+    (None, "plus", None): "full_plus",
+}
+EVAL_POINTS = {
+    "oracle": ["--mu", "0.5", "--a", "3"],
+    "small-a": ["--mu", "0.5", "--a", "0.5"],
+    "algebraic": ["--mu", "0.5", "--a", "8"],
+    "full": ["--mu", "0.5", "--a", "3"],
+    "tail": ["--mu", "0.5", "--a", "3"],
+    "j-mu": ["--mu", "0.5", "--a", "8"],
+    "integer-mu": ["--mu", "2", "--a", "1.5"],
+    "lambda0": ["--mu", "0.75", "--lambda", "0", "--a", "2"],
+    None: ["--mu", "0.5", "--a", "3"],
+}
 
 
 def test_route_calls():
@@ -76,7 +112,8 @@ def test_wrapped_names_are_the_ones_called(monkeypatch):
     for name in COEFFICIENTS:
         for module in (mxsum, evaluators, cli):
             assert callable(getattr(module, name)), (module, name)
-    # a route replaced on the CLI module is the one `mxsum eval` runs
+    # a route replaced on the CLI module is the one `mxsum eval` runs, for
+    # every method and sign, and with --K where a method takes it
     calls = []
 
     def counted(route):
@@ -86,14 +123,16 @@ def test_wrapped_names_are_the_ones_called(monkeypatch):
 
         return call
 
-    for name in ("full_minus", "small_a_minus", "olver_lambda0_minus", "algebraic_plus"):
+    for name in set(EVAL_ROUTES.values()):
         monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
-    for argv in (
-        ["--mu", "0.5", "--a", "3"],
-        ["--mu", "0.5", "--a", "0.5", "--method", "small-a"],
-        ["--mu", "0.5", "--lambda", "0", "--a", "3", "--method", "lambda0"],
-        ["--sign", "plus", "--mu", "0.5", "--a", "8", "--method", "algebraic", "--K", "2"],
-    ):
-        with redirect_stdout(io.StringIO()):
-            assert cli.main(["eval"] + argv) == 0, argv
-    assert calls == ["full_minus", "small_a_minus", "olver_lambda0_minus", "algebraic_plus"]
+    assert {method for method, _, _ in EVAL_ROUTES} == set(cli._METHODS) | {None}
+    for (method, sign, K), name in EVAL_ROUTES.items():
+        argv = ["eval", "--sign", sign] + EVAL_POINTS[method]
+        argv += [] if method is None else ["--method", method]
+        argv += [] if K is None else ["--K", K]
+        calls.clear()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            status = cli.main(argv)
+        # small_a_minus refuses the sign + sum itself
+        assert status == (3 if (method, sign) == ("small-a", "plus") else 0), argv
+        assert calls == [name], argv

@@ -186,6 +186,19 @@ def test_eval_nonconvergence_exits_4(capsys):
     assert capsys.readouterr().err.startswith("non-convergence: ")
 
 
+def test_eval_full_near_mu_one_overflow_exits_4(capsys):
+    # near mu = 1, H's g(1) = sin(lam a)/sinh(pi a) overflows at
+    # |Im(lam a)| = 900; that was a traceback and exit 1, the status of a
+    # failed report row
+    rc = main(
+        ["eval", "--mu", "0.99999", "--lambda", "1000", "--a", "300",
+         "--a-im", "0.9", "--method", "full"]
+    )
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and err.count("\n") == 1, err
+
+
 def test_eval_full_near_mu_one_meets_estimate(capsys):
     # near mu = 1 the H integrand of the tanh-sinh era overflowed at
     # subnormal node distances and the route refused (exit 4); in
