@@ -10,6 +10,11 @@ method runs for sign - and sign +, and the option it passes (``--tol``,
 or ``--K`` where the method has an asymptotic expansion). ``table`` and
 ``check`` write their report and judge it by the rows' own verdicts.
 
+A process imports only what its subcommand runs: this module imports
+no layer at load time, and each name a subcommand runs is imported on
+first use (``_LAZY``), so ``coeffs`` loads neither the evaluators nor
+the harness, and ``eval`` loads no harness.
+
 Exit status:
 
 * 0: success (and, for ``table``/``check``, every judged row passed);
@@ -24,47 +29,68 @@ All numeric output uses round-trip (shortest repr) decimal formatting.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from .errors import NonConvergenceError, PreconditionError
-from .evaluators import (
-    Evaluation,
-    SeriesParams,
-    algebraic_minus,
-    algebraic_plus,
-    bessel_tail_minus,
-    bessel_tail_plus,
-    direct_sum,
-    full_minus,
-    full_plus,
-    integer_mu_closed_form,
-    j_mu_asymptotic,
-    j_mu_quadrature,
-    lambda0_plus,
-    olver_lambda0_minus,
-    small_a_minus,
-)
-from .harness import (
-    check_suite,
-    emit_report,
-    open_destination,
-    reproduce_table1,
-    reproduce_table2,
-    reproduce_table3,
-    table2_convention_report,
-    write_csv,
-)
 
 __all__ = ["cmd_check", "cmd_coeffs", "cmd_eval", "cmd_table", "main"]
+
+# the module of every name a subcommand runs, imported on first use by
+# this module's __getattr__. The cmd_* functions look each name up on
+# this module (``_cli``) per call, so a name replaced on it (as by the
+# benchmark's tracing) is the one that runs
+_LAZY = {
+    **dict.fromkeys(("a_coefficients", "b_coefficients", "bhat_coefficients"), "coefficients"),
+    **dict.fromkeys(
+        (
+            "SeriesParams",
+            "algebraic_minus",
+            "algebraic_plus",
+            "bessel_tail_minus",
+            "bessel_tail_plus",
+            "direct_sum",
+            "full_minus",
+            "full_plus",
+            "integer_mu_closed_form",
+            "j_mu_asymptotic",
+            "j_mu_quadrature",
+            "lambda0_plus",
+            "olver_lambda0_minus",
+            "small_a_minus",
+        ),
+        "evaluators",
+    ),
+    **dict.fromkeys(
+        (
+            "check_suite",
+            "emit_report",
+            "reproduce_table1",
+            "reproduce_table2",
+            "reproduce_table3",
+            "table2_convention_report",
+        ),
+        "harness",
+    ),
+    **dict.fromkeys(("open_destination", "write_csv"), "output"),
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 # every eval method: {keyword: (route for sign -, route for sign +)}. The
 # keyword is what the route takes from the command line: "tol", "K" (an
 # asymptotic expansion truncated at --K, run only when --K is given) or
 # None (the route sizes its own sums); a method with no "K" entry refuses
-# --K. Routes are named here and looked up on this module per call, so
-# that a route replaced on it is the one that runs
+# --K. Routes are named here and looked up on this module per call
 _METHODS = {
     "oracle": {"tol": ("direct_sum", "direct_sum")},
     "small-a": {None: ("small_a_minus", "small_a_minus")},
@@ -229,7 +255,7 @@ def _run_method(method: str, p: SeriesParams, ns: argparse.Namespace) -> Evaluat
 
     routes = _METHODS[method]
     keyword = "K" if ns.K is not None else next(k for k in routes if k != "K")
-    route = globals()[routes[keyword][p.sign == "plus"]]
+    route = getattr(_cli, routes[keyword][p.sign == "plus"])
     result = route(p, **{keyword: getattr(ns, keyword)}) if keyword else route(p)
     return result[0] if method == "tail" else result
 
@@ -260,19 +286,21 @@ def _print_evaluation(evaluation: Evaluation, fmt: str, handle) -> None:
         "notes": evaluation.notes,
     }
     if fmt == "json":
+        import json
+
         json.dump(record, handle, indent=2, allow_nan=False)
         handle.write("\n")
         return
-    write_csv(handle, EVAL_CSV_HEADER, [record.values()])
+    _cli.write_csv(handle, EVAL_CSV_HEADER, [record.values()])
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    params = SeriesParams(ns.mu, ns.lam, complex(ns.a, ns.a_im), ns.sign)
+    params = _cli.SeriesParams(ns.mu, ns.lam, complex(ns.a, ns.a_im), ns.sign)
     method = ns.method
     if method is None:
         method = "full" if ns.mu < 1.0 else "oracle"
     evaluation = _run_method(method, params, ns)
-    with open_destination(ns.output) as handle:
+    with _cli.open_destination(ns.output) as handle:
         _print_evaluation(evaluation, ns.format, handle)
     return 0
 
@@ -284,38 +312,38 @@ def _emit_judged(rows, ns: argparse.Namespace, judged=None) -> int:
     """Write the report; 0 if every judged row (by default every row)
     passed, else 1."""
 
-    emit_report(rows, ns.format, ns.output)
+    _cli.emit_report(rows, ns.format, ns.output)
     return 0 if all(r.passed for r in (rows if judged is None else judged)) else 1
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
     if ns.table_id == 1:
-        return _emit_judged(reproduce_table1(), ns)
+        return _emit_judged(_cli.reproduce_table1(), ns)
     if ns.table_id == 3:
-        return _emit_judged(reproduce_table3(), ns)
+        return _emit_judged(_cli.reproduce_table3(), ns)
     if ns.convention is not None:
-        return _emit_judged(reproduce_table2(ns.convention), ns)
-    rows = table2_convention_report()
+        return _emit_judged(_cli.reproduce_table2(ns.convention), ns)
+    rows = _cli.table2_convention_report()
     # the marker row judges the rows of the convention that matched
     return _emit_judged(rows, ns, [r for r in rows if r.row_id.startswith("matching-")])
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    return _emit_judged(check_suite(), ns)
+    return _emit_judged(_cli.check_suite(), ns)
 
 
 def cmd_coeffs(ns: argparse.Namespace) -> int:
-    generate = {
-        "A": a_coefficients,
-        "B": b_coefficients,
-        "Bhat": bhat_coefficients,
-    }[ns.kind]
+    generate = getattr(_cli, {
+        "A": "a_coefficients",
+        "B": "b_coefficients",
+        "Bhat": "bhat_coefficients",
+    }[ns.kind])
     table = generate(ns.lam, ns.K)
     records = [
         (table.kind, k, table.lam, value) for k, value in enumerate(table.values)
     ]
-    with open_destination(ns.output) as handle:
-        write_csv(handle, COEFFS_CSV_HEADER, records)
+    with _cli.open_destination(ns.output) as handle:
+        _cli.write_csv(handle, COEFFS_CSV_HEADER, records)
     return 0
 
 

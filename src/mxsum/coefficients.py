@@ -18,7 +18,8 @@ Numerical notes that shape the implementation:
   coth x - 1/x = sum q_m x^(2m-1), q_m = 4^m B_2m / (2m)!, summed in
   exact rational arithmetic (radius pi, so lam < 2 pi); the term-by-term
   2k-th derivative of that series IS the difference, with no
-  cancellation surviving the exact arithmetic. Each q_m is exact and
+  cancellation surviving the exact arithmetic. Each q_m is exact,
+  from the integer tangent number T_m (see ``kernel.zeta``), and
   computed once per process. For lam >= 4 the direct subtraction
   is exact as well (integer Horner over the dyadic coth x, both terms
   over one common denominator, one correctly rounded division), but
@@ -31,12 +32,13 @@ Numerical notes that shape the implementation:
   lam^2, of exact rationals each rounded to binary64 once.
 
 Every memo here (the p_m, the q_m, the exact e_n behind the A rows, the
-rows) is a ``functools.cache`` of a pure function with an immutable
-result, so threads need no lock: two that miss at once compute the same
-value twice. p_m and e_n recurse on their predecessor, so a cold call
-is as deep as its index; B and Bhat ask for p_0, p_2, p_4, ... and the A
-rows for e_0, e_1, ... in ascending order, so each call finds its
-predecessor cached and recurses a few frames at most.
+rows, and the Bhat_k of the coth series per (lam, k)) is a ``functools``
+cache of a pure function with an immutable result, so threads need no
+lock: two that miss at once compute the same value twice. p_m and e_n
+recurse on their predecessor, so a cold call is as deep as its index; B
+and Bhat ask for p_0, p_2, p_4, ... and the A rows for e_0, e_1, ... in
+ascending order, so each call finds its predecessor cached and recurses
+a few frames at most.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
-from .kernel.zeta import bernoulli_even
+from .kernel.zeta import tangent_number
 
 __all__ = [
     "CoefficientTable",
@@ -59,6 +61,8 @@ __all__ = [
 
 _MAX_DERIVATIVE_ORDER = 200
 _MAX_A_INDEX = 60
+# Bhat_k values of the coth series kept, keyed on (lam, k)
+_BHAT_SERIES_CACHE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +181,12 @@ def b_coefficients(lam: float, K: int) -> CoefficientTable:
 
 @functools.cache
 def _q(m: int) -> Fraction:
-    """q_m = 4^m B_2m/(2m)! of coth x - 1/x = sum_{m>=1} q_m x^(2m-1)."""
+    """q_m = 4^m B_2m/(2m)! of coth x - 1/x = sum_{m>=1} q_m x^(2m-1),
+    which B_2m's tangent-number form (see ``kernel.zeta``) makes
+    (-1)^(m-1) T_m / ((4^m - 1) (2m-1)!)."""
 
-    return Fraction(4) ** m * bernoulli_even(m) / math.factorial(2 * m)
+    q = Fraction(tangent_number(m), (4**m - 1) * math.factorial(2 * m - 1))
+    return q if m % 2 else -q
 
 
 def _frac_log2(x: Fraction) -> int:
@@ -188,41 +195,44 @@ def _frac_log2(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _bhat_series(x: Fraction, K: int) -> list[float]:
-    # Bhat_k = 2^(-2k-1) * d^(2k)/dx^(2k) [coth x - 1/x]
+@functools.lru_cache(maxsize=_BHAT_SERIES_CACHE)
+def _bhat_series(lam: float, k: int) -> float:
+    # Bhat_k = 2^(-2k-1) * d^(2k)/dx^(2k) [coth x - 1/x], x = lam/2
     #        = 2^(-2k-1) sum_{m>k} q_m (2m-1)!/(2m-1-2k)! x^(2m-1-2k)
+    x = Fraction(lam) / 2
     x2 = x * x
-    values = []
-    for k in range(K + 1):
-        acc = Fraction(0)
-        x_pow = x  # x^(2m-1-2k) at m = k+1
-        max_log = -(10**9)
-        m = k + 1
-        while True:
-            ff = 1
-            for i in range(2 * k):
-                ff *= 2 * m - 1 - i
-            term = _q(m) * ff * x_pow
-            acc += term
-            tl = _frac_log2(term)
-            max_log = max(max_log, tl)
-            if tl < max_log - 270:
-                break
-            x_pow *= x2
-            m += 1
-            if m > k + 1500:
-                raise NonConvergenceError(
-                    "coth-series fallback did not converge (lam too close "
-                    "to the series radius 2*pi)"
-                )
-        values.append(float(acc * Fraction(1, 2 ** (2 * k + 1))))
-    return values
+    acc = Fraction(0)
+    x_pow = x  # x^(2m-1-2k) at m = k+1
+    max_log = -(10**9)
+    m = k + 1
+    while True:
+        ff = 1
+        for i in range(2 * k):
+            ff *= 2 * m - 1 - i
+        term = _q(m) * ff * x_pow
+        acc += term
+        tl = _frac_log2(term)
+        max_log = max(max_log, tl)
+        if tl < max_log - 270:
+            break
+        x_pow *= x2
+        m += 1
+        if m > k + 1500:
+            raise NonConvergenceError(
+                "coth-series fallback did not converge (lam too close "
+                "to the series radius 2*pi)"
+            )
+    return float(acc * Fraction(1, 2 ** (2 * k + 1)))
 
 
 def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
     """Bhat_k = 2^(-2k-1) [p_2k(coth x) - (2k)!/x^(2k+1)], x = lam/2.
 
-    lam < 4: the exact coth-series. lam >= 4: coth x is rounded to
+    lam < 4: the exact coth-series, one value per (lam, k). Bhat_k does
+    not depend on K, so each is kept in a bounded LRU cache of
+    ``_BHAT_SERIES_CACHE`` entries keyed on (float lam, k): a table at a
+    lam already seen, at any K, reuses its values, and the bits are the
+    same however the cache was filled. lam >= 4: coth x is rounded to
     binary64 first, so coth x = n/d with d a power of two, and the
     difference is exact integer Horner over the dyadic coth x, put over
     the common denominator (2 d xn)^(2k+1) with x = xn/xd, and one
@@ -240,7 +250,7 @@ def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
             stacklevel=2,
         )
     if lam < 4.0:
-        values = _bhat_series(Fraction(lam) / 2, K)
+        values = [_bhat_series(lam, k) for k in range(K + 1)]
     else:
         # coth x = n/d and x = xn/xd; over the common denominator
         # d^(2k+1) xn^(2k+1), p_2k(coth x) - (2k)!/x^(2k+1) is one integer

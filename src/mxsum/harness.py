@@ -30,9 +30,11 @@ against the independently measured defect S - 1/(2 a^(2 mu)) - H,
 ``decay_rate_fit`` extracts the exponential decay rate of that defect
 from a high-precision remainder (expected -pi for sign -, -2 pi for
 sign +), and ``emit_report`` writes rows as CSV or JSON with
-round-trip float formatting. The high-precision S, H and J of the two
-checks come from ``mxsum.oracles``, imported only when a check runs, so
-the tables and the CLI start without mpmath.
+round-trip float formatting, through ``open_destination`` and
+``write_csv`` of ``mxsum.output`` (re-exported here). The
+high-precision S, H and J of the two checks come from
+``mxsum.oracles``, imported only when a check runs, so the tables and
+the CLI start without mpmath.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import sys
-from contextlib import contextmanager
-from csv import writer as _csv_writer
 from typing import NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
@@ -54,6 +53,7 @@ from .evaluators import (
     direct_sum,
     mu_step_check,
 )
+from .output import open_destination, write_csv
 
 __all__ = [
     "CSV_HEADER",
@@ -465,43 +465,6 @@ def row_record(row: ReportRow) -> dict:
         "rel_error": row.relative_error,
         "pass": row.passed,
     }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-@contextmanager
-def open_destination(destination):
-    """Yield standard output for None or "-", else the file opened for writing.
-
-    errors: OSError, carrying the destination path, when the file cannot
-        be opened or written.
-    """
-
-    if destination is None or destination == "-":
-        yield sys.stdout
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination!r}: {exc}") from exc
-
-
-def write_csv(handle, header, records) -> None:
-    """Header line, then one line per record (a sequence of cells)."""
-
-    out = _csv_writer(handle, lineterminator="\n")
-    out.writerow(header)
-    for record in records:
-        out.writerow([_csv_cell(value) for value in record])
 
 
 def emit_report(rows, format: str = "csv", destination=None) -> None:

@@ -1,13 +1,22 @@
 """Hurwitz zeta at odd integer s >= 3 by Euler-Maclaurin summation,
 plus the exact Bernoulli numbers B_2m that its correction terms and
-the coth series of ``mxsum.coefficients`` need, each computed once per
-process by a ``functools.cache`` (immutable, so threads need no lock).
+the coth series of ``mxsum.coefficients`` need.
 
 zeta(s, q) = sum_{n<N} (n+q)^-s + (N+q)^{1-s}/(s-1) + (N+q)^{-s}/2
              + sum_j B_{2j}/(2j)! (s)_{2j-1} (N+q)^{-s-2j+1}
 
 with N chosen so |N + q| >= 22; twelve correction terms then leave a
 remainder safely below 1e-15 relative for every s >= 3.
+
+The Bernoulli numbers come from the integer tangent numbers T_m, the
+Taylor coefficients of tan x = sum T_m x^(2m-1)/(2m-1)!, as
+B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)). T_1..T_n take O(n^2) small
+multiples and sums of integers (R. P. Brent and D. Harvey, "Fast
+computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286,
+algorithm TangentNumbers), where the Fraction recurrence for B_2m costs
+O(m^2) rational operations. The table is built in sizes that are powers
+of two, each by loops and once per process (a ``functools.cache`` with
+an immutable result, so threads need no lock).
 """
 
 from __future__ import annotations
@@ -19,29 +28,43 @@ from fractions import Fraction
 from ..errors import PreconditionError
 from .summation import csum
 
-__all__ = ["bernoulli_even", "hurwitz_zeta"]
+__all__ = ["bernoulli_even", "hurwitz_zeta", "tangent_number"]
 
 
 @functools.cache
-def bernoulli_even(m: int) -> Fraction:
-    """Exact Bernoulli number B_{2m}, computed once per process.
+def _tangent_numbers(n: int) -> tuple[int, ...]:
+    """T_1..T_n: start from T_j = (j-1)!, then pass k = 2..n replaces
+    T_j by (j-k) T_(j-1) + (j-k+2) T_j for j = k..n, in ascending j."""
 
-    sum_{j=0}^{n} C(n+1, j) B_j = 0 at n = 2m, with B_1 = -1/2 and the
-    odd B_j beyond it zero, gives
-    B_2m = -(1 - (2m+1)/2 + sum_{0<i<m} C(2m+1, 2i) B_2i) / (2m+1).
-    The sum asks for the B_2i in ascending order, so a cold call is a
-    few frames deep however large m is.
-    """
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, n + 1):
+        prev = t[k - 1]
+        for j in range(k, n + 1):
+            prev = t[j] = (j - k) * prev + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
+def tangent_number(m: int) -> int:
+    """Tangent number T_m for m >= 1 (1, 2, 16, 272, 7936, ...), from the
+    cached table of the smallest power-of-two size that holds it."""
+
+    if m < 1:
+        raise PreconditionError("tangent_number needs m >= 1")
+    return _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
+
+
+def bernoulli_even(m: int) -> Fraction:
+    """Exact Bernoulli number B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
 
     if m < 0:
         raise PreconditionError("bernoulli_even needs m >= 0")
     if m == 0:
         return Fraction(1)
-    n1 = 2 * m + 1
-    total = Fraction(1) - Fraction(n1, 2)
-    for i in range(1, m):
-        total += math.comb(n1, 2 * i) * bernoulli_even(i)
-    return -total / n1
+    four_m = 4**m
+    b = Fraction(2 * m * tangent_number(m), four_m * (four_m - 1))
+    return b if m % 2 else -b
 
 
 _EM_TERMS = 12

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, and exit statuses."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -11,19 +12,19 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import mxsum
+import mxsum.cli
+import mxsum.kernel
 from mxsum.cli import main
 from mxsum.oracles import explicit_sum
 
 
-def test_import_footprint():
-    # every mxsum process pays for its imports before any numerical work:
-    # the package and its CLI load no dataclasses (with the inspect, ast
-    # and dis that it pulls in) and no mpmath, which only the oracles use
+def _loaded(code: str, names) -> str:
+    """The list of ``names`` that a fresh interpreter has imported after
+    ``code``, as printed."""
+
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = (
-        "import sys, mxsum, mxsum.cli; "
-        "print([m for m in ('dataclasses', 'inspect', 'mpmath') if m in sys.modules])"
-    )
+    probe = f"import sys\n{code}\nprint([m for m in {tuple(names)!r} if m in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -31,7 +32,48 @@ def test_import_footprint():
         text=True,
         timeout=60,
     )
-    assert done.stdout == "[]\n", done.stdout + done.stderr
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_footprint():
+    # every mxsum process pays for its imports before any numerical work:
+    # the package and its CLI load no dataclasses (with the inspect, ast
+    # and dis that it pulls in) and no mpmath, which only the oracles use,
+    # and each subcommand loads only the layers it runs
+    heavy = ("dataclasses", "inspect", "mpmath")
+    assert _loaded("import mxsum, mxsum.cli", heavy) == "[]"
+    layers = ("mxsum.evaluators", "mxsum.harness", "mxsum.coefficients")
+    assert _loaded("import mxsum", layers) == "[]"
+    run = "import os, mxsum.cli\nassert mxsum.cli.main({!r}) == 0"
+    coeffs = ["coeffs", "A", "--K", "2", "--output", os.devnull]
+    assert _loaded(
+        run.format(coeffs),
+        ("mxsum.evaluators", "mxsum.harness", "mxsum.kernel.quadrature", "mxsum.kernel.bessel"),
+    ) == "[]"
+    evaluate = ["eval", "--mu", "0.5", "--a", "3", "--method", "full",
+                "--format", "json", "--output", os.devnull]
+    assert _loaded(run.format(evaluate), ("mxsum.harness", "mxsum.oracles") + heavy) == "[]"
+
+
+def test_lazy_exports():
+    # mxsum and mxsum.kernel re-export through one name -> submodule map
+    # each (PEP 562): every exported name resolves to the object its
+    # submodule defines, dir() lists it and a star import binds it
+    for package in (mxsum, mxsum.kernel):
+        assert set(package.__all__) <= set(dir(package)), package
+        for name in package.__all__:
+            if name == "__version__":
+                continue
+            module = importlib.import_module(f"{package.__name__}.{package._EXPORTS[name]}")
+            assert getattr(package, name) is getattr(module, name), name
+        bound = {}
+        exec(f"from {package.__name__} import *", bound)
+        assert set(package.__all__) <= set(bound), package
+        with pytest.raises(AttributeError):
+            getattr(package, "no_such_name")
+    with pytest.raises(AttributeError):
+        getattr(mxsum.cli, "no_such_name")
 
 
 def test_eval_oracle_text(capsys):

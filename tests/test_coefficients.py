@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from mxsum import coefficients
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from mxsum.errors import PreconditionError
 from mxsum.kernel import bernoulli_even
@@ -220,6 +221,40 @@ def test_bhat_route_consistency():
         assert abs(vals[1] - c1) < 1e-14, (lam, vals[1], c1)
 
 
+def test_bhat_series_cache_keeps_the_bits():
+    # each Bhat_k of the coth series is cached per (lam, k): a table comes
+    # out repr-identical cold, after a larger K and after a smaller one
+    # (a value costs about 0.2 s at lam = 3.99, so K is small there)
+    cache = coefficients._bhat_series
+    for lam, K in ((0.2, 8), (1.0, 8), (3.99, 2)):
+        cache.cache_clear()
+        cold = repr(bhat_coefficients(lam, K).values)
+        cache.cache_clear()
+        bhat_coefficients(lam, K + 1)
+        assert repr(bhat_coefficients(lam, K).values) == cold, lam
+        cache.cache_clear()
+        bhat_coefficients(lam, K - 2)
+        assert repr(bhat_coefficients(lam, K).values) == cold, lam
+
+
+def test_bhat_small_lambda_warns_on_every_call():
+    for _ in range(2):  # the second call is served from the cache
+        with pytest.warns(UserWarning):
+            bhat_coefficients(1e-3, 2)
+
+
+def test_bhat_series_cache_is_bounded():
+    cache = coefficients._bhat_series
+    bound = coefficients._BHAT_SERIES_CACHE
+    assert cache.cache_info().maxsize == bound
+    before = repr(bhat_coefficients(1.0, 8).values)
+    rng = random.Random(11)
+    for _ in range(1000):  # 1000 (lam, 0) keys, four times the bound
+        bhat_coefficients(rng.uniform(0.05, 0.2), 0)
+        assert cache.cache_info().currsize <= bound
+    assert repr(bhat_coefficients(1.0, 8).values) == before
+
+
 def test_a_values_and_identity():
     t = a_coefficients(1.0, 4)
     assert t.kind == "A"
@@ -287,6 +322,7 @@ def test_prefix_stability():
 # own (a thread that died prints None).
 _RACE_SCRIPT = """
 import hashlib, sys, threading
+from mxsum import coefficients
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 
 def run():
@@ -349,6 +385,7 @@ def test_concurrent_cold_coefficients_give_the_same_bits():
 _DEPTH_SCRIPT = """
 import hashlib, sys
 sys.setrecursionlimit(250)
+from mxsum import coefficients
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from mxsum.kernel import bernoulli_even
 

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from mxsum.errors import PreconditionError
 from mxsum.kernel import bernoulli_even, hurwitz_zeta
+from mxsum.kernel.zeta import tangent_number
 
 
 def test_bernoulli_exact():
@@ -25,6 +27,24 @@ def test_bernoulli_exact():
         assert got == b, (m, got)
     with pytest.raises(PreconditionError):
         bernoulli_even(-1)
+
+
+def test_bernoulli_matches_mpmath_exactly():
+    # from the tangent numbers, across the table sizes 1, 2, 4, ..., 512
+    for m in range(301):
+        assert bernoulli_even(m) == Fraction(*mpmath.bernfrac(2 * m)), m
+
+
+def test_tangent_numbers():
+    # T_m = tan^(2m-1)(0); (-1)^(m-1) 2m T_m = 4^m (4^m - 1) B_2m
+    assert [tangent_number(m) for m in range(1, 8)] == [
+        1, 2, 16, 272, 7936, 353792, 22368256,
+    ]
+    for m in (63, 64, 65, 300):
+        b = Fraction(*mpmath.bernfrac(2 * m))
+        assert (-1) ** (m - 1) * 2 * m * tangent_number(m) == 4**m * (4**m - 1) * b
+    with pytest.raises(PreconditionError):
+        tangent_number(0)
 
 
 def test_zeta_values():
