@@ -42,7 +42,6 @@ import math
 import sys
 from typing import NamedTuple
 
-from .coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from .errors import NonConvergenceError, PreconditionError
 from .kernel import (
     accelerated_alternating_complex,
@@ -53,6 +52,25 @@ from .kernel import (
     pfq_series,
     sum_terms,
 )
+
+# the coefficient generators, imported on first use by this module's
+# __getattr__: routes that need none (the full, oracle, integer-mu and
+# lam = 0 routes) do not load mxsum.coefficients and its exact arithmetic.
+# Routes look each generator up on this module (``_ev``) per call, so one
+# replaced on it (as by the benchmark's tracing) is the one that runs
+_LAZY = dict.fromkeys(("a_coefficients", "b_coefficients", "bhat_coefficients"), "coefficients")
+_ev = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 _PI = math.pi
 _SQRT_PI = math.sqrt(math.pi)
@@ -326,7 +344,7 @@ def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
 
     # real a stays on the float path of the same expression
     m, a = (math, p.a.real) if p.real_a else (cmath, p.a)
-    sin, sinh, cexp = m.sin, m.sinh, m.exp
+    sin, sinh, cexp, isfinite = m.sin, m.sinh, m.exp, cmath.isfinite
     exp, expm1 = math.exp, math.expm1
     la, pa, npa = p.lam * a, _PI * a, -_PI * a
 
@@ -378,7 +396,16 @@ def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
             # sinh overflows once pi Re(a t) > 710; there
             # 2 sin(lam a t) e^(-pi a t)/(1 - e^(-2 pi a t)) has a
             # denominator that rounds to 1
-            v = 2.0 * sin(la * t) * cexp(npa * t)
+            try:
+                v = 2.0 * sin(la * t) * cexp(npa * t)
+                if not isfinite(v):
+                    raise OverflowError
+            except OverflowError:
+                # complex sin overflows too, or 2 sin does, once
+                # |Im(lam a t)| nears 710; inside the tail's sector
+                # pi Re a > lam |Im a| both of e^(+-i lam a t - pi a t) decay
+                z, x = 1j * la * t, npa * t
+                v = -1j * (cexp(x + z) - cexp(x - z))
         if with_exp:
             v *= cexp(npa * t)
         return (v - g1) * w
@@ -476,7 +503,7 @@ def small_a_minus(p: SeriesParams) -> Evaluation:
         stop = (math.log(1e17) + lam) / (-2.0 * math.log(mod_a))
         K = 60 if stop > 54.0 else math.ceil(stop) + 6
         # the rounded coefficients are cached
-        coeff = a_coefficients(lam, K).values
+        coeff = _ev.a_coefficients(lam, K).values
         acc: complex = 0.0
         apow: complex = 1.0
         abs_sum = 0.0
@@ -499,7 +526,7 @@ def small_a_minus(p: SeriesParams) -> Evaluation:
 
     # near the boundary: accelerate sum (-1)^k c_k over k < stages + 4
     stages = 36
-    coeff = a_coefficients(lam, stages + 3).values
+    coeff = _ev.a_coefficients(lam, stages + 3).values
     gs = [g]
     for k in range(stages + 3):
         g *= (k + 0.5) / (k + 1.5 - mu)
@@ -567,7 +594,7 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     _need_sign(p, "minus", "algebraic_minus")
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
-    bvals = b_coefficients(p.lam, K + 1).values
+    bvals = _ev.b_coefficients(p.lam, K + 1).values
     terms, omitted, grow_at = _inverse_a2_terms(p, bvals, K, False)
     pref = _apow(p.a, -2.0 * p.mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
@@ -624,7 +651,7 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     _need_sign(p, "plus", "algebraic_plus")
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
-    bhat = bhat_coefficients(p.lam, K + 1).values
+    bhat = _ev.bhat_coefficients(p.lam, K + 1).values
     terms, omitted, _ = _inverse_a2_terms(p, bhat, K, True)
     jpart = j_mu_asymptotic(p, K)
     pref = _apow(p.a, -2.0 * p.mu)
@@ -983,10 +1010,19 @@ def full_minus(p: SeriesParams) -> Evaluation:
 def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     """J = int_0^inf exp(-lam t)/(t^2+a^2)^mu dt by exp-exp quadrature.
 
-    Integrated in t = s u with s = |a|, s = 1e-6/lam below
-    lam |a| = 1e-6, or s = 1/lam once lam |a| > 860. The integrand takes
-    (u^2 + a^2/s^2) ** -mu on the principal branch, as direct_sum takes
-    (n^2 + a^2) ** -mu. The estimate is floored like H's.
+    Integrated on the ray t = s w u, w = e^(i phi), phi = arg(a)/2, with
+    s = |a|, s = 1e-6/lam below lam |a| = 1e-6, or s = 1/lam once
+    lam |a| > 860. The sector between the real axis and the ray holds
+    neither branch point t = +-ia, and e^(-lam t) decays on it since
+    |phi| < pi/4, so J is w s^(1-2mu) times the integral over u > 0 of
+    e^(-lam s w u) (w^2 u^2 + a^2/s^2)^-mu. The base has an argument
+    between arg a and 2 arg a, so its principal power is the continued
+    one. On the ray the branch points lie |a|/s from the path, where on
+    the real axis they lay Re a/s from it: a steep a no longer costs
+    thousands of evaluations. Real a has w = 1 and stays on the float
+    path. The estimate is |w s^(1-2mu)| times the last level-to-level
+    delta, floored at eps (2 eps at complex a) times the quadrature's
+    absolute mass.
     """
 
     if p.lam <= 0.0:
@@ -995,8 +1031,8 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
         return Evaluation(
             complex(1.0 / p.lam), "j-mu-quadrature", 0.0, notes="exact at mu = 0"
         )
-    # in t = |a| u the algebraic factor turns over at u = 1, beside the
-    # rule's centre, and (t^2 + a^2)^-mu = |a|^-2mu (u^2 + a^2/|a|^2)^-mu
+    # in t = |a| w u the algebraic factor turns over at u = 1, beside the
+    # rule's centre, and (t^2 + a^2)^-mu = |a|^-2mu (w^2 u^2 + a^2/|a|^2)^-mu
     # exactly. At small lam |a| the exponential decays far out, near
     # u = 5e7 for lam |a| = 1e-6; below that, s = 1e-6/lam keeps it there,
     # inside the nodes, and moves the turn-over towards 0, where the
@@ -1007,17 +1043,30 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     s = max(abs(p.a), _J_MIN_RATE / p.lam)
     if p.lam * s > _J_RESCALE:
         s = 1.0 / p.lam
-    nlam, nmu, b2, exp = -p.lam * s, -p.mu, _a2(p) / (s * s), math.exp
+    nmu, b2 = -p.mu, _a2(p) / (s * s)
+    if p.real_a:
+        nlam, exp, pref = -p.lam * s, math.exp, s ** (1.0 - 2.0 * p.mu)
 
-    def f(u: float) -> complex | float:
-        return exp(nlam * u) * (u * u + b2) ** nmu
+        def f(u: float) -> complex | float:
+            return exp(nlam * u) * (u * u + b2) ** nmu
+
+    else:
+        w = cmath.rect(1.0, 0.5 * cmath.phase(p.a))
+        nlam, w2, cexp = -p.lam * s * w, w * w, cmath.exp
+        pref = w * s ** (1.0 - 2.0 * p.mu)
+
+        def f(u: float) -> complex | float:
+            return cexp(nlam * u) * (w2 * (u * u) + b2) ** nmu
 
     res = integrate(f, tol)
-    pref = s ** (1.0 - 2.0 * p.mu)
+    # at complex a the floor is 2 eps, as the ray's: w and the complex
+    # products and powers round more often than their float twins, and
+    # a seeded sweep of 300 points reached 1.96 eps abs_sum
+    floor = _EPS if p.real_a else 2.0 * _EPS
     return Evaluation(
         pref * res.value,
         "j-mu-quadrature",
-        pref * max(res.last_term_magnitude, _EPS * res.abs_sum),
+        abs(pref) * max(res.last_term_magnitude, floor * res.abs_sum),
         notes=f"{res.terms_used} integrand evaluations",
     )
 

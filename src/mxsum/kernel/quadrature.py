@@ -18,7 +18,8 @@ float, an int or a complex, used as it is: a float's ``.real``,
 its own exact distance to the endpoint 0, so a factor singular there,
 such as ``t**-0.5``, is evaluated accurately down to t = 1e-300. An
 integral over another range is brought onto (0, inf) by its caller: the
-evaluators substitute t = tanh(sigma u), t = |a| u or t = x/a.
+evaluators substitute t = tanh(sigma u), t = |a| e^(i arg(a)/2) u or
+t = x/a.
 
 The integrand must decay at least exponentially. The nodes stop at
 t = e^23 (9.7e9), and a side scan that reaches its last node without
@@ -66,6 +67,9 @@ _Y_MIN, _Y_MAX = -740.0, 23.0
 # larger than the node before it on the same side
 _TRUNC_FRACTION = 1e-19
 _TRUNC_STREAK = 2
+# a side records its edge only if its scan brought most of the mass so
+# far: at least this many times the mass it started with (see _scan)
+_EDGE_GROWTH = 4.0
 
 # each level doubles the nodes of the shared tables; 12 halvings reach
 # h = 2^-12, far finer than binary64 integrands need
@@ -136,21 +140,31 @@ def _scan(
     Edges. The side's node i lies at |s| = ``first + spacing * i``, its
     reach. A side's edge is the (reach, |weighted value|) of the last
     node before the negligible nodes that ended it; ``edges`` holds
-    those of the coarser levels on this side that were not negligible
-    against the mass after their side, the farthest first, and the scan
-    adds its own. A side stops only beyond every edge that is not
-    negligible against the mass as it stands, so a refined level does
-    not stop in a negligible stretch between the centre and the mass,
-    as it would on exp(-(ln t + 12)^2)/t + 1e-25 e^-t. On a tail that
-    falls monotonically, a node beyond the stop is smaller than the
-    stopping nodes, so the edges change nothing there.
+    those that coarser levels on this side recorded (see below) and
+    that were not negligible against the mass after their side, the
+    farthest first, and the scan may add its own. A side stops only
+    beyond every edge that is not negligible against the mass as it
+    stands, so a refined level does not stop in a negligible stretch
+    between the centre and the mass, as it would on
+    exp(-(ln t + 12)^2)/t + 1e-25 e^-t. On a tail that falls
+    monotonically, a node beyond the stop is smaller than the stopping
+    nodes, so the edges change nothing there.
+
+    A side records its edge only if its scan at least quadrupled the
+    absolute mass (_EDGE_GROWTH): the side that first meets the mass,
+    at level 0, or at a later level for mass the coarser nodes missed.
+    That edge is the one that can hold a later stop: it lies beyond a
+    stretch that was scanned before the mass was known. A refined scan
+    of mass already found adds about what the coarser levels held, so
+    at most doubles it, and its edge lies within a node spacing of the
+    edge already kept.
 
     ``acc`` is (real total, real carry, imaginary total, imaginary carry,
     absolute mass, evaluations); the two sums are Neumaier-compensated.
     """
 
     re_total, re_carry, im_total, im_carry, abs_mass, evals = acc
-    start = evals
+    start, start_mass = evals, abs_mass
     isfinite = cmath.isfinite
     streak = 0
     prev_mag = math.inf
@@ -208,7 +222,7 @@ def _scan(
                 f"integrand became negligible: it must decay at least "
                 f"exponentially"
             )
-    if seen > _TRUNC_FRACTION * abs_mass:
+    if abs_mass > _EDGE_GROWTH * start_mass and seen > _TRUNC_FRACTION * abs_mass:
         edge = (first + spacing * (evals - start - 1 - streak), seen)
         if edges and edge[0] < edges[0][0]:
             edges.append(edge)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from csv import writer as _csv_writer
 
 __all__ = ["open_destination", "write_csv"]
 
@@ -42,7 +41,9 @@ def open_destination(destination):
 def write_csv(handle, header, records) -> None:
     """Header line, then one line per record (a sequence of cells)."""
 
-    out = _csv_writer(handle, lineterminator="\n")
+    from csv import writer  # only a process that writes CSV loads csv
+
+    out = writer(handle, lineterminator="\n")
     out.writerow(header)
     for record in records:
         out.writerow([_csv_cell(value) for value in record])

@@ -54,6 +54,20 @@ def test_import_footprint():
     evaluate = ["eval", "--mu", "0.5", "--a", "3", "--method", "full",
                 "--format", "json", "--output", os.devnull]
     assert _loaded(run.format(evaluate), ("mxsum.harness", "mxsum.oracles") + heavy) == "[]"
+    # the routes that need no expansion coefficients load neither the
+    # coefficients' exact arithmetic nor the zeta kernel, and only a
+    # process that writes CSV loads csv
+    exact = ("mxsum.coefficients", "fractions", "decimal", "mxsum.kernel.zeta", "csv")
+    for method, point in (
+        ("full", ["--mu", "0.5", "--a", "3", "--sign", "plus"]),
+        ("oracle", ["--mu", "0.5", "--a", "3"]),
+        ("integer-mu", ["--mu", "2", "--a", "1.5"]),
+        ("lambda0", ["--mu", "0.75", "--lambda", "0", "--a", "2"]),
+    ):
+        argv = ["eval", "--method", method, *point, "--output", os.devnull]
+        assert _loaded(run.format(argv), exact) == "[]", method
+    csv = ["eval", "--mu", "0.5", "--a", "3", "--format", "csv", "--output", os.devnull]
+    assert _loaded(run.format(csv), ("csv",)) == "['csv']"
 
 
 def test_lazy_exports():

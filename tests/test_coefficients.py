@@ -380,7 +380,8 @@ def test_concurrent_cold_coefficients_give_the_same_bits():
 # would need about 400 frames if asked for cold, so both must fill p_m
 # in ascending order; the A rows and e_n recurse within their index cap
 # of 60; and the Bernoulli numbers, which have none (the coth series of
-# Bhat below lam = 4 reaches m = k + 1500), fill in ascending order.
+# Bhat below lam = 4 reaches m = k + 1500), come from a table of
+# tangent numbers built by loops, with no recursion at all.
 # Prints the sha256 of the repr of the values named by argv[1].
 _DEPTH_SCRIPT = """
 import hashlib, sys

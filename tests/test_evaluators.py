@@ -782,6 +782,39 @@ def test_j_quadrature_at_small_lam_a():
         assert ok, (mu, lam, a, actual, got.error_estimate)
 
 
+def _j_sweep():
+    # seed 13: mu up to 0.95, lam log-uniform on [1e-3, 20], |a| on
+    # [0.3, 60] and |arg a| up to 1.55, Im a of either sign in turn
+    rng = random.Random(13)
+    for i in range(40):
+        mu = rng.uniform(0.05, 0.95)
+        lam = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        mod = math.exp(rng.uniform(math.log(0.3), math.log(60.0)))
+        yield mu, lam, cmath.rect(mod, (-1) ** i * rng.uniform(0.0, 1.55))
+
+
+def test_j_quadrature_estimate_sweep():
+    # J on the ray at arg(a)/2 against its closed form. With the 2 eps
+    # floor at complex a the worst point is at 0.61 of its estimate, and
+    # would be at 1.21 with an eps floor; a seeded draw of 300 points
+    # reached 1.96 with an eps floor
+    for mu, lam, a in _j_sweep():
+        got = j_mu_quadrature(SeriesParams(mu, lam, a, "plus"), 1e-14)
+        ok, actual = _meets_estimate(got, laplace(mu, lam, a))
+        assert ok, (mu, lam, a, actual, got.error_estimate)
+
+
+def test_j_quadrature_at_steep_a():
+    # the two slowest J of the full-points stream: on the real axis the
+    # branch point -ia lay Re a from the path and J took 886 and 363
+    # evaluations; on the ray at arg(a)/2 it lies |a| away
+    for mu, lam, a, evaluations in [(0.5, 0.33, 0.40 + 2.17j, 127), (0.5, 0.28, 3.10 + 16.19j, 105)]:
+        got = j_mu_quadrature(SeriesParams(mu, lam, a, "plus"), 1e-14)
+        assert got.notes == f"{evaluations} integrand evaluations"
+        ok, actual = _meets_estimate(got, laplace(mu, lam, a))
+        assert ok, (mu, lam, a, actual, got.error_estimate)
+
+
 def test_h_and_full_routes_near_mu_one():
     # the plateau g(1) sech(sigma u)^(2 - 2mu) of H's integrand decays at
     # the rate 2 (1 - mu) sigma: from 1 - mu ~ 1e-8 it ran past the last
@@ -806,6 +839,49 @@ def test_h_near_mu_one_refuses_past_sin_overflow():
     p = SeriesParams(0.9999999938752246, 17.76565913616587, 188.42372090297235 - 75.0446968913082j)
     with pytest.raises(NonConvergenceError, match="overflowed"):
         h_minus_quadrature(p)
+
+
+def test_h_integrand_past_sin_overflow(monkeypatch):
+    # at (0.5, 1000, 300 + 0.9i), inside the tail's sector, |Im(lam a t)|
+    # passes 710 near t = 0.79, where complex sin overflows, or 2 sin
+    # does, and H refused with "integrand overflowed"; there
+    # 2 sin(lam a t) e^(-pi a t) is formed from e^(+-i lam a t - pi a t)
+    from mxsum import evaluators
+
+    mu, lam, a = 0.5, 1000.0, 300 + 0.9j
+    for sign in ("minus", "plus"):
+        integrands = []
+
+        def capture(f, tol):
+            integrands.append(f)
+            raise NonConvergenceError("captured")
+
+        monkeypatch.setattr(evaluators, "integrate", capture)
+        with pytest.raises(NonConvergenceError, match="captured"):
+            evaluators._h_quadrature(SeriesParams(mu, lam, a, sign), 1e-14, sign)
+        monkeypatch.undo()
+        sigma = 4.0 / abs(a)
+        with mpmath.workdps(40):
+            for u in (80.16998948412628, 120.96990027813328, 400.0):
+                t = mpmath.tanh(sigma * mpmath.mpf(u))
+                ma = mpmath.mpc(a)
+                g = mpmath.sin(lam * ma * t) / mpmath.sinh(mpmath.pi * ma * t)
+                if sign == "plus":
+                    g *= mpmath.exp(-mpmath.pi * ma * t)
+                want = g * mpmath.sech(sigma * mpmath.mpf(u)) ** (2 - 2 * mu)
+                got = integrands[0](u)
+                # the rounding of t moves lam a t by about eps |lam a|; the
+                # plus integrand underflows to 0 there
+                tol = 4.0 * abs(lam * a) * sys.float_info.epsilon
+                assert abs(got - want) <= tol * abs(want) + 1e-300, (sign, u, got, want)
+    # with it the plus sum lands within its estimate; the minus sum's H
+    # swings through about 1,100 periods of sin(lam a t) on its decay
+    # length, and runs out of refinement levels instead
+    s = explicit_sum(mu, lam, a, "plus").value
+    ok, actual = _meets_estimate(full_plus(SeriesParams(mu, lam, a, "plus")), s)
+    assert ok, actual
+    with pytest.raises(NonConvergenceError, match="within 12 refinements"):
+        full_minus(SeriesParams(mu, lam, a))
 
 
 def _h_sweep():
@@ -864,8 +940,11 @@ def _count_grid():
     # seed 16: full routes at benchmark-like points, both signs, a third
     # at real a, a third at |Im a| < 1 inside the tail's sector and a
     # third on the rotated path (|Im a| >= 1), with mu = 0.999 at every
-    # fourth point; then J alone at lam = 1e-6, whose scan runs out to
-    # u = 1e6 to 3e7 on the rule's scale |a|
+    # fourth point; then full_plus at steep a, where J's branch point -ia
+    # lies only Re a from the real axis: the two slowest J of the
+    # full-points stream, and four seeded points at 1.3 <= |arg a| <= 1.55
+    # with lam from 0.01 to 1; then J alone at lam = 1e-6, whose scan runs
+    # out to u = 1e6 to 3e7 on the rule's scale |a|
     rng = random.Random(16)
     routes = []
     for i in range(24):
@@ -882,13 +961,23 @@ def _count_grid():
         else:
             a = complex(mod, rng.choice((-1, 1)) * rng.uniform(1.0, max(1.0, mod)))
         routes.append((mu, lam, a, sign))
+    routes += [(0.5, 0.33, 0.40 + 2.17j, "plus"), (0.5, 0.28, 3.10 + 16.19j, "plus")]
+    for i in range(4):
+        mu = rng.uniform(0.05, 0.95)
+        lam = math.exp(rng.uniform(math.log(0.01), 0.0))
+        mod = math.exp(rng.uniform(math.log(1.5), math.log(40.0)))
+        arg = (-1) ** i * rng.uniform(1.3, 1.55)
+        routes.append((mu, lam, cmath.rect(mod, arg), "plus"))
     j_points = [(mu, 1e-6, a) for mu in (0.05, 0.5, 0.999) for a in (1.5, 6 + 3j, 40.0)]
     return routes, j_points
 
 
 # evaluations of each integrand on _count_grid, by the integrand's
 # function; the exp-sinh rule took 3168 (H), 1451 (ray) and 8644 (J)
-GRID_EVALUATIONS = {"_h_quadrature": 1863, "_ray_quadrature": 821, "j_mu_quadrature": 3633}
+# before the steep points joined the grid. J on the real axis took 11105,
+# 7472 of them at the six steep points; on the ray at arg(a)/2 it takes
+# 908 there
+GRID_EVALUATIONS = {"_h_quadrature": 1863, "_ray_quadrature": 1414, "j_mu_quadrature": 4542}
 
 
 def test_quadrature_evaluation_counts(monkeypatch):
