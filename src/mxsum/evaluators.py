@@ -676,40 +676,57 @@ def _kv_sums(
 
     The loop stops once a term of the first sum falls below 1e-18 of
     its plain running sum; NonConvergenceError past _tail_budget(p).
-    Returns the sums, each compensated (fsum of the real and imaginary
-    parts), the number of terms, the magnitude of the first sum's last
-    term and the mass sum |Z_k| |term| over every sum. The mass sets the
-    rounding floor: K_nu(Z) falls like e^-Z, so the rounding of Z_k,
-    about eps |Z_k|, becomes a relative error of its term. ``pairs``,
-    if given, receives the (Z_k, K_nu(Z_k)) of the first sum.
+    Returns the sums, each Neumaier-compensated in its real and
+    imaginary parts, the number of terms, the magnitude of the first
+    sum's last term and the mass sum |Z_k| |term| over every sum. The
+    mass sets the rounding floor: K_nu(Z) falls like e^-Z, so the
+    rounding of Z_k, about eps |Z_k|, becomes a relative error of its
+    term. ``pairs``, if given, receives the (Z_k, K_nu(Z_k)) of the
+    first sum.
     """
 
     nu, a = 0.5 - p.mu, p.a
-    terms: list[list[complex]] = [[] for _ in offsets]
-    running = 0j  # plain sum of the first series, for the stop test only
+    # per sum: real total, real carry, imaginary total, imaginary carry;
+    # thousands of terms at small Re a: a plain sum's rounding would
+    # outgrow the eps |Z_k| |term| floor, the compensated one does not.
+    # The totals alone are the plain running sum
+    accs = [[0.0, 0.0, 0.0, 0.0] for _ in offsets]
+    first = accs[0]
     mass = 0.0
     last_mag = 0.0
     budget = _tail_budget(p)
     for k in range(budget):
         ma = (2 * k + base) * _PI * a
-        for i, off in enumerate(offsets):
+        for off, acc in zip(offsets, accs):
             Z = ma + off
             kv = kv_complex(nu, Z)
             w = (2.0 / Z) ** nu * kv
-            terms[i].append(w)
             mass += abs(Z) * abs(w)
-            if i == 0:
-                running += w
+            re_total, re_carry, im_total, im_carry = acc
+            x = w.real
+            total = re_total + x
+            if abs(re_total) >= abs(x):
+                re_carry += (re_total - total) + x
+            else:
+                re_carry += (x - total) + re_total
+            y = w.imag
+            im = im_total + y
+            if abs(im_total) >= abs(y):
+                im_carry += (im_total - im) + y
+            else:
+                im_carry += (y - im) + im_total
+            acc[:] = total, re_carry, im, im_carry
+            if acc is first:
                 last_mag = abs(w)
                 if pairs is not None:
                     pairs.append((Z, kv))
-        if last_mag <= 1e-18 * max(abs(running), 1e-300):
-            # thousands of terms at small Re a: a plain sum's rounding
-            # would outgrow the eps |Z_k| |term| floor, fsum's does not
-            return [csum(t) for t in terms], k + 1, last_mag, mass
+        if last_mag <= 1e-18 * max(abs(complex(first[0], first[2])), 1e-300):
+            sums = [complex(r + rc, i + ic) for r, rc, i, ic in accs]
+            return sums, k + 1, last_mag, mass
     raise NonConvergenceError(
         f"Bessel sum did not reach its 1e-18 stop within its budget of "
-        f"{budget} terms (last term {last_mag:.3e} of sum {abs(running):.3e})"
+        f"{budget} terms (last term {last_mag:.3e} of sum "
+        f"{abs(complex(first[0], first[2])):.3e})"
     )
 
 
@@ -897,6 +914,12 @@ def _ray_quadrature(p: SeriesParams) -> Evaluation:
     stays in the upper half-plane, so its principal value is
     a^-2mu (1 - x^2/a^2)^-mu. For x > 1/2, g is formed as
     2 sin(lam x) e^(-pi x)/(1 - e^(-2 pi x)), which cannot overflow.
+
+    The rule runs on x = c u with c = max(1, 4 min(1, pi/lam)). At
+    lam <= pi, c = 4 puts the decay length 1/pi of sinh at u = 1/(4 pi),
+    where H's sigma puts H's peak; above pi the scale follows the first
+    zero pi/lam of sin(lam x), and it never falls below 1, so the
+    nodes still reach the oscillations at large lam.
     """
 
     if p.lam == 0.0:
@@ -904,8 +927,10 @@ def _ray_quadrature(p: SeriesParams) -> Evaluation:
     lam, a2, nmu, g0 = p.lam, p.a * p.a, -p.mu, p.lam / _PI
     sin, sinh, exp, npi = math.sin, math.sinh, math.exp, -_PI
     with_exp = p.sign == "plus"
+    c = max(1.0, 4.0 * min(1.0, _PI / lam))
 
-    def f(x: float) -> complex:
+    def f(u: float) -> complex:
+        x = c * u
         if x > 0.5:
             e = exp(npi * x)
             v = 2.0 * sin(lam * x) * e / (1.0 - e * e)
@@ -923,9 +948,9 @@ def _ray_quadrature(p: SeriesParams) -> Evaluation:
     # the floor is 2 eps, not H's eps, per unit of absolute mass: on 500
     # random points with Im a >= 1 the error reached 1.14 eps abs_sum
     return Evaluation(
-        res.value,
+        c * res.value,
         "ray",
-        max(res.last_term_magnitude, 2.0 * _EPS * res.abs_sum),
+        c * max(res.last_term_magnitude, 2.0 * _EPS * res.abs_sum),
         notes=f"{res.terms_used} integrand evaluations",
     )
 

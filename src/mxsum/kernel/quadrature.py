@@ -19,17 +19,19 @@ its own exact distance to the endpoint 0, so a factor singular there,
 such as ``t**-0.5``, is evaluated accurately down to t = 1e-300. An
 integral over another range is brought onto (0, inf) by its caller: the
 evaluators substitute t = tanh(sigma u), t = |a| e^(i arg(a)/2) u or
-t = x/a.
+t = c u/a.
 
-The integrand must decay at least exponentially. The nodes stop at
-t = e^23 (9.7e9), and a side scan that reaches its last node without
-two negligible nodes in a row raises NonConvergenceError: an algebraic
-decay such as (1 + t)^-1.5 refuses at level 0 instead of returning a
-truncated value. A node counts as negligible only once its side has
-met a nonzero value, so an integrand that underflows to 0 near the
-centre is scanned out to its mass, and a refined side does not stop
-short of the last node where a coarser level still found mass, so a
-negligible stretch between the centre and the mass does not end it.
+A side ends at its first negligible node: a falling node whose
+weighted value is below 1e-17, about eps/20, of the absolute mass so
+far. The integrand must decay at least exponentially. The nodes stop at
+t = e^23 (9.7e9), and a side scan that reaches its last node without a
+negligible node raises NonConvergenceError: an algebraic decay such as
+(1 + t)^-1.5 refuses at level 0 instead of returning a truncated
+value. A node counts as negligible only once its side has met a
+nonzero value, so an integrand that underflows to 0 near the centre is
+scanned out to its mass, and a refined side does not stop short of the
+last node where a coarser level still found mass, so a negligible
+stretch between the centre and the mass does not end it.
 
 Shared node tables. The nodes ``(t, weight)`` depend only on s, so
 each level's sides are built whole, as tuples in scan order, the first
@@ -63,10 +65,10 @@ _LN8 = math.log(8.0)
 _Y_MIN, _Y_MAX = -740.0, 23.0
 
 # side-scan control: a node is negligible once its |weighted value|
-# drops below this fraction of the accumulated absolute mass and is no
-# larger than the node before it on the same side
-_TRUNC_FRACTION = 1e-19
-_TRUNC_STREAK = 2
+# drops below this fraction of the accumulated absolute mass (about
+# eps/20) and is no larger than the node before it on the same side; a
+# side ends at its first negligible node
+_TRUNC_FRACTION = 1e-17
 # a side records its edge only if its scan brought most of the mass so
 # far: at least this many times the mass it started with (see _scan)
 _EDGE_GROWTH = 4.0
@@ -126,10 +128,10 @@ def _level_sides(level: int) -> tuple[_Side, ...]:
 def _scan(
     side: _Side, f: Callable, acc: tuple, first: float, spacing: float, edges: list
 ) -> tuple:
-    """Add the weighted values of ``side``'s nodes to ``acc`` until two
-    nodes in a row are negligible. A refined level restarts at the
-    centre, where an integrand peaked near an endpoint is still rising,
-    hence the falling-side condition; and nodes count as negligible only
+    """Add the weighted values of ``side``'s nodes to ``acc`` up to the
+    first negligible node. A refined level restarts at the centre,
+    where an integrand peaked near an endpoint is still rising, hence
+    the falling-side condition; and nodes count as negligible only
     after the side has met a nonzero value, so an integrand that
     underflows to 0 at the centre, such as exp(-(t - 30)^2), is scanned
     out to its mass. Raises NonConvergenceError if the side ends first
@@ -139,16 +141,17 @@ def _scan(
 
     Edges. The side's node i lies at |s| = ``first + spacing * i``, its
     reach. A side's edge is the (reach, |weighted value|) of the last
-    node before the negligible nodes that ended it; ``edges`` holds
+    node before the negligible node that ended it; ``edges`` holds
     those that coarser levels on this side recorded (see below) and
     that were not negligible against the mass after their side, the
     farthest first, and the scan may add its own. A side stops only
     beyond every edge that is not negligible against the mass as it
     stands, so a refined level does not stop in a negligible stretch
     between the centre and the mass, as it would on
-    exp(-(ln t + 12)^2)/t + 1e-25 e^-t. On a tail that falls
-    monotonically, a node beyond the stop is smaller than the stopping
-    nodes, so the edges change nothing there.
+    exp(-(ln t + 12)^2)/t + 1e-25 e^-t; there a side goes on past
+    negligible nodes until one lies beyond every such edge. On a tail
+    that falls monotonically, a node beyond the stop is smaller than the
+    stopping node, so the edges change nothing there.
 
     A side records its edge only if its scan at least quadrupled the
     absolute mass (_EDGE_GROWTH): the side that first meets the mass,
@@ -204,13 +207,12 @@ def _scan(
             if mag or seen:  # a 0 before any nonzero value is no tail
                 seen = seen or mag
                 streak += 1
-                if streak >= _TRUNC_STREAK:
-                    reach = first + spacing * (evals - start - 1)
-                    if not edges or reach > edges[0][0]:
-                        break
-                    floor = _TRUNC_FRACTION * abs_mass
-                    if not any(reach < r and m > floor for r, m in edges):
-                        break
+                reach = first + spacing * (evals - start - 1)
+                if not edges or reach > edges[0][0]:
+                    break
+                floor = _TRUNC_FRACTION * abs_mass
+                if not any(reach < r and m > floor for r, m in edges):
+                    break
         else:  # mag > 0 here
             streak = 0
             seen = mag
@@ -248,7 +250,8 @@ def integrate(f: Callable, tol: float = 1e-13) -> SeriesSum:
 
     The sum h * sum(weighted values) runs over successively halved h,
     reusing the nodes of earlier levels, and stops when two successive
-    level estimates agree to the target.
+    level estimates agree to the target. Each side of a level ends at
+    its first falling node below 1e-17 of the absolute mass (see _scan).
     """
 
     if not 0.0 < tol < 1.0:

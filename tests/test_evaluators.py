@@ -738,6 +738,45 @@ def test_full_rotated_path_diagnostics():
     assert full_plus(SeriesParams(0.5, 5.0, 3 + 4j, "plus")).notes == ""
 
 
+def _rotated_sweep():
+    # seed 31: the rotated path's whole range, |Im a| log-uniform on
+    # [1, 10] and arg a log-uniform on [0.05, 1.5], so Re a reaches 200;
+    # lam log-uniform on [0.05, 20], either sign of Im a and of the sum
+    rng = random.Random(31)
+    cases = []
+    for i in range(64):
+        sign = ("minus", "plus")[i % 2]
+        mu = rng.uniform(0.05, 0.95)
+        lam = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        arg = math.exp(rng.uniform(math.log(0.05), math.log(1.5)))
+        im = math.exp(rng.uniform(0.0, math.log(10.0)))
+        cases.append((mu, lam, complex(im / math.tan(arg), rng.choice((-1, 1)) * im), sign))
+    return cases
+
+
+def test_full_routes_rotated_estimate_sweep():
+    # the ray integral runs on x = c u, c = max(1, 4 min(1, pi/lam)),
+    # and its sides end at their first negligible node; every point
+    # stays within 2x of its estimate (the worst at 0.92)
+    for case in _rotated_sweep():
+        _check_full_route(*case)
+
+
+def test_ray_evaluations_at_large_lam():
+    # where sin(lam x) swings many times per decay length of the ray's
+    # integrand; the counts before the ray's scale and the one-node stop
+    # were 748, 1470, 5735 and 22744, and must not grow back
+    for lam, a, most in [
+        (20.0, 10 + 3j, 748),
+        (50.0, 30 + 2j, 1470),
+        (200.0, 100 + 1.5j, 5735),
+        (1000.0, 300 + 1.2j, 22744),
+    ]:
+        got = _check_full_route(0.5, lam, a, "minus")
+        evaluations = int(got.notes.split()[0])
+        assert evaluations <= most, (lam, a, evaluations)
+
+
 @pytest.mark.parametrize("a", [230.0, 300.0, 1000.0, 300 + 0.5j])
 def test_h_and_full_routes_beyond_sinh_overflow(a):
     # pi Re(a t) passes 710 inside (0, 1) here, where sinh overflowed and
@@ -808,7 +847,7 @@ def test_j_quadrature_at_steep_a():
     # the two slowest J of the full-points stream: on the real axis the
     # branch point -ia lay Re a from the path and J took 886 and 363
     # evaluations; on the ray at arg(a)/2 it lies |a| away
-    for mu, lam, a, evaluations in [(0.5, 0.33, 0.40 + 2.17j, 127), (0.5, 0.28, 3.10 + 16.19j, 105)]:
+    for mu, lam, a, evaluations in [(0.5, 0.33, 0.40 + 2.17j, 117), (0.5, 0.28, 3.10 + 16.19j, 94)]:
         got = j_mu_quadrature(SeriesParams(mu, lam, a, "plus"), 1e-14)
         assert got.notes == f"{evaluations} integrand evaluations"
         ok, actual = _meets_estimate(got, laplace(mu, lam, a))
@@ -977,7 +1016,7 @@ def _count_grid():
 # before the steep points joined the grid. J on the real axis took 11105,
 # 7472 of them at the six steep points; on the ray at arg(a)/2 it takes
 # 908 there
-GRID_EVALUATIONS = {"_h_quadrature": 1863, "_ray_quadrature": 1414, "j_mu_quadrature": 4542}
+GRID_EVALUATIONS = {"_h_quadrature": 1670, "_ray_quadrature": 1029, "j_mu_quadrature": 4252}
 
 
 def test_quadrature_evaluation_counts(monkeypatch):

@@ -79,6 +79,23 @@ stream the 8 J and 8 full_plus results at complex a moved, 14 of them
 in value, the rest in estimate; the worst relative distance went from
 2.2e-16 to 2.3e-16, and every value is within 0.8 of its estimate.
 Every real-a, H, ray, K_nu and integral pin kept its bits.
+
+The integrals, the route pins and the quadrature stream were recorded
+again when a side came to end at its first negligible node (below
+1e-17 of the absolute mass, in place of two nodes below 1e-19) and the
+ray integral moved onto x = c u, c = max(1, 4 min(1, pi/lam)). Each
+moved value was checked first against a 40-digit reference (explicit
+sums for the full routes, ``oracles.branch_cut`` for H, closed forms
+for the integrals). No integral moved in value: six moved in their
+count or in their refusal's message. Of the 40 route pins, 3 values
+moved, each towards its reference (1.8e-16 -> 3.8e-17 at
+h_plus_quadrature (0.4, 10, 10), 6.2e-17 -> 5.8e-17 and
+4.0e-17 -> 3.7e-17 at the two complex-a full routes); the worst
+relative distance stayed 3.8e-16 (h_minus_quadrature at
+(0.2, 6, 8+3i)), and 30 more moved in their evaluation counts only.
+In the stream 51 of 64 results moved, 3 of them in value (the worst of
+the three at 4.8e-17); the worst relative distance stayed 2.8e-16, and
+every value is within 1.3 of its estimate.
 """
 
 import cmath
@@ -107,46 +124,46 @@ from mxsum.kernel import integrate, kv_complex
 # full routes pin tail_terms_used instead of the estimate, which carries a
 # rounding floor (see test_evaluators); notes give the integrand evaluations
 ROUTES = {
-    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "8.599879728587932e-18", "125 integrand evaluations"),
-    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.01368078495450979+0j)", "3.037744501970347e-18", "113 integrand evaluations"),
-    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "3.6148040349059026e-17", "99 integrand evaluations"),
-    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "125 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "8.599879728587932e-18", "114 integrand evaluations"),
+    (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.01368078495450979+0j)", "3.037744501970347e-18", "96 integrand evaluations"),
+    (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "3.6148040349059026e-17", "88 integrand evaluations"),
+    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "114 integrand evaluations"),
     (0.5, 1.0, 6.0, "full_plus"): ("(0.25981041933403903+0j)", 3, ""),
-    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330801+0j)", "2.0211020435769285e-18", "124 integrand evaluations"),
-    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "6.586429140634393e-19", "123 integrand evaluations"),
-    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501215+0j)", "1.399636679111631e-15", "150 integrand evaluations"),
-    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "124 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330801+0j)", "2.0211020435769285e-18", "113 integrand evaluations"),
+    (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "6.586429140634393e-19", "112 integrand evaluations"),
+    (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501215+0j)", "1.399636679111631e-15", "139 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "113 integrand evaluations"),
     (0.25, 0.05, 2.0, "full_plus"): ("(6.65992405719362+0j)", 5, ""),
-    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.0960764998637107+0j)", "2.3075552236602768e-15", "138 integrand evaluations"),
-    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.7361954731252666e-17", "135 integrand evaluations"),
-    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.02399470653205321+0j)", "5.327895132201822e-18", "81 integrand evaluations"),
-    (0.75, 8.0, 3.0, "full_minus"): ("(0.1923904515344639+0j)", 4, "263 integrand evaluations"),
+    (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.0960764998637107+0j)", "2.3075552236602768e-15", "127 integrand evaluations"),
+    (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.7361954731252666e-17", "123 integrand evaluations"),
+    (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.02399470653205321+0j)", "5.327895132201822e-18", "71 integrand evaluations"),
+    (0.75, 8.0, 3.0, "full_minus"): ("(0.1923904515344639+0j)", 4, "247 integrand evaluations"),
     (0.75, 8.0, 3.0, "full_plus"): ("(0.1925097607999111+0j)", 4, ""),
-    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240315+0j)", "2.5666347368641764e-17", "224 integrand evaluations"),
-    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431373+0j)", "1.5823458829578353e-17", "154 integrand evaluations"),
-    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "3.518888530021102e-18", "117 integrand evaluations"),
-    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 2, "224 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240315+0j)", "2.5666347368641764e-17", "203 integrand evaluations"),
+    (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431372+0j)", "1.5823458829578353e-17", "138 integrand evaluations"),
+    (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "3.518888530021102e-18", "103 integrand evaluations"),
+    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 2, "203 integrand evaluations"),
     (0.4, 10.0, 10.0, "full_plus"): ("(0.15849648638993075+0j)", 2, ""),
-    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380461e-17", "128 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.596172253852066e-18", "123 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.2267327515252218-0.05256934453435508j)", "1.0386857076147189e-16", "103 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106392j)", 3, "383 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380461e-17", "117 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.596172253852066e-18", "112 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.2267327515252218-0.05256934453435508j)", "1.0386857076147189e-16", "93 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106391j)", 3, "293 integrand evaluations"),
     (0.5, 1.0, (4+1j), "full_plus"): ("(0.36370957015461075-0.08684116109610586j)", 3, ""),
-    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.0316382016021131j)", "3.776692236782066e-17", "124 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.05554241685756446+0.012938760983731912j)", "1.401300361559723e-17", "117 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.17682878930142512+0.04047658421494794j)", "8.195385293656851e-17", "92 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167093j)", 3, "200 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.0316382016021131j)", "3.776692236782066e-17", "113 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.05554241685756446+0.012938760983731912j)", "1.401300361559723e-17", "104 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.17682878930142512+0.04047658421494794j)", "8.195385293656851e-17", "82 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167093j)", 3, "151 integrand evaluations"),
     (0.3, 2.0, (5-2j), "full_plus"): ("(0.40972178339699455+0.09462362219598912j)", 3, ""),
-    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.132918540345233e-18", "132 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.177730071216475e-18", "132 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797435-0.2937924199940496j)", "7.424821747213494e-16", "143 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "132 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.132918540345233e-18", "122 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.177730071216475e-18", "121 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797435-0.2937924199940496j)", "7.424821747213494e-16", "133 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "122 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.9147221925073663-0.4043762032119788j)", 6, ""),
-    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883998j)", "1.362544955759445e-16", "235 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.020368158134486898j)", "4.028062846094565e-17", "212 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.06992832921559348-0.010097640652334799j)", "3.188717290081003e-17", "73 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 2, "201 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.06078310724450071j)", 2, ""),
+    (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883998j)", "1.362544955759445e-16", "221 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.020368158134486898j)", "4.028062846094565e-17", "189 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.06992832921559348-0.010097640652334799j)", "3.188717290081003e-17", "62 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 2, "167 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.060783107244500714j)", 2, ""),
 }
 # (nu, z) -> K_nu(z)
 KV = {
@@ -182,18 +199,19 @@ INTEGRANDS = {
 
 # name -> (repr(value), terms_used, repr(last_term_magnitude)), or
 # (exception type, message); every entry was recorded again when the
-# exp-exp map replaced exp-sinh (see the module docstring)
+# exp-exp map replaced exp-sinh, and six when a side came to end at its
+# first negligible node (see the module docstring)
 INTEGRALS = {
-    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 1.265e-18, estimate (-2.234345800582733e-18+0j))"),
-    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 8.044e-05, estimate (0.6666462518267274+0j))"),
-    "shifted-sqrt": ("(1.7724538509055159+0j)", 126, "2.220446049250313e-16"),
+    "centre-zero": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 9.983e-17, estimate (-1.942237229780584e-16+0j))"),
+    "left-half-only": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 8.044e-05, estimate (0.6666462518267269+0j))"),
+    "shifted-sqrt": ("(1.7724538509055159+0j)", 116, "2.220446049250313e-16"),
     "slow-power": ("NonConvergenceError", "quadrature reached its last node, t = 9000612417.173248, before the integrand became negligible: it must decay at least exponentially"),
-    "oscillating-exp": ("(0.12074722100148942+0.4115335092141813j)", 230, "2.7755575615628914e-17"),
+    "oscillating-exp": ("(0.12074722100148942+0.4115335092141813j)", 216, "2.7755575615628914e-17"),
     "zero": ("0j", 187, "0.0"),
     "inf-far": ("IntegrandError", "integrand returned an infinity at t = 5.301976662114237"),
     "nan-near": ("IntegrandError", "integrand returned NaN at t = 2.2131743100271307e-05"),
-    "off-centre-gaussian": ("(1.7724538509055137+0j)", 2023, "2.220446049250313e-16"),
-    "step-at-one": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 2.959e-05, estimate (0.36788695089119117+0j))"),
+    "off-centre-gaussian": ("(1.7724538509055137+0j)", 2013, "2.220446049250313e-16"),
+    "step-at-one": ("NonConvergenceError", "quadrature did not reach rel tol 1.0e-13 within 12 refinements (last delta 2.959e-05, estimate (0.3678869508911907+0j))"),
 }
 
 # (mu, lam, a, K, route) -> (repr(value), repr(error_estimate), notes);
@@ -252,12 +270,12 @@ BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
 # sha256 of the 64 results of _quadrature_stream, re-recorded when H
 # and J moved to their half-line variables, when the full routes at
 # |Im a| >= 1 moved to the rotated path, when the exp-exp map replaced
-# exp-sinh and when J at complex a moved onto the ray at arg(a)/2; and
-# of the 30 K_nu
+# exp-sinh, when J at complex a moved onto the ray at arg(a)/2 and when
+# a side came to end at its first negligible node; and of the 30 K_nu
 # values of _kv_stream, recorded again when CF2 and Temme's series
 # replaced the quadrature below |z| = 20 (the ten Hankel values did not
 # move)
-QUADRATURE_STREAM_SHA256 = "68b46931c90fb27001b9756e0883e15077853a58d0aed0a7370e361273c481d3"
+QUADRATURE_STREAM_SHA256 = "7645592edf15a02f85ffdeda65090b24b348d2124fec451b0af1cfd19bb8f95a"
 KV_STREAM_SHA256 = "995c28aa54ada48c540a83311e51ad5b2a7a6eef70944afd09df29801650dbab"
 
 ROUTE_FUNCTIONS = {

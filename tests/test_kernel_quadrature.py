@@ -54,9 +54,9 @@ def test_integrand_zero_near_the_centre():
 
 def test_negligible_stretch_before_the_mass():
     # the mass sits at ln t = -12, and the 1e-25 term falls outwards from
-    # the centre: on a refined level two falling nodes below 1e-19 of
-    # the mass lie between the centre and the peak; they must not end
-    # the side before the nodes under the peak
+    # the centre: on a refined level falling nodes below 1e-17 of the
+    # mass lie between the centre and the peak; they must not end the
+    # side before the nodes under the peak
     def peak(t):
         return math.exp(-((math.log(t) + 12.0) ** 2)) / t
 
@@ -66,7 +66,7 @@ def test_negligible_stretch_before_the_mass():
     # the edges of the coarser levels cost the scan no extra node
     r = integrate(peak)
     assert abs(r.value - math.sqrt(math.pi)) <= r.last_term_magnitude
-    assert r.terms_used == 203
+    assert r.terms_used == 186
 
 
 def test_level_budget_exhaustion_raises():
@@ -295,12 +295,14 @@ RETURN_TYPES = {
 # again when the exp-exp map replaced exp-sinh; against the exact values
 # (0.1, 3, sqrt(pi)/2 and 0.5 + 0.2931...i) the relative distances went
 # from 8.3e-17, 0, 4.3e-17 and 1.8e-17 to 5.0e-16, 0, 4.3e-17 and
-# 1.8e-17, each within 2x the rule's estimate
+# 1.8e-17, each within 2x the rule's estimate; the counts were recorded
+# again when a side came to end at its first negligible node, and no
+# value moved
 RETURN_TYPE_BITS = {
-    "damped-cosine": ("(0.09999999999999995+0j)", 445, "4.163336342344337e-17"),
-    "constant": ("(3+0j)", 121, "0.0"),
-    "real-mixed": ("(0.886226925452758+0j)", 119, "0.0"),
-    "complex-mixed": ("(0.5+0.29312676277195554j)", 230, "7.850462293418876e-17"),
+    "damped-cosine": ("(0.09999999999999995+0j)", 421, "4.163336342344337e-17"),
+    "constant": ("(3+0j)", 111, "0.0"),
+    "real-mixed": ("(0.886226925452758+0j)", 108, "0.0"),
+    "complex-mixed": ("(0.5+0.29312676277195554j)", 216, "7.850462293418876e-17"),
 }
 
 
