@@ -10,10 +10,12 @@ method runs for sign - and sign +, and the option it passes (``--tol``,
 or ``--K`` where the method has an asymptotic expansion). ``table`` and
 ``check`` write their report and judge it by the rows' own verdicts.
 
-A process imports only what its subcommand runs: this module imports
-no layer at load time, and each name a subcommand runs is imported on
-first use (``_LAZY``), so ``coeffs`` loads neither the evaluators nor
-the harness, and ``eval`` loads no harness.
+A process imports only what its subcommand runs: this module loads no
+layer, only ``mxsum.errors`` and ``mxsum.output`` (through which every
+subcommand writes), and looks each name a subcommand runs up on the
+package, whose ``__getattr__`` imports the defining module on first
+use; so ``coeffs`` loads neither the evaluators nor the harness, and
+``eval`` loads no harness.
 
 Exit status:
 
@@ -32,65 +34,21 @@ import argparse
 import sys
 
 from .errors import NonConvergenceError, PreconditionError
+from .output import open_destination, write_csv
 
 __all__ = ["cmd_check", "cmd_coeffs", "cmd_eval", "cmd_table", "main"]
 
-# the module of every name a subcommand runs, imported on first use by
-# this module's __getattr__. The cmd_* functions look each name up on
-# this module (``_cli``) per call, so a name replaced on it (as by the
-# benchmark's tracing) is the one that runs
-_LAZY = {
-    **dict.fromkeys(("a_coefficients", "b_coefficients", "bhat_coefficients"), "coefficients"),
-    **dict.fromkeys(
-        (
-            "SeriesParams",
-            "algebraic_minus",
-            "algebraic_plus",
-            "bessel_tail_minus",
-            "bessel_tail_plus",
-            "direct_sum",
-            "full_minus",
-            "full_plus",
-            "integer_mu_closed_form",
-            "j_mu_asymptotic",
-            "j_mu_quadrature",
-            "lambda0_plus",
-            "olver_lambda0_minus",
-            "small_a_minus",
-        ),
-        "evaluators",
-    ),
-    **dict.fromkeys(
-        (
-            "check_suite",
-            "emit_report",
-            "reproduce_table1",
-            "reproduce_table2",
-            "reproduce_table3",
-            "table2_convention_report",
-        ),
-        "harness",
-    ),
-    **dict.fromkeys(("open_destination", "write_csv"), "output"),
-}
-_cli = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
+# the package, on which every route, coefficient generator and report
+# writer a subcommand runs is looked up per call: a name replaced there
+# (as by the benchmark's tracing) is the one that runs
+_pkg = sys.modules[__package__]
 
 
 # every eval method: {keyword: (route for sign -, route for sign +)}. The
 # keyword is what the route takes from the command line: "tol", "K" (an
 # asymptotic expansion truncated at --K, run only when --K is given) or
 # None (the route sizes its own sums); a method with no "K" entry refuses
-# --K. Routes are named here and looked up on this module per call
+# --K. Routes are named here and looked up on the package per call
 _METHODS = {
     "oracle": {"tol": ("direct_sum", "direct_sum")},
     "small-a": {None: ("small_a_minus", "small_a_minus")},
@@ -255,7 +213,7 @@ def _run_method(method: str, p: SeriesParams, ns: argparse.Namespace) -> Evaluat
 
     routes = _METHODS[method]
     keyword = "K" if ns.K is not None else next(k for k in routes if k != "K")
-    route = getattr(_cli, routes[keyword][p.sign == "plus"])
+    route = getattr(_pkg, routes[keyword][p.sign == "plus"])
     result = route(p, **{keyword: getattr(ns, keyword)}) if keyword else route(p)
     return result[0] if method == "tail" else result
 
@@ -291,16 +249,16 @@ def _print_evaluation(evaluation: Evaluation, fmt: str, handle) -> None:
         json.dump(record, handle, indent=2, allow_nan=False)
         handle.write("\n")
         return
-    _cli.write_csv(handle, EVAL_CSV_HEADER, [record.values()])
+    write_csv(handle, EVAL_CSV_HEADER, [record.values()])
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    params = _cli.SeriesParams(ns.mu, ns.lam, complex(ns.a, ns.a_im), ns.sign)
+    params = _pkg.SeriesParams(ns.mu, ns.lam, complex(ns.a, ns.a_im), ns.sign)
     method = ns.method
     if method is None:
         method = "full" if ns.mu < 1.0 else "oracle"
     evaluation = _run_method(method, params, ns)
-    with _cli.open_destination(ns.output) as handle:
+    with open_destination(ns.output) as handle:
         _print_evaluation(evaluation, ns.format, handle)
     return 0
 
@@ -312,28 +270,28 @@ def _emit_judged(rows, ns: argparse.Namespace, judged=None) -> int:
     """Write the report; 0 if every judged row (by default every row)
     passed, else 1."""
 
-    _cli.emit_report(rows, ns.format, ns.output)
+    _pkg.emit_report(rows, ns.format, ns.output)
     return 0 if all(r.passed for r in (rows if judged is None else judged)) else 1
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
     if ns.table_id == 1:
-        return _emit_judged(_cli.reproduce_table1(), ns)
+        return _emit_judged(_pkg.reproduce_table1(), ns)
     if ns.table_id == 3:
-        return _emit_judged(_cli.reproduce_table3(), ns)
+        return _emit_judged(_pkg.reproduce_table3(), ns)
     if ns.convention is not None:
-        return _emit_judged(_cli.reproduce_table2(ns.convention), ns)
-    rows = _cli.table2_convention_report()
+        return _emit_judged(_pkg.reproduce_table2(ns.convention), ns)
+    rows = _pkg.table2_convention_report()
     # the marker row judges the rows of the convention that matched
     return _emit_judged(rows, ns, [r for r in rows if r.row_id.startswith("matching-")])
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    return _emit_judged(_cli.check_suite(), ns)
+    return _emit_judged(_pkg.check_suite(), ns)
 
 
 def cmd_coeffs(ns: argparse.Namespace) -> int:
-    generate = getattr(_cli, {
+    generate = getattr(_pkg, {
         "A": "a_coefficients",
         "B": "b_coefficients",
         "Bhat": "bhat_coefficients",
@@ -342,8 +300,8 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     records = [
         (table.kind, k, table.lam, value) for k, value in enumerate(table.values)
     ]
-    with _cli.open_destination(ns.output) as handle:
-        _cli.write_csv(handle, COEFFS_CSV_HEADER, records)
+    with open_destination(ns.output) as handle:
+        write_csv(handle, COEFFS_CSV_HEADER, records)
     return 0
 
 

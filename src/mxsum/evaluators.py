@@ -53,24 +53,12 @@ from .kernel import (
     sum_terms,
 )
 
-# the coefficient generators, imported on first use by this module's
-# __getattr__: routes that need none (the full, oracle, integer-mu and
-# lam = 0 routes) do not load mxsum.coefficients and its exact arithmetic.
-# Routes look each generator up on this module (``_ev``) per call, so one
-# replaced on it (as by the benchmark's tracing) is the one that runs
-_LAZY = dict.fromkeys(("a_coefficients", "b_coefficients", "bhat_coefficients"), "coefficients")
-_ev = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
-
+# the coefficient generators are looked up on the package per call
+# (``_pkg``), whose __getattr__ imports mxsum.coefficients on first use:
+# routes that need none (the full, oracle, integer-mu and lam = 0 routes)
+# do not load its exact arithmetic, and a generator replaced on the
+# package (as by the benchmark's tracing) is the one that runs
+_pkg = sys.modules[__package__]
 
 _PI = math.pi
 _SQRT_PI = math.sqrt(math.pi)
@@ -205,6 +193,14 @@ def _need_sign(p: SeriesParams, sign: str, route: str) -> None:
     if p.sign != sign:
         raise PreconditionError(
             f"{route} evaluates the {sign} sum; got sign = {p.sign!r}"
+        )
+
+
+def _need_index(K, route: str) -> None:
+    # an expansion truncated at K sums k = 0 .. K
+    if not isinstance(K, int) or K < 0:
+        raise PreconditionError(
+            f"{route} needs an integer truncation index K >= 0, got K = {K!r}"
         )
 
 
@@ -413,7 +409,7 @@ def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
     res = integrate(f, tol)
     pref = sigma * _apow(p.a, 1.0 - 2.0 * p.mu)
     value = complex(pref * res.value)
-    estimate = abs(pref) * max(res.last_term_magnitude, _EPS * res.abs_sum)
+    estimate = abs(pref) * res.last_term_magnitude
     if g1:
         cut = g1 * _apow(p.a, 1.0 - 2.0 * p.mu) * _half_beta(q)
         value += cut
@@ -503,7 +499,7 @@ def small_a_minus(p: SeriesParams) -> Evaluation:
         stop = (math.log(1e17) + lam) / (-2.0 * math.log(mod_a))
         K = 60 if stop > 54.0 else math.ceil(stop) + 6
         # the rounded coefficients are cached
-        coeff = _ev.a_coefficients(lam, K).values
+        coeff = _pkg.a_coefficients(lam, K).values
         acc: complex = 0.0
         apow: complex = 1.0
         abs_sum = 0.0
@@ -526,7 +522,7 @@ def small_a_minus(p: SeriesParams) -> Evaluation:
 
     # near the boundary: accelerate sum (-1)^k c_k over k < stages + 4
     stages = 36
-    coeff = _ev.a_coefficients(lam, stages + 3).values
+    coeff = _pkg.a_coefficients(lam, stages + 3).values
     gs = [g]
     for k in range(stages + 3):
         g *= (k + 0.5) / (k + 1.5 - mu)
@@ -592,9 +588,10 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     """
 
     _need_sign(p, "minus", "algebraic_minus")
+    _need_index(K, "algebraic_minus")
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
-    bvals = _ev.b_coefficients(p.lam, K + 1).values
+    bvals = _pkg.b_coefficients(p.lam, K + 1).values
     terms, omitted, grow_at = _inverse_a2_terms(p, bvals, K, False)
     pref = _apow(p.a, -2.0 * p.mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
@@ -614,6 +611,7 @@ def j_mu_asymptotic(p: SeriesParams, K: int = 5) -> Evaluation:
     summed k = 0 .. K inclusive. Exactly 1/lam at mu = 0.
     """
 
+    _need_index(K, "j_mu_asymptotic")
     if p.lam <= 0.0:
         raise PreconditionError("asymptotic J needs lam > 0")
     mu = p.mu
@@ -649,9 +647,10 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     """
 
     _need_sign(p, "plus", "algebraic_plus")
+    _need_index(K, "algebraic_plus")
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
-    bhat = _ev.bhat_coefficients(p.lam, K + 1).values
+    bhat = _pkg.bhat_coefficients(p.lam, K + 1).values
     terms, omitted, _ = _inverse_a2_terms(p, bhat, K, True)
     jpart = j_mu_asymptotic(p, K)
     pref = _apow(p.a, -2.0 * p.mu)
@@ -842,7 +841,7 @@ def bessel_tail_plus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
 
 
 def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
-    """Tail value reconstructed from display data (real a only).
+    """Tail value reconstructed from display data (real a > 0 only).
 
     T = 2^(3/2-mu) sqrt(pi) a^(1-2mu)/Gamma(mu)
         * sum_k magnitude_k * sin(pi mu - theta_k)/sin(pi mu).
@@ -854,6 +853,8 @@ def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
 
     if not 0.0 < mu < 1.0:
         raise PreconditionError("display form needs 0 < mu < 1")
+    if isinstance(a, complex) or not a > 0.0:
+        raise PreconditionError(f"display form needs a real a > 0, got a = {a!r}")
     s = math.fsum(
         t.magnitude * math.sin(_PI * mu - t.theta) for t in terms
     )
@@ -1084,10 +1085,11 @@ def j_mu_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
             return cexp(nlam * u) * (w2 * (u * u) + b2) ** nmu
 
     res = integrate(f, tol)
-    # at complex a the floor is 2 eps, as the ray's: w and the complex
-    # products and powers round more often than their float twins, and
-    # a seeded sweep of 300 points reached 1.96 eps abs_sum
-    floor = _EPS if p.real_a else 2.0 * _EPS
+    # integrate's estimate carries a floor of eps abs_sum; at complex a
+    # the floor is 2 eps, as the ray's: w and the complex products and
+    # powers round more often than their float twins, and a seeded sweep
+    # of 300 points reached 1.96 eps abs_sum
+    floor = 0.0 if p.real_a else 2.0 * _EPS
     return Evaluation(
         pref * res.value,
         "j-mu-quadrature",

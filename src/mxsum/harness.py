@@ -31,7 +31,7 @@ against the independently measured defect S - 1/(2 a^(2 mu)) - H,
 from a high-precision remainder (expected -pi for sign -, -2 pi for
 sign +), and ``emit_report`` writes rows as CSV or JSON with
 round-trip float formatting, through ``open_destination`` and
-``write_csv`` of ``mxsum.output`` (re-exported here). The
+``write_csv`` of ``mxsum.output``, which it uses but does not export. The
 high-precision S, H and J of the two checks come from
 ``mxsum.oracles``, imported only when a check runs, so the tables and
 the CLI start without mpmath.
@@ -62,7 +62,6 @@ __all__ = [
     "check_suite",
     "decay_rate_fit",
     "emit_report",
-    "open_destination",
     "reproduce_table1",
     "reproduce_table2",
     "reproduce_table3",
@@ -70,7 +69,6 @@ __all__ = [
     "table2_convention_report",
     "table_spec",
     "tail_agreement_check",
-    "write_csv",
 ]
 
 CSV_HEADER = (

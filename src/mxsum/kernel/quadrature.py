@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable, Iterable, Iterator
 
 from ..errors import IntegrandError, NonConvergenceError, PreconditionError
@@ -59,6 +60,7 @@ from .summation import SeriesSum
 
 __all__ = ["integrate"]
 
+_EPS = sys.float_info.epsilon
 _LN8 = math.log(8.0)
 # the nodes end where y = ln t leaves [-740, 23]: t would underflow at
 # one end and pass e^23 = 9.7e9 at the other
@@ -237,14 +239,14 @@ def integrate(f: Callable, tol: float = 1e-13) -> SeriesSum:
     """Integrate ``f(t)`` over (0, inf) to relative tolerance ``tol``.
 
     Returns a SeriesSum whose ``value`` is the integral, ``terms_used``
-    the number of integrand evaluations, ``last_term_magnitude`` the
-    difference between the last two refinement levels (the error
-    estimate) and ``abs_sum`` h times the sum of |weighted value|, the
-    integral of |f| by the same rule, which sets the rounding floor of
-    the value. Raises PreconditionError unless 0 < tol < 1,
-    NonConvergenceError when the refinement budget of 12 levels is
-    exhausted or when the integrand is not negligible at the last node
-    of a side (it must decay at least exponentially), and
+    the number of integrand evaluations, ``abs_sum`` h times the sum of
+    |weighted value|, the integral of |f| by the same rule, which sets
+    the rounding floor of the value, and ``last_term_magnitude`` the
+    error estimate: the difference between the last two refinement
+    levels, but at least eps * abs_sum. Raises PreconditionError unless
+    0 < tol < 1, NonConvergenceError when the refinement budget of 12
+    levels is exhausted or when the integrand is not negligible at the
+    last node of a side (it must decay at least exponentially), and
     IntegrandError when the integrand yields NaN or an infinity or
     raises OverflowError.
 
@@ -276,7 +278,11 @@ def integrate(f: Callable, tol: float = 1e-13) -> SeriesSum:
         estimate = new_estimate
         scale = max(abs(estimate), 1e-300)
         if level >= 2 and delta <= max(tol, 4e-16) * scale:
-            return SeriesSum(estimate, acc[5], delta, True, h * acc[4])
+            abs_sum = h * acc[4]
+            # two levels can agree to the bit on a value that is not
+            # exact, so the estimate is at least the rounding floor
+            delta = max(delta, _EPS * abs_sum)
+            return SeriesSum(estimate, acc[5], delta, True, abs_sum)
     raise NonConvergenceError(
         f"quadrature did not reach rel tol {tol:.1e} within "
         f"{_MAX_LEVELS} refinements (last delta {delta:.3e}, "

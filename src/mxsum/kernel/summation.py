@@ -32,6 +32,7 @@ class SeriesSum(NamedTuple):
     value: accumulated sum (complex; imaginary part 0.0 for real input)
     terms_used: number of terms (or function evaluations) consumed
     last_term_magnitude: |final increment|, the raw stopping quantity
+        (for ``integrate``, at least eps * abs_sum)
     converged: True when the stopping criterion was met within budget
     abs_sum: sum of |term| over the terms consumed
     """

@@ -6,7 +6,11 @@ the routes by name, full_* as ``route(p)`` and algebraic_* as
 and ``direct_sum(p, tol=...)``; ``bench/tracing.py`` counts the work of
 a call from ``.terms_used`` of the kernel sums, ``len(.values)`` of the
 coefficient tables and ``[0].tail_terms_used`` of the Bessel tails, and
-wraps these names on the modules that import them, the CLI included.
+wraps these names on the package ``mxsum`` and on the modules that
+import them (the kernel and the routes in ``evaluators``, the routes in
+``harness``). The CLI and the evaluators hold none of the routes,
+coefficient generators and report writers they run: they look each up
+on the package per call, so a name wrapped there is the one that runs.
 """
 
 import io
@@ -15,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import mxsum
 from mxsum import cli, evaluators, kernel
+from mxsum.evaluators import SeriesParams
 
 ROUTES = (
     "algebraic_minus",
@@ -104,35 +109,100 @@ def test_counted_results():
         assert len(getattr(mxsum, name)(1.0, 4).values) == 5
 
 
+def _counted(calls, name, fn):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def _run(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
 def test_wrapped_names_are_the_ones_called(monkeypatch):
     for name in ROUTES:
         assert callable(getattr(mxsum, name)) and callable(getattr(evaluators, name))
     for name in KERNEL:
         assert callable(getattr(evaluators, name)), name
     for name in COEFFICIENTS:
-        for module in (mxsum, evaluators, cli):
-            assert callable(getattr(module, name)), (module, name)
-    # a route replaced on the CLI module is the one `mxsum eval` runs, for
+        assert callable(getattr(mxsum, name)), name
+    # a route replaced on the package is the one `mxsum eval` runs, for
     # every method and sign, and with --K where a method takes it
     calls = []
-
-    def counted(route):
-        def call(*args, **kwargs):
-            calls.append(route.__name__)
-            return route(*args, **kwargs)
-
-        return call
-
     for name in set(EVAL_ROUTES.values()):
-        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        monkeypatch.setattr(mxsum, name, _counted(calls, name, getattr(mxsum, name)))
     assert {method for method, _, _ in EVAL_ROUTES} == set(cli._METHODS) | {None}
     for (method, sign, K), name in EVAL_ROUTES.items():
         argv = ["eval", "--sign", sign] + EVAL_POINTS[method]
         argv += [] if method is None else ["--method", method]
         argv += [] if K is None else ["--K", K]
         calls.clear()
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            status = cli.main(argv)
         # small_a_minus refuses the sign + sum itself
-        assert status == (3 if (method, sign) == ("small-a", "plus") else 0), argv
+        assert _run(argv) == (3 if (method, sign) == ("small-a", "plus") else 0), argv
         assert calls == [name], argv
+
+
+def test_wrapped_reports_are_the_ones_called(monkeypatch):
+    # a coefficient generator replaced on the package is the one `mxsum
+    # coeffs` runs, and a table, the check suite and the report writer
+    # replaced there are the ones `mxsum table` and `mxsum check` run
+    calls = []
+    for name in COEFFICIENTS:
+        monkeypatch.setattr(mxsum, name, _counted(calls, name, getattr(mxsum, name)))
+    for kind, name in zip(("A", "B", "Bhat"), COEFFICIENTS):
+        calls.clear()
+        assert _run(["coeffs", kind, "--K", "3"]) == 0, kind
+        assert calls == [name], kind
+
+    written = []
+
+    def report(name):
+        def make(*args):
+            rows = []
+            written.append((name, args, rows))
+            return rows
+
+        return make
+
+    for name in (
+        "reproduce_table1",
+        "reproduce_table2",
+        "reproduce_table3",
+        "table2_convention_report",
+        "check_suite",
+    ):
+        monkeypatch.setattr(mxsum, name, report(name))
+    monkeypatch.setattr(mxsum, "emit_report", lambda rows, *rest: written.append(rows))
+    for argv, name, args in (
+        (["table", "1"], "reproduce_table1", ()),
+        (["table", "2"], "table2_convention_report", ()),
+        (["table", "2", "--convention", "phi"], "reproduce_table2", ("phi",)),
+        (["table", "3"], "reproduce_table3", ()),
+        (["check"], "check_suite", ()),
+    ):
+        written.clear()
+        assert _run(argv) == 0, argv
+        assert len(written) == 2 and written[0][:2] == (name, args), argv
+        assert written[1] is written[0][2], argv
+
+
+def test_wrapped_generators_are_the_ones_the_routes_call(monkeypatch):
+    # a coefficient generator replaced on the package is the one the
+    # expansion routes call: algebraic_minus B, algebraic_plus Bhat, and
+    # small_a_minus A in both of its branches (plain within |a| = 0.7,
+    # accelerated beyond)
+    calls = []
+    for name in COEFFICIENTS:
+        monkeypatch.setattr(mxsum, name, _counted(calls, name, getattr(mxsum, name)))
+    for route, p, name in (
+        (evaluators.algebraic_minus, SeriesParams(0.5, 1.0, 8.0), "b_coefficients"),
+        (evaluators.algebraic_plus, SeriesParams(0.5, 1.0, 8.0, "plus"), "bhat_coefficients"),
+        (evaluators.small_a_minus, SeriesParams(0.5, 1.0, 0.5), "a_coefficients"),
+        (evaluators.small_a_minus, SeriesParams(0.5, 1.0, 0.9), "a_coefficients"),
+    ):
+        calls.clear()
+        assert math.isfinite(abs(route(p).value)), (route, p)
+        assert calls == [name], (route, p)

@@ -225,6 +225,13 @@ def test_eval_precondition_exits_3(capsys):
          "--method", "small-a"],
         ["eval", "--mu", "1.5", "--a", "3", "--method", "full"],
     ]
+    # a negative --K printed 0.0 (j-mu) or the lead term alone (algebraic)
+    # and exited 0
+    for method in ("algebraic", "j-mu"):
+        for sign in ("minus", "plus"):
+            for K in ("-1", "-3"):
+                cases.append(["eval", "--sign", sign, "--mu", "0.5", "--a", "8",
+                              "--method", method, "--K", K])
     for argv in cases:
         assert main(argv) == 3, argv
         err = capsys.readouterr().err

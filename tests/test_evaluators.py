@@ -242,6 +242,8 @@ def test_bessel_tail_minus_value_and_display():
     # the sin-form reconstruction agrees to the last digit
     alt = tail_display_form(0.5, 3.0, terms)
     assert abs(alt - ev.value.real) < 1e-19, (alt, ev.value.real)
+    assert repr(alt) == "-6.357838246954497e-05"
+    assert tail_display_form(0.5, 3, terms) == alt
 
 
 def test_bessel_tail_plus_much_smaller():
@@ -269,6 +271,33 @@ def test_bessel_tail_domain():
         bessel_tail_minus(SeriesParams(0.5, 80.0, complex(0.05, 1.4)))
     with pytest.raises(PreconditionError):
         tail_display_form(1.5, 3.0, [])
+    # the sin form holds for real a > 0 only: at a = 3 + 0.5i it gave
+    # 9.35e-6 against the tail's 6.05e-6 + 7.10e-5i, at a = -3 a complex
+    # number
+    _, terms = bessel_tail_minus(SeriesParams(0.5, 1.0, complex(3.0, 0.5)))
+    for a in (complex(3.0, 0.5), complex(3.0, 0.0), -3.0, 0.0, math.nan):
+        with pytest.raises(PreconditionError):
+            tail_display_form(0.5, a, terms)
+
+
+def test_expansions_refuse_a_bad_truncation_index():
+    # an expansion truncated at K sums k = 0 .. K: a negative K summed
+    # nothing (j_mu_asymptotic returned 0.0) or the lead term alone (both
+    # algebraic routes returned 1/(2 a^(2 mu))), and a K that is not an
+    # int raised TypeError or the coefficient generators' refusal
+    minus = SeriesParams(0.5, 1.0, 8.0)
+    plus = SeriesParams(0.5, 1.0, 8.0, "plus")
+    for route, p in (
+        (algebraic_minus, minus),
+        (algebraic_plus, plus),
+        (j_mu_asymptotic, minus),
+        (j_mu_asymptotic, plus),
+    ):
+        for K in (-1, -3, 2.0, "2", None):
+            with pytest.raises(PreconditionError, match="truncation index"):
+                route(p, K=K)
+        # K = 0 is the lead term of each series
+        assert route(p, K=0).truncation_index == 0
 
 
 def test_full_routes_match_direct():
