@@ -6,10 +6,16 @@ Numerical notes that shape the implementation:
 
 * B_k = (-1)^k 2^(-2k-1) p_2k(tanh(lam/2)) is benign: the polynomial is
   evaluated exactly (coefficients grow like (2k)!, so float Horner would
-  lose digits long before k = 50). tanh(lam/2) is rounded to binary64
-  first, so u = n/d with d a power of two, and B_k is exact integer
-  Horner over the dyadic u, one correctly rounded division: the bits
-  that exact rational arithmetic gives, without a Fraction per step.
+  lose digits long before k = 50). Its argument is a dyadic rational
+  u = n/2^s: tanh(lam/2) rounded to binary64 where that is at most 1/2
+  (lam <= ln 3), and above, u = 1 - delta exactly, with
+  delta = 2/(e^lam + 1) in binary64. As tanh(lam/2) -> 1 the value
+  rests on 1 - u^2 = delta (2 - delta), which then keeps delta's
+  relative error, where rounding tanh itself would leave B 9e-9 off at
+  lam = 20 and 2e-4 off at lam = 30. B_k is exact integer Horner over
+  u, in which every power of 2^s is a shift, and one correctly rounded
+  division by a power of two: the bits that exact rational arithmetic
+  gives, without a Fraction per step.
 * Bhat_k = 2^(-2k-1) [p_2k(coth x) - (2k)!/x^(2k+1)], x = lam/2, hides
   a subtraction of two nearly equal quantities whose ratio to the
   result grows like (|x - i pi| / x)^(2k+1); at lam = 1, k = 8 that is
@@ -21,22 +27,24 @@ Numerical notes that shape the implementation:
   cancellation surviving the exact arithmetic. Each q_m is exact,
   from the integer tangent number T_m (see ``kernel.zeta``), and
   computed once per process. For lam >= 4 the direct subtraction
-  is exact as well (integer Horner over the dyadic coth x, both terms
-  over one common denominator, one correctly rounded division), but
-  coth x is rounded to binary64 first, and that rounding is amplified:
-  the relative error is about 6e-10 at lam = 4, k = 8 and 1e-3 at
-  k = 20.
+  is exact as well: coth x and x are both dyadic, so both terms go over
+  one common denominator, a power of two times xn^(2k+1) for x = xn/2^t,
+  by the same shifts, and one correctly rounded division. But coth x is
+  rounded to binary64 first, and that rounding is amplified: the
+  relative error is about 6e-10 at lam = 4, k = 8 and 1e-3 at k = 20
+  (ROADMAP item 2).
 * A_k comes from dividing the even power series of sin(lam x)/(lam x)
   by that of sinh(pi x)/(pi x). Each A_k is homogeneous of degree k in
   (lam^2, pi^2), so it is kept as one row, indexed by the power of
   lam^2, of exact rationals each rounded to binary64 once.
 
-Every memo here (the p_m, the q_m, the exact e_n behind the A rows, the
-rows, and the Bhat_k of the coth series per (lam, k)) is a ``functools``
-cache of a pure function with an immutable result, so threads need no
-lock: two that miss at once compute the same value twice. p_m and e_n
-recurse on their predecessor, so a cold call is as deep as its index; B
-and Bhat ask for p_0, p_2, p_4, ... and the A rows for e_0, e_1, ... in
+Every memo here (the p_m, the odd coefficients of p_2k, the q_m, the
+exact e_n behind the A rows, the rows, and the Bhat_k of the coth series
+per (lam, k)) is a ``functools`` cache of a pure function with an
+immutable result, so threads need no lock: two that miss at once compute
+the same value twice. p_m and e_n recurse on their predecessor, so a
+cold call is as deep as its index; B and Bhat ask for p_0, p_2, p_4, ...
+(through the odd-coefficient memo) and the A rows for e_0, e_1, ... in
 ascending order, so each call finds its predecessor cached and recurses
 a few frames at most.
 """
@@ -144,38 +152,73 @@ def _check_k(K: int, cap: int) -> None:
         )
 
 
-def _scaled_poly(k: int, n: int, d: int) -> int:
-    """d^(2k+1) p_2k(n/d), exactly, by integer Horner.
+@functools.cache
+def _odd_coeffs(k: int) -> tuple[int, ...]:
+    """The coefficients c_k, .., c_0 of u^(2k+1), .., u of p_2k, highest
+    first: p_2k is odd of degree 2k+1."""
 
-    p_2k is odd of degree 2k+1, so with c_i the coefficient of u^(2i+1)
-    this is n sum_i c_i (n^2)^i (d^2)^(k-i).
+    return _derivative_coeffs(2 * k)[::-2]
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(n, s) with x = n/2^s exactly, n odd unless x is an integer."""
+
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _scaled_poly(k: int, n: int, s: int) -> int:
+    """2^(s(2k+1)) p_2k(n/2^s), exactly, by integer Horner.
+
+    With c_i the coefficient of u^(2i+1) this is
+    n sum_i c_i (n^2)^i 2^(2s(k-i)), so each power of 2^(2s) is a shift.
     """
 
-    n2, d2 = n * n, d * d
-    acc, d2_pow = 0, 1
-    for c in reversed(_derivative_coeffs(2 * k)[1::2]):
-        acc = acc * n2 + c * d2_pow
-        d2_pow *= d2
+    n2, step = n * n, 2 * s
+    acc, shift = 0, 0
+    for c in _odd_coeffs(k):
+        acc = acc * n2 + (c << shift)
+        shift += step
     return acc * n
+
+
+def _tanh_half(lam: float) -> tuple[int, int]:
+    """u = n/2^s standing for tanh(lam/2).
+
+    Up to 1/2 (lam <= ln 3), tanh(lam/2) rounded to binary64. Above,
+    u = 1 - delta exactly, with delta = 2/(e^lam + 1) in binary64, formed
+    as 2q/(1 + q), q = e^-lam, which cannot overflow: 1 - u^2 =
+    delta (2 - delta) then keeps delta's relative error of a few eps,
+    where rounding tanh itself would leave an absolute error of eps in
+    u, and so a relative one of about eps e^lam in 1 - u^2.
+    """
+
+    u = math.tanh(0.5 * lam)
+    if u <= 0.5:
+        return _dyadic(u)
+    q = math.exp(-lam)
+    n, s = _dyadic(2.0 * q / (1.0 + q))
+    return (1 << s) - n, s
 
 
 def b_coefficients(lam: float, K: int) -> CoefficientTable:
     """B_k = (-1)^k 2^(-2k-1) p_2k(tanh(lam/2)), k = 0..K.
 
-    tanh(lam/2) is rounded to binary64 first, so u = n/d with d a power
-    of two; B_k is then exact integer Horner over the dyadic u and one
-    correctly rounded division: (-1)^k d^(2k+1) p_2k(u) / (2d)^(2k+1).
+    tanh(lam/2) is taken as the dyadic u = n/2^s of ``_tanh_half``:
+    rounded to binary64 up to lam = ln 3, and 1 - delta above. B_k is
+    then exact integer Horner over u and one correctly rounded division
+    by a power of two: (-1)^k 2^(s(2k+1)) p_2k(u) / 2^((s+1)(2k+1)).
     """
 
     lam = float(lam)
     if not lam > 0.0:
         raise PreconditionError("b_coefficients needs lam > 0")
     _check_k(K, _MAX_DERIVATIVE_ORDER // 2)
-    n, d = math.tanh(0.5 * lam).as_integer_ratio()
+    n, s = _tanh_half(lam)
     values = []
     for k in range(K + 1):
-        num = _scaled_poly(k, n, d)
-        values.append((-num if k % 2 else num) / (2 * d) ** (2 * k + 1))
+        num = _scaled_poly(k, n, s)
+        values.append((-num if k % 2 else num) / (1 << ((s + 1) * (2 * k + 1))))
     return CoefficientTable("B", lam, K, values)
 
 
@@ -233,10 +276,12 @@ def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
     ``_BHAT_SERIES_CACHE`` entries keyed on (float lam, k): a table at a
     lam already seen, at any K, reuses its values, and the bits are the
     same however the cache was filled. lam >= 4: coth x is rounded to
-    binary64 first, so coth x = n/d with d a power of two, and the
-    difference is exact integer Horner over the dyadic coth x, put over
-    the common denominator (2 d xn)^(2k+1) with x = xn/xd, and one
-    correctly rounded division.
+    binary64 first, so coth x = n/2^s and x = xn/2^t are dyadic, and the
+    difference is exact integer Horner over coth x, put over the common
+    denominator 2^((s+1)(2k+1)) xn^(2k+1) by shifts, and one correctly
+    rounded division. That rounding of coth x leaves Bhat_k at lam >= 4
+    off by a relative 2e-11 at lam = 6, k = 8, growing with k (ROADMAP
+    item 2).
     """
 
     lam = float(lam)
@@ -252,16 +297,21 @@ def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
     if lam < 4.0:
         values = [_bhat_series(lam, k) for k in range(K + 1)]
     else:
-        # coth x = n/d and x = xn/xd; over the common denominator
-        # d^(2k+1) xn^(2k+1), p_2k(coth x) - (2k)!/x^(2k+1) is one integer
-        n, d = (1.0 / math.tanh(0.5 * lam)).as_integer_ratio()
-        xn, xd = (0.5 * lam).as_integer_ratio()
+        # coth x = n/2^s and x = xn/2^t; over the common denominator
+        # 2^(s(2k+1)) xn^(2k+1), p_2k(coth x) - (2k)!/x^(2k+1) is one
+        # integer, and xn^(2k+1) and (2k)! carry over from k - 1
+        n, s = _dyadic(1.0 / math.tanh(0.5 * lam))
+        xn, t = _dyadic(0.5 * lam)
+        xn2 = xn * xn
+        xn_pow, fact = xn, 1
         values = []
         for k in range(K + 1):
             # coth's derivatives share tanh's polynomials, at u = coth x
             e = 2 * k + 1
-            num = _scaled_poly(k, n, d) * xn**e - math.factorial(2 * k) * (xd * d) ** e
-            values.append(num / (2 * d * xn) ** e)
+            num = _scaled_poly(k, n, s) * xn_pow - (fact << ((s + t) * e))
+            values.append(num / (xn_pow << ((s + 1) * e)))
+            xn_pow *= xn2
+            fact *= e * (e + 1)
     return CoefficientTable("Bhat", lam, K, values)
 
 

@@ -21,10 +21,11 @@ Routes provided:
   argument, which refuses when its term budget runs out;
 * ``full_minus`` / ``full_plus``: 1/(2a^(2mu)) + H (+ J) + tail, an
   exact representation that must close against ``direct_sum``. For
-  |Im a| >= 1 the path of H is rotated onto the ray t = x/a, where a t
-  is real: H and the dominant Bessel sum collapse into one
-  non-oscillating integral over x in (0, inf), and only the
-  subdominant Bessel sum is left, with no sector condition on a;
+  |Im a| >= 1, and below it where the tail's first argument is steep,
+  the path of H is rotated onto the ray t = x/a, where a t is real: H
+  and the dominant Bessel sum collapse into one non-oscillating
+  integral over x in (0, inf), and only the subdominant Bessel sum is
+  left, with no sector condition on a at |Im a| >= 1;
 * ``j_mu_quadrature`` / ``j_mu_asymptotic``: the Laplace-type integral
   J that enters the plus case;
 * ``olver_lambda0_minus`` / ``lambda0_plus``: lam = 0 reductions, whose
@@ -76,6 +77,12 @@ _H_SUBTRACT_Q = 1e-4
 # |Im a| from which the full routes take the rotated path; below it the
 # branch point x = a of the ray integrand comes within 1 of the real axis
 _ROTATE_IM_A = 1.0
+# below that, the rotated path is taken where the first Bessel argument
+# X_0 = base pi a + i lam a of the straight path's tail turns steep,
+# lam Re a > _ROTATE_STEEP Re X_0, unless |Im a| < _ROTATE_MIN_IM_A (see
+# _rotated_path)
+_ROTATE_STEEP = 50.0
+_ROTATE_MIN_IM_A = 0.02
 
 
 class _SeriesFields(NamedTuple):
@@ -553,29 +560,35 @@ def small_a_minus(p: SeriesParams) -> Evaluation:
 # large-a algebraic expansions
 
 
-def _inverse_a2_terms(
+def _inverse_a2_sum(
     p: SeriesParams, coeffs: list[float], K: int, alternating: bool
-) -> tuple[list[complex], float, int]:
-    """Terms 1/2, c_0 f_0, .., c_K f_K of an expansion in 1/a^2, with
+) -> tuple[complex, float, int]:
+    """Sum of 1/2, c_0 f_0, .., c_K f_K, an expansion in 1/a^2 with
     f_k = (mu)_k/(k! a^(2k)) and the sign (-1)^k if ``alternating``.
 
-    Also returns |c_(K+1) f_(K+1)|, the first omitted term, and the
-    first k >= 1 whose term outgrows the one before it (0 if none does).
+    The real and the imaginary parts of the terms are each summed with
+    one rounding (fsum), as ``csum`` sums them. Also returns
+    |c_(K+1) f_(K+1)|, the first omitted term, and the first k >= 1
+    whose term outgrows the one before it (0 if none does).
     """
 
     inv_a2 = 1.0 / (p.a * p.a)
-    terms: list[complex] = [0.5]
+    re, im = [0.5], [0.0]
     factor: complex = 1.0
-    grow_at = 0
+    grow_at, last = 0, 0.0
     for k in range(K + 1):
         t = factor * coeffs[k]
         if alternating and k % 2:
             t = -t
-        terms.append(t)
-        if k >= 1 and abs(t) > abs(terms[-2]) and grow_at == 0:
+        re.append(t.real)
+        im.append(t.imag)
+        size = abs(t)
+        if k >= 1 and size > last and grow_at == 0:
             grow_at = k
+        last = size
         factor *= (p.mu + k) * inv_a2 / (k + 1.0)
-    return terms, abs(factor * coeffs[K + 1]), grow_at
+    total = complex(math.fsum(re), math.fsum(im))
+    return total, abs(factor * coeffs[K + 1]), grow_at
 
 
 def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
@@ -592,11 +605,11 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bvals = _pkg.b_coefficients(p.lam, K + 1).values
-    terms, omitted, grow_at = _inverse_a2_terms(p, bvals, K, False)
+    total, omitted, grow_at = _inverse_a2_sum(p, bvals, K, False)
     pref = _apow(p.a, -2.0 * p.mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
     return Evaluation(
-        complex(pref * csum(terms)),
+        complex(pref * total),
         "algebraic-minus",
         abs(pref) * omitted,
         truncation_index=K,
@@ -618,20 +631,26 @@ def j_mu_asymptotic(p: SeriesParams, K: int = 5) -> Evaluation:
     half_la = 0.5 * p.lam * p.a
     inv2 = 1.0 / (half_la * half_la)
 
-    terms: list[complex] = []
+    # the real and the imaginary parts summed with one rounding each, as
+    # csum sums them, in the pass that makes the terms
+    re: list[float] = []
+    im: list[float] = []
     t: complex = 1.0 / half_la
-    grow_at = 0
+    grow_at, last = 0, 0.0
     for k in range(K + 1):
-        terms.append(t)
-        if k >= 1 and abs(t) > abs(terms[-2]) and grow_at == 0:
+        re.append(t.real)
+        im.append(t.imag)
+        size = abs(t)
+        if k >= 1 and size > last and grow_at == 0:
             grow_at = k
+        last = size
         t *= -(0.5 + k) * (mu + k) * inv2
     omitted = abs(t)
 
     pref = 0.5 * _apow(p.a, 1.0 - 2.0 * mu)
     notes = f"terms grow from k = {grow_at}" if grow_at else ""
     return Evaluation(
-        complex(pref * csum(terms)),
+        complex(pref * complex(math.fsum(re), math.fsum(im))),
         "j-mu-asymptotic",
         abs(pref) * omitted,
         truncation_index=K,
@@ -651,11 +670,11 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bhat = _pkg.bhat_coefficients(p.lam, K + 1).values
-    terms, omitted, _ = _inverse_a2_terms(p, bhat, K, True)
+    total, omitted, _ = _inverse_a2_sum(p, bhat, K, True)
     jpart = j_mu_asymptotic(p, K)
     pref = _apow(p.a, -2.0 * p.mu)
     return Evaluation(
-        complex(pref * csum(terms) + jpart.value),
+        complex(pref * total + jpart.value),
         "algebraic-plus",
         abs(pref) * omitted + jpart.error_estimate,
         truncation_index=K,
@@ -980,7 +999,7 @@ def _subdominant_tail(p: SeriesParams) -> Evaluation:
 
 
 def _full_rotated(p: SeriesParams) -> Evaluation:
-    """A full route for |Im a| >= 1, on the path rotated onto t = x/a.
+    """A full route on the path rotated onto t = x/a (see _rotated_path).
 
     The segment t in [0, 1] of H is deformed onto the ray t = x/a and
     back along t = 1 + x/a; no pole of 1/sinh(pi a t) and no point of
@@ -1004,21 +1023,51 @@ def _full_rotated(p: SeriesParams) -> Evaluation:
     return e if q is p else e._replace(value=e.value.conjugate())
 
 
+def _rotated_path(p: SeriesParams) -> bool:
+    """Whether the full routes take the rotated path at p.
+
+    Always at |Im a| >= 1. Below it, where the straight path's tail is
+    defined (Re X_0 = base pi Re a - lam |Im a| > 0) and its first
+    argument steep, lam Re a > 50 Re X_0: H's sin(lam a t) then turns
+    through many periods per decay length of its 1/sinh(pi a t), and H
+    cancels against the Bessel sum. In seeded probes (|Im a| 0.1 to
+    0.9, lam 2 to 3000, steepness 4 to 7000, both signs) the straight
+    path first missed 2x its estimate at a steepness of 133 and refused
+    from 430, while the rotated one stayed within 1.2x of its estimate
+    up to 400 (2.05x at worst, at 899) and took no more time from 30
+    on; the benchmark's full-points draws no steepness above 29. Below
+    |Im a| = 0.02 the branch point x = a of the ray integrand comes so
+    close to the real axis that the ray refused (at 0.002 and 0.005)
+    where the straight path served.
+    """
+
+    im = abs(p.a.imag)
+    if im >= _ROTATE_IM_A:
+        return True
+    if im < _ROTATE_MIN_IM_A:
+        return False
+    base = 2.0 if p.sign == "plus" else 1.0
+    re_x0 = base * _PI * p.a.real - p.lam * im
+    return re_x0 > 0.0 and p.lam * p.a.real > _ROTATE_STEEP * re_x0
+
+
 def full_minus(p: SeriesParams) -> Evaluation:
     """Exact representation: 1/(2a^(2mu)) + H^- + tail.
 
     Not an asymptotic truncation; closes against direct_sum to
     combined component tolerance. Requires 0 < mu < 1 (tail); lam = 0
     collapses H to zero and reproduces the classical alternating
-    lam = 0 formula. For |Im a| >= 1 the path is rotated (Im a > 0,
-    Im a < 0 by conjugation):
+    lam = 0 formula. For |Im a| >= 1, and below it where the tail's
+    first argument is steep (see _rotated_path), the path is rotated
+    (Im a > 0, Im a < 0 by conjugation):
 
         S = 1/(2a^(2mu)) + int_0^inf sin(lam x)/sinh(pi x) (a^2 - x^2)^-mu dx
             + (2 sqrt(pi)/Gamma(mu)) a^(1-2mu)
               * sum_k (2/Y_k)^(1/2-mu) K_(1/2-mu)(Y_k),
 
     Y_k = ((2k+1) pi - i lam) a, and Re Y_k > 0 for every Re a > 0, so
-    the tail's sector pi Re a > lam |Im a| is not needed there. The
+    the tail's sector pi Re a > lam |Im a| is not needed at |Im a| >= 1
+    (below it, outside the sector, the route refuses). The
     notes give the evaluations of H's or the ray's quadrature. The
     error estimate is the sum of the parts' estimates, floored at
     eps * sum |part|.
@@ -1026,7 +1075,7 @@ def full_minus(p: SeriesParams) -> Evaluation:
 
     _need_sign(p, "minus", "full_minus")
     _check_full_mu(p, "use algebraic_minus at mu = 0, where it is exact")
-    if abs(p.a.imag) >= _ROTATE_IM_A:
+    if _rotated_path(p):
         return _full_rotated(p)
     h = h_minus_quadrature(p, 1e-14)
     tail = _bessel_tail(p, "minus")
@@ -1103,10 +1152,10 @@ def full_plus(p: SeriesParams) -> Evaluation:
 
     Requires 0 < mu < 1 and lam > 0 (the lam = 0 case has its own
     closed form, see lambda0_plus; mu = 0 is served exactly by
-    algebraic_plus). For |Im a| >= 1 the path is rotated as in
-    full_minus: J, the ray integral with an extra exp(-pi x) in its
+    algebraic_plus). Where full_minus rotates its path, so does this
+    route: J, the ray integral with an extra exp(-pi x) in its
     integrand, and the subdominant sum over Y_k = ((2k+2) pi - i lam) a,
-    with no sector condition. The error estimate is the sum of the
+    with no sector condition at |Im a| >= 1. The error estimate is the sum of the
     parts' estimates, floored at eps * sum |part|.
     """
 
@@ -1114,7 +1163,7 @@ def full_plus(p: SeriesParams) -> Evaluation:
     _check_full_mu(p, "use algebraic_plus at mu = 0")
     if p.lam <= 0.0:
         raise PreconditionError("full representation needs lam > 0")
-    if abs(p.a.imag) >= _ROTATE_IM_A:
+    if _rotated_path(p):
         return _full_rotated(p)
     j = j_mu_quadrature(p, 1e-14)
     h = h_plus_quadrature(p, 1e-14)

@@ -251,11 +251,13 @@ def test_eval_nonconvergence_exits_4(capsys):
 
 def test_eval_full_near_mu_one_overflow_exits_4(capsys):
     # near mu = 1, H's g(1) = sin(lam a)/sinh(pi a) overflows at
-    # |Im(lam a)| = 900; that was a traceback and exit 1, the status of a
-    # failed report row
+    # |Im(lam a)| = 760; that was a traceback and exit 1, the status of a
+    # failed report row. The full route takes H's straight path here
+    # because |Im a| < 0.02; at (0.99999, 1000, 300 + 0.9i), where this
+    # test first overflowed, it now takes the rotated path and returns
     rc = main(
-        ["eval", "--mu", "0.99999", "--lambda", "1000", "--a", "300",
-         "--a-im", "0.9", "--method", "full"]
+        ["eval", "--mu", "0.99999", "--lambda", "40000", "--a", "300",
+         "--a-im", "0.019", "--method", "full"]
     )
     assert rc == 4
     err = capsys.readouterr().err

@@ -118,10 +118,21 @@ def test_b_against_quadrature_oracle():
             assert abs(vals[k] - ref) <= 1e-10 * max(1.0, abs(ref)), (lam, k)
 
 
+def _tanh_half(lam):
+    # u for tanh(lam/2), as b_coefficients takes it: tanh rounded to
+    # binary64 up to 1/2 (lam <= ln 3), and 1 - delta above, with
+    # delta = 2/(e^lam + 1) in binary64
+    u = math.tanh(0.5 * lam)
+    if u <= 0.5:
+        return Fraction(u)
+    q = math.exp(-lam)
+    return 1 - Fraction(2.0 * q / (1.0 + q))
+
+
 def _fraction_horner_b(lam, K):
     # B_k by Fraction Horner, the reference: exact rational arithmetic
-    # over u = tanh(lam/2) rounded to binary64, one float() at the end
-    u = Fraction(math.tanh(0.5 * lam))
+    # over the dyadic u of tanh(lam/2), one float() at the end
+    u = _tanh_half(lam)
     return [
         float(
             _horner(_p(2 * k), u) * Fraction((-1) ** k, 2 ** (2 * k + 1))
@@ -155,17 +166,75 @@ def _reprs_or_overflow(fn, lam, K):
 
 def test_integer_horner_keeps_fraction_bits():
     # one correctly rounded int/int division of the same exact rational
-    # that float(Fraction) rounds: every bit equal, overflow included
+    # that float(Fraction) rounds: every bit equal, overflow included,
+    # at K = 0 as at K = 100, and on both sides of lam = ln 3, where B
+    # switches from tanh(lam/2) rounded to 1 - delta
     rng = random.Random(14)
+    ln3 = math.log(3.0)
     lams = [math.exp(rng.uniform(math.log(0.05), math.log(30.0))) for _ in range(8)]
-    for lam in lams + [0.05, 30.0]:
+    lams += [0.05, 30.0, ln3, math.nextafter(ln3, 0.0), math.nextafter(ln3, 2.0)]
+    lams += [rng.uniform(0.8, ln3) for _ in range(3)] + [rng.uniform(ln3, 1.5) for _ in range(3)]
+    assert any(math.tanh(0.5 * lam) <= 0.5 for lam in lams)
+    assert any(0.5 < math.tanh(0.5 * lam) < 0.6 for lam in lams)
+    for lam in lams:
         want = _reprs_or_overflow(_fraction_horner_b, lam, 100)
         got = _reprs_or_overflow(lambda lam, K: b_coefficients(lam, K).values, lam, 100)
         assert got == want, lam
-    for lam in [rng.uniform(4.0, 30.0) for _ in range(5)] + [4.0, 30.0]:
+        assert [repr(v) for v in b_coefficients(lam, 0).values] == want[:1], lam
+    for lam in [rng.uniform(4.0, 30.0) for _ in range(5)] + [4.0, 30.0, 80.0]:
         want = _reprs_or_overflow(_fraction_horner_bhat, lam, 100)
         got = _reprs_or_overflow(lambda lam, K: bhat_coefficients(lam, K).values, lam, 100)
         assert got == want, lam
+        assert [repr(v) for v in bhat_coefficients(lam, 0).values] == want[:1], lam
+
+
+# The 80-digit grid: lam on both sides of ln 3 and of Bhat's switch at 4,
+# up to lam = 30, where B from a rounded tanh(lam/2) would be 5e-4 off;
+# k up to 40. The bound is relative; B's worst is 1.9e-14, at (lam 1,
+# k 30), from the rounding of tanh(1/2) itself
+_GRID_LAMS = (0.2, 1.0, 3.99, 4.0, 6.0, 12.0, 20.0, 30.0)
+_GRID_KS = (0, 1, 8, 20, 30, 40)
+_GRID_REL = 3e-14
+
+
+def _grid_misses(kind, values_at, lams=_GRID_LAMS):
+    misses = []
+    for lam in lams:
+        values = values_at(lam)
+        for k in _GRID_KS:
+            ref = coefficient(kind, k, lam, dps=80)
+            err = abs((values[k] - ref) / ref)
+            if not err <= _GRID_REL:
+                misses.append((lam, k, float(err)))
+    return misses
+
+
+def test_b_against_80_digits():
+    assert _grid_misses("B", lambda lam: b_coefficients(lam, 40).values) == []
+
+
+def _bhat_values(lam):
+    # below lam = 4 each Bhat_k is its own coth series, which the table
+    # would sum for every k <= 40 (15 s at lam = 3.99): take the grid's
+    # k alone, the values bhat_coefficients puts in its table
+    if lam < 4.0:
+        return {k: coefficients._bhat_series(lam, k) for k in _GRID_KS}
+    return bhat_coefficients(lam, 40).values
+
+
+def test_bhat_against_80_digits_below_4():
+    lams = [lam for lam in _GRID_LAMS if lam < 4.0]
+    assert _grid_misses("Bhat", _bhat_values, lams) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: Bhat at lam >= 4 subtracts (2k)!/x^(2k+1) from "
+    "p_2k(coth x) with coth x rounded first (2.2e-11 off at lam 6, k 8)",
+)
+def test_bhat_against_80_digits_from_4():
+    lams = [lam for lam in _GRID_LAMS if lam >= 4.0]
+    assert _grid_misses("Bhat", _bhat_values, lams) == []
 
 
 def test_bhat_frozen_values():
@@ -381,7 +450,9 @@ def test_concurrent_cold_coefficients_give_the_same_bits():
 # in ascending order; the A rows and e_n recurse within their index cap
 # of 60; and the Bernoulli numbers, which have none (the coth series of
 # Bhat below lam = 4 reaches m = k + 1500), come from a table of
-# tangent numbers built by loops, with no recursion at all.
+# tangent numbers built by loops, with no recursion at all. The memo of
+# p_2k's odd coefficients, which B and Bhat read, asks for p_2k in the
+# same ascending order, on B's tanh and 1 - delta paths alike.
 # Prints the sha256 of the repr of the values named by argv[1].
 _DEPTH_SCRIPT = """
 import hashlib, sys
@@ -392,6 +463,8 @@ from mxsum.kernel import bernoulli_even
 
 CALLS = {
     "b": lambda: b_coefficients(1.0, 100).values,
+    "b-delta": lambda: b_coefficients(20.0, 100).values,
+    "odd-coeffs": lambda: [coefficients._odd_coeffs(k) for k in range(101)],
     "bhat-poly": lambda: bhat_coefficients(6.0, 100).values,
     "bhat-series": lambda: bhat_coefficients(1.0, 100).values,
     "a": lambda: a_coefficients(1.0, 60).values,
@@ -404,6 +477,8 @@ print(hashlib.sha256(repr(CALLS[sys.argv[1]]()).encode()).hexdigest())
 def test_cold_memos_stay_shallow():
     want = {
         "b": b_coefficients(1.0, 100).values,
+        "b-delta": b_coefficients(20.0, 100).values,
+        "odd-coeffs": [coefficients._odd_coeffs(k) for k in range(101)],
         "bhat-poly": bhat_coefficients(6.0, 100).values,
         "bhat-series": bhat_coefficients(1.0, 100).values,
         "a": a_coefficients(1.0, 60).values,

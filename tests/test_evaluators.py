@@ -942,14 +942,38 @@ def test_h_integrand_past_sin_overflow(monkeypatch):
                 # plus integrand underflows to 0 there
                 tol = 4.0 * abs(lam * a) * sys.float_info.epsilon
                 assert abs(got - want) <= tol * abs(want) + 1e-300, (sign, u, got, want)
-    # with it the plus sum lands within its estimate; the minus sum's H
-    # swings through about 1,100 periods of sin(lam a t) on its decay
-    # length, and runs out of refinement levels instead
-    s = explicit_sum(mu, lam, a, "plus").value
-    ok, actual = _meets_estimate(full_plus(SeriesParams(mu, lam, a, "plus")), s)
+    # with it the plus sum on H's straight path lands within its
+    # estimate; the minus sum's H swings through about 1,100 periods of
+    # sin(lam a t) on its decay length, and runs out of refinement levels
+    # instead (full_minus takes the rotated path here: see
+    # test_full_routes_rotate_where_the_tail_is_steep)
+    p = SeriesParams(mu, lam, a, "plus")
+    straight = evaluators._full(
+        p,
+        "full-plus",
+        [
+            j_mu_quadrature(p, 1e-14),
+            h_plus_quadrature(p, 1e-14),
+            evaluators._bessel_tail(p, "plus"),
+        ],
+    )
+    ok, actual = _meets_estimate(straight, explicit_sum(mu, lam, a, "plus").value)
     assert ok, actual
     with pytest.raises(NonConvergenceError, match="within 12 refinements"):
-        full_minus(SeriesParams(mu, lam, a))
+        h_minus_quadrature(SeriesParams(mu, lam, a), 1e-14)
+
+
+def test_full_routes_rotate_where_the_tail_is_steep():
+    # below |Im a| = 1 the full routes take the rotated path where the
+    # straight tail's first argument is steep, lam Re a > 50 Re X_0; here
+    # the steepness is 7062, 678 and 934 (minus) and 305, 217 and 379
+    # (plus). On the straight path full_minus refused all three, and
+    # full_plus missed its estimate 4.1x at the third
+    for mu, lam, a in [(0.5, 1000.0, 300 + 0.9j), (0.5, 1000.0, 300 + 0.5j), (0.5, 2000.0, 1000 + 0.5j)]:
+        for fn, sign in ((full_minus, "minus"), (full_plus, "plus")):
+            got = fn(SeriesParams(mu, lam, a, sign))
+            ok, actual = _meets_estimate(got, explicit_sum(mu, lam, a, sign).value)
+            assert ok, (lam, a, sign, actual, got.error_estimate)
 
 
 def _h_sweep():
