@@ -83,6 +83,9 @@ _ROTATE_IM_A = 1.0
 # _rotated_path)
 _ROTATE_STEEP = 50.0
 _ROTATE_MIN_IM_A = 0.02
+# the relative slack of _kv_bound over its own rounding and that of
+# kv_complex (1.9e-15 at worst)
+_KV_BOUND_SLACK = 1.0 + 1e-13
 
 
 class _SeriesFields(NamedTuple):
@@ -389,8 +392,9 @@ def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
             t, w = 1.0, exp(q * (ln4 + x))
         else:
             e = exp(x)
-            t = (-expm1(x) if x > -0.7 else 1.0 - e) / (1.0 + e)
-            w = (4.0 * e / ((1.0 + e) * (1.0 + e))) ** q
+            d = 1.0 + e
+            t = (-expm1(x) if x > -0.7 else 1.0 - e) / d
+            w = (4.0 * e / (d * d)) ** q
             if t < 1e-150:  # sin and sinh would round to 0/0
                 return (g0 - g1) * w
         try:
@@ -692,12 +696,22 @@ def _kv_sums(
     """sum_k (2/Z_k)^nu K_nu(Z_k), nu = 1/2 - mu, for each offset, over
     Z_k = (2k + base) pi a + offset, all in one loop.
 
-    The loop stops once a term of the first sum falls below 1e-18 of
-    its plain running sum; NonConvergenceError past _tail_budget(p).
-    Returns the sums, each Neumaier-compensated in its real and
-    imaginary parts, the number of terms, the magnitude of the first
-    sum's last term and the mass sum |Z_k| |term| over every sum. The
-    mass sets the rounding floor: K_nu(Z) falls like e^-Z, so the
+    The loop stops at whichever comes first: a term of the first sum
+    below 1e-18 of its plain running sum, or _kv_bound's bound on the
+    first sum's next term below that level, which saves the K_nu call
+    that would only confirm the stop. NonConvergenceError past
+    _tail_budget(p). Returns the sums, each compensated in its real and
+    imaginary parts, the number of terms, a bound on the omitted terms
+    of every sum together, and the mass sum |Z_k| |term| over every sum.
+
+    The omitted terms: Re Z_k grows by 2 pi Re a a term and |Z_k| grows
+    too, so for |nu| <= 1/2 (mu <= 1) the bound falls at least by
+    r = e^(-2 pi Re a) a term, and the bound on each sum's first omitted
+    term over (1 - r) bounds all of them. At |nu| > 1/2, where the
+    lam = 0 routes take mu > 1, its power |Z|^(mu-1) rises, by a factor
+    that tends to 1 as |Z| grows, and the same sum is an estimate.
+
+    The mass sets the rounding floor: K_nu(Z) falls like e^-Z, so the
     rounding of Z_k, about eps |Z_k|, becomes a relative error of its
     term. ``pairs``, if given, receives the (Z_k, K_nu(Z_k)) of the
     first sum.
@@ -713,34 +727,34 @@ def _kv_sums(
     mass = 0.0
     last_mag = 0.0
     budget = _tail_budget(p)
+    ma = base * _PI * a
     for k in range(budget):
-        ma = (2 * k + base) * _PI * a
         for off, acc in zip(offsets, accs):
             Z = ma + off
             kv = kv_complex(nu, Z)
             w = (2.0 / Z) ** nu * kv
             mass += abs(Z) * abs(w)
+            # TwoSum: the exact rounding error of each addition to the carry
             re_total, re_carry, im_total, im_carry = acc
             x = w.real
             total = re_total + x
-            if abs(re_total) >= abs(x):
-                re_carry += (re_total - total) + x
-            else:
-                re_carry += (x - total) + re_total
+            b = total - re_total
+            re_carry += (re_total - (total - b)) + (x - b)
             y = w.imag
             im = im_total + y
-            if abs(im_total) >= abs(y):
-                im_carry += (im_total - im) + y
-            else:
-                im_carry += (y - im) + im_total
+            b = im - im_total
+            im_carry += (im_total - (im - b)) + (y - b)
             acc[:] = total, re_carry, im, im_carry
             if acc is first:
                 last_mag = abs(w)
                 if pairs is not None:
                     pairs.append((Z, kv))
-        if last_mag <= 1e-18 * max(abs(complex(first[0], first[2])), 1e-300):
+        stop = 1e-18 * max(abs(complex(first[0], first[2])), 1e-300)
+        ma = (2 * (k + 1) + base) * _PI * a  # of the next term
+        if last_mag <= stop or _kv_bound(nu, ma + offsets[0]) <= stop:
             sums = [complex(r + rc, i + ic) for r, rc, i, ic in accs]
-            return sums, k + 1, last_mag, mass
+            omitted = sum(_kv_bound(nu, ma + off) for off in offsets)
+            return sums, k + 1, omitted / -math.expm1(-2.0 * _PI * a.real), mass
     raise NonConvergenceError(
         f"Bessel sum did not reach its 1e-18 stop within its budget of "
         f"{budget} terms (last term {last_mag:.3e} of sum "
@@ -748,17 +762,49 @@ def _kv_sums(
     )
 
 
+def _kv_bound(nu: float, Z: complex) -> float:
+    """A bound on |(2/Z)^nu K_nu(Z)| for real nu and Re Z > 0.
+
+    The Hankel expansion stopped after its first term, with Olver's
+    error bound (DLMF 10.40.10-11, l = 1; |ph Z| <= pi/2):
+
+        |K_nu(Z)| <= sqrt(pi/(2|Z|)) e^(-Re Z) (1 + b e^b),
+        b = |nu^2 - 1/4|/|Z|,
+
+    and |(2/Z)^nu| = (2/|Z|)^nu. It holds at every |Z|, and is within
+    1.5x of the term from |Z| = 1 at |nu| <= 1/2. The factor
+    _KV_BOUND_SLACK covers the rounding of the bound and of K_nu itself.
+    Past b = 700, where e^b nears overflow, the bound is inf: there
+    |Z| < 0.014 |nu^2 - 1/4|, and no sum stops (its terms still rise or
+    stay level).
+    """
+
+    r = abs(Z)
+    b = abs(nu * nu - 0.25) / r
+    if b > 700.0:
+        return math.inf
+    return (
+        (2.0 / r) ** nu
+        * math.sqrt(_PI / (2.0 * r))
+        * math.exp(-Z.real)
+        * (1.0 + b * math.exp(b))
+        * _KV_BOUND_SLACK
+    )
+
+
 def _tail_budget(p: SeriesParams) -> int:
     """Terms every Bessel sum is allowed.
 
     A term is about |Z_k|^(mu-1) e^(-Re Z_k) once |Z_k| passes |nu|, and
-    Re Z_k grows by 2 pi Re a a term: the 1e-18 stop takes about
+    Re Z_k grows by 2 pi Re a a term: the stop at 1e-18 of the sum (a
+    term, or the bound on the next, below it; see _kv_sums) takes about
     ln(1e18)/(2 pi Re a) terms, 3 mu more in the exponent for the power
     and the plateau before |nu|, and at steep a, where |Z_k| is |a|/Re a
     times Re Z_k, twice (mu - 1) ln(|a|/Re a) more; 30 more terms cover
     the slower start at small |Z_k|. In seeded probes of 1600 sums
     (mu 0.05 to 10, Re a 1e-3 to 5, |Im a| up to 30, lam = 0 and lam > 0,
-    both bases) every sum below the cap stopped within 0.93 of this.
+    both bases) every sum below the cap stopped within 0.93 of this; the
+    stop on the bound of the next term saves at most one term of that.
     Capped at 10^4 + 30 (half a second of K_nu calls), so Re a below
     about 6.6e-4 refuses instead of running for seconds.
     """
@@ -782,8 +828,9 @@ def _bessel_tail(
     with I3 the reflected sum over conj-type arguments
     Y_k = (2k+?) pi a - i lam a; for real a, I3 = conj(I2) exactly and
     2 Re I2 is returned. Gamma(1-mu) keeps the prefactor regular for
-    all 0 < mu < 1 (no 1/sin(pi mu)). The estimate is the next term's
-    size, floored at eps |prefactor| sum |X_k| |term| (see _kv_sums).
+    all 0 < mu < 1 (no 1/sin(pi mu)). The estimate is |prefactor| times
+    the bound on the omitted terms of both sums, floored at
+    eps |prefactor| sum |X_k| |term| (see _kv_sums).
     ``pairs`` collects (X_k, K_nu(X_k)) as in _kv_sums.
     """
 
@@ -807,21 +854,19 @@ def _bessel_tail(
 
     ila = 1j * lam * a
     offsets = (ila,) if p.real_a else (ila, -ila)
-    sums, n, last_mag, mass = _kv_sums(p, base, offsets, pairs)
+    sums, n, omitted, mass = _kv_sums(p, base, offsets, pairs)
 
     i2 = rot * apw * gpref * sums[0]
     if p.real_a:
         value: complex = complex(2.0 * i2.real)
-        mass *= 2.0  # I3 = conj(I2) carries the same terms
+        # I3 = conj(I2) carries the same terms
+        omitted *= 2.0
+        mass *= 2.0
     else:
         i3 = -1j * cmath.exp(1j * _PI * mu) * apw * gpref * sums[1]
         value = i2 + i3
-    # next term is down by ~ exp(-2 pi Re a)
     scale = abs(apw) * gpref
-    err = max(
-        2.0 * scale * last_mag * math.exp(-2.0 * _PI * a.real),
-        _EPS * scale * mass,
-    )
+    err = scale * max(omitted, _EPS * mass)
     return Evaluation(value, f"bessel-tail-{sign}", err, tail_terms_used=n)
 
 
@@ -839,10 +884,11 @@ def bessel_tail_minus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
     """Exponentially small tail of the alternating sum.
 
     Arguments X_k = (2k+1) pi a + i lam a; leading magnitude
-    O(a^(1-2mu) exp(-pi a)). Terms are added until one contributes
-    less than 1e-18 relatively, within the budget of _tail_budget
-    (NonConvergenceError past it, at Re a below about 6.6e-4). Also
-    returns the per-term display data (theta_k, magnitudes).
+    O(a^(1-2mu) exp(-pi a)). Terms are added until one, or a proven
+    bound on the next (DLMF 10.40.10-11), falls below 1e-18 of the sum,
+    within the budget of _tail_budget (NonConvergenceError past it, at
+    Re a below about 6.6e-4). Also returns the per-term display data
+    (theta_k, magnitudes) of the terms summed.
     """
 
     return _displayed_tail(p, "minus")
@@ -945,7 +991,7 @@ def _ray_quadrature(p: SeriesParams) -> Evaluation:
     if p.lam == 0.0:
         return Evaluation(0j, "ray", 0.0, notes="integrand vanishes when lam = 0")
     lam, a2, nmu, g0 = p.lam, p.a * p.a, -p.mu, p.lam / _PI
-    sin, sinh, exp, npi = math.sin, math.sinh, math.exp, -_PI
+    sin, sinh, exp, pi, npi = math.sin, math.sinh, math.exp, _PI, -_PI
     with_exp = p.sign == "plus"
     c = max(1.0, 4.0 * min(1.0, _PI / lam))
 
@@ -959,7 +1005,7 @@ def _ray_quadrature(p: SeriesParams) -> Evaluation:
         elif x < 1e-150:  # sin and sinh would round to 0/0
             v = g0
         else:
-            v = sin(lam * x) / sinh(_PI * x)
+            v = sin(lam * x) / sinh(pi * x)
             if with_exp:
                 v *= exp(npi * x)
         return v * (a2 - x * x) ** nmu
@@ -980,20 +1026,19 @@ def _subdominant_tail(p: SeriesParams) -> Evaluation:
     over Y_k = (2k + base) pi a - i lam a, base 1 for sign - and 2 for
     sign +, for Im a > 0 (Re Y_k > 0).
 
-    This is (1 - e^(-2 pi i mu)) I3 of the Bessel tail. Terms fall by
-    r = e^(-2 pi Re a) or faster, so the omitted ones add up to at most
-    r/(1 - r) times the last; the estimate is that, floored at rounding.
+    This is (1 - e^(-2 pi i mu)) I3 of the Bessel tail. The sum stops as
+    _kv_sums does, and the estimate is |prefactor| times _kv_sums' bound
+    on the omitted terms (a proven one for mu <= 1), floored at rounding.
     At lam = 0 it is the Bessel sum of the lam = 0 routes.
     """
 
     base = 2.0 if p.sign == "plus" else 1.0
-    sums, n, last_mag, mass = _kv_sums(p, base, (-1j * p.lam * p.a,))
+    sums, n, omitted, mass = _kv_sums(p, base, (-1j * p.lam * p.a,))
     pref = 2.0 * _SQRT_PI / gamma_real(p.mu) * _apow(p.a, 1.0 - 2.0 * p.mu)
-    r = math.exp(-2.0 * _PI * p.a.real)
     return Evaluation(
         pref * sums[0],
         "subdominant-tail",
-        abs(pref) * max(last_mag * r / (1.0 - r), _EPS * mass),
+        abs(pref) * max(omitted, _EPS * mass),
         tail_terms_used=n,
     )
 

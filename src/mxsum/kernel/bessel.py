@@ -88,7 +88,8 @@ def _asymptotic(nu: float, z: complex) -> complex:
     term = 1.0 + 0j
     acc = term
     for k in range(1, 41):
-        term = term * ((four_nu2 - (2.0 * k - 1.0) ** 2) / (8.0 * k)) / z
+        m = 2.0 * k - 1.0
+        term = term * ((four_nu2 - m * m) / (8.0 * k)) / z
         acc += term
         if abs(term) <= 1e-17 * abs(acc):
             return pref * acc

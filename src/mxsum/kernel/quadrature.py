@@ -13,8 +13,13 @@ double exponentially in s at both ends. The slope 5/8 and the scale
 and J integrals among slopes 1/2 to 1 and scales 1/32 to 1/4.
 
 Every integrand takes the one-argument form ``f(t)`` and returns a
-float, an int or a complex, used as it is: a float's ``.real``,
-``.imag`` and ``abs`` are those of its complex value. The abscissa t is
+float, an int or a complex, used as it is. A float (or int) value is
+summed on a path with no imaginary part, and gives the same bits as
+``complex(x, 0.0)`` would; an integrand may mix the two from node to
+node. Each weighted value is added by TwoSum, whose exact rounding error
+goes to a carry. A NaN or an infinity is caught once per node, on the
+running absolute mass: the refusal then says whether the integrand
+returned it or its weighted value overflowed. The abscissa t is
 its own exact distance to the endpoint 0, so a factor singular there,
 such as ``t**-0.5``, is evaluated accurately down to t = 1e-300. An
 integral over another range is brought onto (0, inf) by its caller: the
@@ -165,14 +170,21 @@ def _scan(
     edge already kept.
 
     ``acc`` is (real total, real carry, imaginary total, imaginary carry,
-    absolute mass, evaluations); the two sums are Neumaier-compensated.
+    absolute mass, evaluations). Each weighted value is added by TwoSum,
+    the carry taking each addition's exact rounding error (the error
+    Neumaier's branch on the larger magnitude gives, with no ``abs``); a
+    float value skips the imaginary sum, and a zero imaginary part adds
+    nothing. Finiteness is checked once per node, on the absolute mass:
+    it is NaN or infinite once any value so far is, so one comparison
+    replaces a test of every value, and it also catches a finite value
+    whose weighted value overflows (see _non_finite).
     """
 
     re_total, re_carry, im_total, im_carry, abs_mass, evals = acc
     start, start_mass = evals, abs_mass
-    isfinite = cmath.isfinite
+    cut, inf = _TRUNC_FRACTION, math.inf
     streak = 0
-    prev_mag = math.inf
+    prev_mag = inf
     # 0.0 until the side meets a nonzero value, then the |weighted value|
     # of the last node that ended a streak (before any, of the first
     # nonzero node)
@@ -181,38 +193,41 @@ def _scan(
         evals += 1
         try:
             z = f(t)
-            finite = isfinite(z)  # an int beyond float range overflows here
+            v = w * z  # an int beyond float range overflows here
         except OverflowError as exc:
             raise IntegrandError(f"integrand overflowed at t = {t!r}") from exc
-        if not finite:
-            what = "NaN" if z != z else "an infinity"
-            raise IntegrandError(f"integrand returned {what} at t = {t!r}")
-        v = w * z
-        x = v.real
-        total = re_total + x
-        if abs(re_total) >= abs(x):
-            re_carry += (re_total - total) + x
-        else:
-            re_carry += (x - total) + re_total
-        re_total = total
-        x = v.imag
-        if x or im_total - im_total:  # +-0 to a finite total: no change
-            total = im_total + x
-            if abs(im_total) >= abs(x):
-                im_carry += (im_total - total) + x
-            else:
-                im_carry += (x - total) + im_total
-            im_total = total
-        mag = abs(v)
+        try:
+            mag = abs(v)
+        except OverflowError:  # finite parts, but |v| past the float range
+            mag = inf
         abs_mass += mag
-        if mag <= _TRUNC_FRACTION * abs_mass and mag <= prev_mag:
+        # a NaN or an infinity in this weighted value makes the mass one
+        if not abs_mass < inf:
+            raise _non_finite(z, t)
+        # TwoSum: the exact rounding error of each addition goes to the
+        # carry; a float has no imaginary part, and a zero one adds nothing
+        if type(v) is float:
+            x = v
+        else:
+            x = v.imag
+            if x:
+                total = im_total + x
+                b = total - im_total
+                im_carry += (im_total - (total - b)) + (x - b)
+                im_total = total
+            x = v.real
+        total = re_total + x
+        b = total - re_total
+        re_carry += (re_total - (total - b)) + (x - b)
+        re_total = total
+        if mag <= cut * abs_mass and mag <= prev_mag:
             if mag or seen:  # a 0 before any nonzero value is no tail
                 seen = seen or mag
                 streak += 1
                 reach = first + spacing * (evals - start - 1)
                 if not edges or reach > edges[0][0]:
                     break
-                floor = _TRUNC_FRACTION * abs_mass
+                floor = cut * abs_mass
                 if not any(reach < r and m > floor for r, m in edges):
                     break
         else:  # mag > 0 here
@@ -235,6 +250,20 @@ def _scan(
     return re_total, re_carry, im_total, im_carry, abs_mass, evals
 
 
+def _non_finite(z, t: float) -> IntegrandError:
+    """The refusal at the node t whose value z made the mass NaN or
+    infinite: z itself, or its weighted value (or the mass) overflowed."""
+
+    if cmath.isfinite(z):
+        return IntegrandError(
+            f"weighted value overflowed at t = {t!r}: the integrand returned "
+            f"{z!r}, which is finite, but weight * value or the absolute mass "
+            f"is not"
+        )
+    what = "NaN" if z != z else "an infinity"
+    return IntegrandError(f"integrand returned {what} at t = {t!r}")
+
+
 def integrate(f: Callable, tol: float = 1e-13) -> SeriesSum:
     """Integrate ``f(t)`` over (0, inf) to relative tolerance ``tol``.
 
@@ -247,7 +276,8 @@ def integrate(f: Callable, tol: float = 1e-13) -> SeriesSum:
     0 < tol < 1, NonConvergenceError when the refinement budget of 12
     levels is exhausted or when the integrand is not negligible at the
     last node of a side (it must decay at least exponentially), and
-    IntegrandError when the integrand yields NaN or an infinity or
+    IntegrandError when the integrand yields NaN or an infinity, when a
+    finite value's weighted value overflows, or when the integrand
     raises OverflowError.
 
     The sum h * sum(weighted values) runs over successively halved h,

@@ -119,7 +119,8 @@ def test_eval_json_and_csv(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["method"] == "bessel-tail-minus"
     assert abs(record["value_re"] + 6.357838246954497e-05) < 1e-17
-    assert record["tail_terms_used"] == 4
+    # one term fewer since the sum stops on a bound of its next term
+    assert record["tail_terms_used"] == 3
 
     rc = main(
         ["eval", "--mu", "0.5", "--a", "3", "--method", "tail", "--format", "csv"]
@@ -202,18 +203,19 @@ def test_eval_algebraic(sign, K, value, index, capsys):
 
 def test_eval_lambda0_term_cap(capsys):
     # the Bessel sums of lambda0 and tail size themselves: at a = 0.2 the
-    # lambda0 sum needs 34 terms, at a = 0.08 the tail 78, and a fixed
+    # lambda0 sum needs 33 terms, at a = 0.08 the tail 77 (34 and 78
+    # before the sums stopped on a bound of their next term), and a fixed
     # cap of 30 (the old --K default) refused both with exit 4
     argv = ["eval", "--mu", "0.75", "--lambda", "0", "--a", "0.2",
             "--method", "lambda0"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "tail_terms_used = 34" in out
+    assert "tail_terms_used = 33" in out
     assert "value = 10.442027486375242" in out
     argv = ["eval", "--mu", "0.5", "--lambda", "1", "--a", "0.08",
             "--method", "tail"]
     assert main(argv) == 0
-    assert "tail_terms_used = 78" in capsys.readouterr().out
+    assert "tail_terms_used = 77" in capsys.readouterr().out
 
 
 def test_eval_precondition_exits_3(capsys):

@@ -32,7 +32,8 @@ from mxsum.evaluators import (
     small_a_minus,
     tail_display_form,
 )
-from mxsum.evaluators import _tail_budget
+from mxsum import evaluators
+from mxsum.evaluators import _kv_bound, _tail_budget
 from mxsum.oracles import branch_cut, explicit_sum, lambda0_sum, laplace
 
 
@@ -235,7 +236,9 @@ def test_bessel_tail_minus_value_and_display():
     # 40-digit reference: -6.3578382469545e-05
     assert abs(ev.value.real + 6.357838246954492e-05) < 1e-17
     assert ev.value.imag == 0.0  # real a collapses to 2 Re I2 exactly
-    assert ev.tail_terms_used == 4
+    # the bound on the fourth term stops the sum: 3 terms (4 with the
+    # K_nu call that only confirmed the stop)
+    assert ev.tail_terms_used == 3
     mags = [t.magnitude for t in terms]
     assert mags == sorted(mags, reverse=True)
     assert terms[0].k == 0
@@ -317,11 +320,13 @@ def test_full_routes_match_direct():
 
 def test_bessel_tail_term_cap_refuses():
     # at Re a = 0.08 the terms fall by e^(-2 pi 0.08) ~ 0.6 a term, and
-    # the 1e-18 stop takes 78 of them; a fixed 30 used to refuse here.
+    # the 1e-18 stop takes 77 of them (78 before the bound on the next
+    # term saved the one that confirmed the stop); a fixed 30 used to
+    # refuse here.
     # The budget now grows like 1/Re a up to 10^4 + 30 terms, which
     # Re a = 5e-4 would need more than: there the sum refuses
     tail, terms = bessel_tail_minus(SeriesParams(0.5, 1.0, 0.08))
-    assert tail.tail_terms_used == len(terms) == 78
+    assert tail.tail_terms_used == len(terms) == 77
     with pytest.raises(NonConvergenceError, match="budget of 10030 terms"):
         bessel_tail_minus(SeriesParams(0.5, 1.0, 5e-4))
 
@@ -357,14 +362,11 @@ def _lambda0(p):
     return (olver_lambda0_minus if p.sign == "minus" else lambda0_plus)(p)
 
 
-def test_tail_budget_covers_every_bessel_sum():
+def _budget_grid():
     # mu in 0.05 .. 10, Re a log-uniform on 1e-3 .. 5, three points in
     # four at complex a (|Im a| up to 30), both bases: the lam = 0 routes
-    # for every mu, the tails at lam > 0 for mu < 1. Each sum stops
-    # inside its budget with room to spare, or refuses at the cap; the
-    # budget without its steep-a term ran out at (2.1, 0.0011 - 0.27i)
+    # for every mu, the tails at lam > 0 for mu < 1; yields (route, params)
     rng = random.Random(19)
-    worst = 0.0
     for i in range(60):
         mu = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
         re_a = math.exp(rng.uniform(math.log(1e-3), math.log(5.0)))
@@ -372,9 +374,8 @@ def test_tail_budget_covers_every_bessel_sum():
         a = complex(re_a, im_a)
         sign = "plus" if i % 3 == 2 else "minus"
         p = SeriesParams(mu, 0.0, a, sign)
-        routes = []
         if sign == "minus" or mu > 0.5:
-            routes.append((_lambda0, p))
+            yield _lambda0, p
         if mu < 1.0:
             # lam > 0, inside the tail's sector base pi Re a > lam |Im a|
             base = 1.0 if sign == "minus" else 2.0
@@ -382,16 +383,89 @@ def test_tail_budget_covers_every_bessel_sum():
             if im_a:
                 lam = min(lam, 0.9 * base * math.pi * re_a / abs(im_a))
             tail = bessel_tail_minus if sign == "minus" else bessel_tail_plus
-            routes.append((lambda q: tail(q)[0], p._replace(lam=lam)))
-        for route, q in routes:
-            budget = _tail_budget(q)
-            try:
-                used = route(q).tail_terms_used
-            except NonConvergenceError:
-                assert budget == 10030, q
-                continue
-            worst = max(worst, used / budget)
+            yield (lambda q, tail=tail: tail(q)[0]), p._replace(lam=lam)
+
+
+def test_tail_budget_covers_every_bessel_sum():
+    # each sum of _budget_grid stops inside its budget with room to
+    # spare, or refuses at the cap; the budget without its steep-a term
+    # ran out at (2.1, 0.0011 - 0.27i)
+    worst = 0.0
+    for route, q in _budget_grid():
+        budget = _tail_budget(q)
+        try:
+            used = route(q).tail_terms_used
+        except NonConvergenceError:
+            assert budget == 10030, q
+            continue
+        worst = max(worst, used / budget)
     assert worst <= 0.95, worst
+
+
+# the terms each sum of _budget_grid took when it stopped only on a term
+# below 1e-18 of its sum, before the bound on the next term could stop it
+CONFIRMED_STOP_TERMS = (
+    10, 3, 3, 365, 49, 49, 229, 229, 14, 4, 4, 59, 59, 31, 106, 106, 5, 5,
+    236, 492, 493, 21, 21, 3745, 6583, 1236, 1237, 5, 33, 4, 3, 10, 10, 12,
+    12, 5, 581, 3539, 3539, 142, 248, 248, 3, 194, 194, 41, 41, 444, 62, 64,
+    855, 1616, 126, 126, 27, 1981, 9, 1790, 1800, 73, 73, 9, 9, 1136, 1136,
+    3219, 3219, 4, 284, 2429, 5, 2980, 2980, 4, 7, 7, 1534, 1535, 28, 3, 3,
+    47, 47, 3, 1337, 1337, 1578, 301,
+)
+
+
+def test_bound_stop_never_takes_more_terms():
+    # the bound on the next term can only end a sum early: at most the
+    # one term that confirmed the old stop is saved, and none is added
+    used = [route(q).tail_terms_used for route, q in _budget_grid()]
+    assert len(used) == len(CONFIRMED_STOP_TERMS)
+    for got, old in zip(used, CONFIRMED_STOP_TERMS):
+        assert old - 1 <= got <= old, (got, old)
+    assert sum(CONFIRMED_STOP_TERMS) - sum(used) == 82
+
+
+def test_kv_bound_against_30_digits():
+    # DLMF 10.40.10-11 with one term: |(2/Z)^nu K_nu(Z)| <= _kv_bound on
+    # a seeded grid of every order the routes pass (nu = 1/2 - mu, mu in
+    # (0, 10]), |Z| log-uniform on [0.05, 200] and |arg Z| up to the edge
+    # of the half-plane, against 30-digit mpmath; from |Z| = 1 at
+    # |nu| <= 1/2 the bound is also within 1.5x of the term
+    rng = random.Random(27)
+    grid = [(0.5, 1.0, 0.0), (-0.5, 3.0, 1.0), (0.0, 0.05, -1.0), (-9.5, 200.0, 0.0)]
+    for i in range(400):
+        nu = rng.uniform(-0.5, 0.5) if i % 2 else rng.uniform(-9.5, 0.5)
+        r = math.exp(rng.uniform(math.log(0.05), math.log(200.0)))
+        # arg Z as a fraction of the edge; every fifth point on the edge
+        edge = rng.choice((-1.0, 1.0)) if i % 5 == 0 else rng.uniform(-1.0, 1.0)
+        grid.append((nu, r, edge))
+    worst = loosest = 0.0
+    with mpmath.workdps(30):
+        for nu, r, edge in grid:
+            Z = cmath.rect(r, edge * (math.pi / 2 - 1e-9))
+            z = mpmath.mpc(Z)
+            exact = float(abs((2 / z) ** nu * mpmath.besselk(nu, z)))
+            bound = _kv_bound(nu, Z)
+            worst = max(worst, exact / bound)
+            if abs(nu) <= 0.5 and r >= 1.0:
+                loosest = max(loosest, bound / exact)
+    assert worst <= 1.0, worst
+    assert loosest <= 1.5, loosest
+
+
+def test_bessel_tails_skip_the_confirming_kv_call(monkeypatch):
+    # the K_nu calls of the tails: the bound on the next term saves the
+    # call that only confirmed the stop (2, 4 and 5 calls before)
+    calls = []
+    kv = evaluators.kv_complex
+    monkeypatch.setattr(evaluators, "kv_complex", lambda nu, z: calls.append(z) or kv(nu, z))
+    for tail, p, want in [
+        (bessel_tail_minus, SeriesParams(0.5, 1.0, 10.0), 1),
+        (bessel_tail_minus, SeriesParams(0.5, 1.0, 3.0), 3),
+        (bessel_tail_plus, SeriesParams(0.5, 1.0, 2.0, "plus"), 4),
+    ]:
+        calls.clear()
+        assert tail(p)[0].tail_terms_used == want
+        assert len(calls) == want, (p, calls)
 
 
 def test_full_routes_at_small_re_a():
@@ -748,7 +822,9 @@ def test_full_paths_agree_at_im_a_one():
 def test_full_rotated_path_diagnostics():
     # notes count the ray integral's evaluations, as they counted H's;
     # tail_terms_used counts the subdominant sum over Y_k, here at a point
-    # outside the tail's sector, where the X_k sum is not even defined
+    # outside the tail's sector, where the X_k sum is not even defined.
+    # The sum stops once a term, or the Hankel bound (DLMF 10.40.10, one
+    # term) on the next one, falls below 1e-18 of the sum
     for a in (3 + 4j, 1 + 3j, 0.2 - 1.5j):
         mu, lam = 0.5, 5.0
         got = full_minus(SeriesParams(mu, lam, a))
@@ -761,7 +837,13 @@ def test_full_rotated_path_diagnostics():
                 Y = ((2 * k + 1) * mpmath.pi - 1j * lam) * mpmath.mpc(q)
                 w = (2 / Y) ** nu * mpmath.besselk(nu, Y)
                 acc += w
-                if abs(w) <= 1e-18 * abs(acc):
+                r = abs(Y + 2 * mpmath.pi * q)
+                b = abs(nu * nu - 0.25) / r
+                bound = (
+                    (2 / r) ** nu * mpmath.sqrt(mpmath.pi / (2 * r))
+                    * mpmath.exp(-(Y + 2 * mpmath.pi * q).real) * (1 + b * mpmath.exp(b))
+                )
+                if abs(w) <= 1e-18 * abs(acc) or bound <= 1e-18 * abs(acc):
                     break
         assert got.tail_terms_used == k + 1, (a, got.tail_terms_used, k + 1)
     assert full_plus(SeriesParams(0.5, 5.0, 3 + 4j, "plus")).notes == ""

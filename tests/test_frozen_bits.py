@@ -111,6 +111,13 @@ as 1 - delta: the estimate is the first omitted term, whose B_(K+1)
 moved. Against that term with 40-digit B its relative distance fell from
 2.8e-15, 4.7e-15 and 7.9e-15 (K = 0, 5, 8) to below 9e-17; the values,
 which take B_0 .. B_K, kept their bits.
+
+The full routes' ``tail_terms_used`` and the quadrature stream were
+recorded again when the Bessel sums came to stop on a proven bound of
+their next term, which saves the term that only confirmed the stop:
+every full-route pin, and each of the 32 full-route results of the
+stream, counts one term fewer; every value, estimate and note kept its
+bits, and so did the H and J results of the stream.
 """
 
 import cmath
@@ -142,43 +149,43 @@ ROUTES = {
     (0.5, 1.0, 6.0, "h_minus_quadrature"): ("(0.03872636172488832+0j)", "8.599879728587932e-18", "114 integrand evaluations"),
     (0.5, 1.0, 6.0, "h_plus_quadrature"): ("(0.01368078495450979+0j)", "3.037744501970347e-18", "96 integrand evaluations"),
     (0.5, 1.0, 6.0, "j_mu_quadrature"): ("(0.16279630104619588+0j)", "3.6148040349059026e-17", "88 integrand evaluations"),
-    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 3, "114 integrand evaluations"),
-    (0.5, 1.0, 6.0, "full_plus"): ("(0.25981041933403903+0j)", 3, ""),
+    (0.5, 1.0, 6.0, "full_minus"): ("(0.12205969867572518+0j)", 2, "114 integrand evaluations"),
+    (0.5, 1.0, 6.0, "full_plus"): ("(0.25981041933403903+0j)", 2, ""),
     (0.25, 0.05, 2.0, "h_minus_quadrature"): ("(0.009102234410330801+0j)", "2.0211020435769285e-18", "113 integrand evaluations"),
     (0.25, 0.05, 2.0, "h_plus_quadrature"): ("(0.002966263982346322+0j)", "6.586429140634393e-19", "112 integrand evaluations"),
     (0.25, 0.05, 2.0, "j_mu_quadrature"): ("(6.303403226501215+0j)", "1.399636679111631e-15", "139 integrand evaluations"),
-    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 5, "113 integrand evaluations"),
-    (0.25, 0.05, 2.0, "full_plus"): ("(6.65992405719362+0j)", 5, ""),
+    (0.25, 0.05, 2.0, "full_minus"): ("(0.36371259186775423+0j)", 4, "113 integrand evaluations"),
+    (0.25, 0.05, 2.0, "full_plus"): ("(6.65992405719362+0j)", 4, ""),
     (0.75, 8.0, 3.0, "h_minus_quadrature"): ("(0.0960764998637107+0j)", "2.3075552236602768e-15", "127 integrand evaluations"),
     (0.75, 8.0, 3.0, "h_plus_quadrature"): ("(0.0722900025710965+0j)", "1.7361954731252666e-17", "123 integrand evaluations"),
     (0.75, 8.0, 3.0, "j_mu_quadrature"): ("(0.02399470653205321+0j)", "5.327895132201822e-18", "71 integrand evaluations"),
-    (0.75, 8.0, 3.0, "full_minus"): ("(0.1923904515344639+0j)", 4, "247 integrand evaluations"),
-    (0.75, 8.0, 3.0, "full_plus"): ("(0.1925097607999111+0j)", 4, ""),
+    (0.75, 8.0, 3.0, "full_minus"): ("(0.1923904515344639+0j)", 3, "247 integrand evaluations"),
+    (0.75, 8.0, 3.0, "full_plus"): ("(0.1925097607999111+0j)", 3, ""),
     (0.4, 10.0, 10.0, "h_minus_quadrature"): ("(0.07923749312240315+0j)", "2.5666347368641764e-17", "203 integrand evaluations"),
     (0.4, 10.0, 10.0, "h_plus_quadrature"): ("(0.06340416169431372+0j)", "1.5823458829578353e-17", "138 integrand evaluations"),
     (0.4, 10.0, 10.0, "j_mu_quadrature"): ("(0.015847665072561346+0j)", "3.518888530021102e-18", "103 integrand evaluations"),
-    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 2, "203 integrand evaluations"),
-    (0.4, 10.0, 10.0, "full_plus"): ("(0.15849648638993075+0j)", 2, ""),
+    (0.4, 10.0, 10.0, "full_minus"): ("(0.1584821527454638+0j)", 1, "203 integrand evaluations"),
+    (0.4, 10.0, 10.0, "full_plus"): ("(0.15849648638993075+0j)", 1, ""),
     (0.5, 1.0, (4+1j), "h_minus_quadrature"): ("(0.05485887002887847-0.014064848739439488j)", "1.3270153324380461e-17", "117 integrand evaluations"),
     (0.5, 1.0, (4+1j), "h_plus_quadrature"): ("(0.01932975981055848-0.004860051862093928j)", "4.596172253852066e-18", "112 integrand evaluations"),
     (0.5, 1.0, (4+1j), "j_mu_quadrature"): ("(0.2267327515252218-0.05256934453435508j)", "1.0386857076147189e-16", "93 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106391j)", 3, "293 integrand evaluations"),
-    (0.5, 1.0, (4+1j), "full_plus"): ("(0.36370957015461075-0.08684116109610586j)", 3, ""),
+    (0.5, 1.0, (4+1j), "full_minus"): ("(0.17250756423559188-0.04347917041106391j)", 2, "293 integrand evaluations"),
+    (0.5, 1.0, (4+1j), "full_plus"): ("(0.36370957015461075-0.08684116109610586j)", 2, ""),
     (0.3, 2.0, (5-2j), "h_minus_quadrature"): ("(0.13523639642760218+0.0316382016021131j)", "3.776692236782066e-17", "113 integrand evaluations"),
     (0.3, 2.0, (5-2j), "h_plus_quadrature"): ("(0.05554241685756446+0.012938760983731912j)", "1.401300361559723e-17", "104 integrand evaluations"),
     (0.3, 2.0, (5-2j), "j_mu_quadrature"): ("(0.17682878930142512+0.04047658421494794j)", "8.195385293656851e-17", "82 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167093j)", 3, "151 integrand evaluations"),
-    (0.3, 2.0, (5-2j), "full_plus"): ("(0.40972178339699455+0.09462362219598912j)", 3, ""),
+    (0.3, 2.0, (5-2j), "full_minus"): ("(0.312585104371449+0.07284556742167093j)", 2, "151 integrand evaluations"),
+    (0.3, 2.0, (5-2j), "full_plus"): ("(0.40972178339699455+0.09462362219598912j)", 2, ""),
     (0.6, 0.1, (1.5+0.5j), "h_minus_quadrature"): ("(0.015356890913906535-0.007712639200785234j)", "4.132918540345233e-18", "122 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "h_plus_quadrature"): ("(0.004501509994361109-0.001941887137039718j)", "1.177730071216475e-18", "121 integrand evaluations"),
     (0.6, 0.1, (1.5+0.5j), "j_mu_quadrature"): ("(1.6429959207797435-0.2937924199940496j)", "7.424821747213494e-16", "133 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 6, "122 integrand evaluations"),
-    (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.9147221925073663-0.4043762032119788j)", 6, ""),
+    (0.6, 0.1, (1.5+0.5j), "full_minus"): ("(0.2803349312556581-0.12713194707309494j)", 5, "122 integrand evaluations"),
+    (0.6, 0.1, (1.5+0.5j), "full_plus"): ("(1.9147221925073663-0.4043762032119788j)", 5, ""),
     (0.2, 6.0, (8+3j), "h_minus_quadrature"): ("(0.20869720257368576-0.030081998560883998j)", "1.362544955759445e-16", "221 integrand evaluations"),
     (0.2, 6.0, (8+3j), "h_plus_quadrature"): ("(0.14091848814059965-0.020368158134486898j)", "4.028062846094565e-17", "189 integrand evaluations"),
     (0.2, 6.0, (8+3j), "j_mu_quadrature"): ("(0.06992832921559348-0.010097640652334799j)", "3.188717290081003e-17", "62 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 2, "167 integrand evaluations"),
-    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.060783107244500714j)", 2, ""),
+    (0.2, 6.0, (8+3j), "full_minus"): ("(0.41857634231797014-0.06048683020675611j)", 1, "167 integrand evaluations"),
+    (0.2, 6.0, (8+3j), "full_plus"): ("(0.42065283083814914-0.060783107244500714j)", 1, ""),
 }
 # (nu, z) -> K_nu(z)
 KV = {
@@ -286,12 +293,13 @@ BHAT_SHA256 = "e5ac90a5759fb3a5c625a6a7d881fcbcf2b5049313d05c6d14234ab5a6b38924"
 # sha256 of the 64 results of _quadrature_stream, re-recorded when H
 # and J moved to their half-line variables, when the full routes at
 # |Im a| >= 1 moved to the rotated path, when the exp-exp map replaced
-# exp-sinh, when J at complex a moved onto the ray at arg(a)/2 and when
-# a side came to end at its first negligible node; and of the 30 K_nu
-# values of _kv_stream, recorded again when CF2 and Temme's series
-# replaced the quadrature below |z| = 20 (the ten Hankel values did not
-# move)
-QUADRATURE_STREAM_SHA256 = "7645592edf15a02f85ffdeda65090b24b348d2124fec451b0af1cfd19bb8f95a"
+# exp-sinh, when J at complex a moved onto the ray at arg(a)/2, when a
+# side came to end at its first negligible node and when the Bessel sums
+# came to stop on a bound of their next term (tail_terms_used alone
+# moved); and of the 30 K_nu values of _kv_stream, recorded again when
+# CF2 and Temme's series replaced the quadrature below |z| = 20 (the ten
+# Hankel values did not move)
+QUADRATURE_STREAM_SHA256 = "11a48e2b29615dd99c048d79591f5ab1ded267eba26f89eef9f487d98ddebcf0"
 KV_STREAM_SHA256 = "995c28aa54ada48c540a83311e51ad5b2a7a6eef70944afd09df29801650dbab"
 
 ROUTE_FUNCTIONS = {

@@ -4,6 +4,7 @@ tables, failure modes."""
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,26 @@ def test_nan_integrand_raises_on_half_line():
         integrate(lambda t: math.nan)
     with pytest.raises(IntegrandError, match="NaN"):
         integrate(lambda t: complex(0.0, math.nan) if t > 3.0 else 1.0)
+
+
+def test_weighted_overflow_raises_at_the_node():
+    # every value is finite, but from t near 200 the weights (above 100)
+    # carry 1e306 to the top of the float range, where e^(-t/1e4) has
+    # barely decayed, and the absolute mass overflows at t = 226; the
+    # sums used to turn NaN and run out of levels ("last delta nan"). The
+    # refusal names the weighted value, not an infinity the integrand
+    # never returned
+    with pytest.raises(IntegrandError, match="weighted value overflowed") as info:
+        integrate(lambda t: 1e306 * math.exp(-t / 1e4))
+    assert "which is finite" in str(info.value)
+    assert "infinity" not in str(info.value)
+    # at the first node past t = 1 (weight 0.96) both parts of the
+    # weighted value are finite, its modulus is not
+    with pytest.raises(IntegrandError, match="weighted value overflowed at t = 1.495"):
+        integrate(lambda t: complex(1.5e308, 1.5e308) if t > 1.0 else math.exp(-t))
+    # an int beyond float range still overflows as the integrand's own
+    with pytest.raises(IntegrandError, match="integrand overflowed"):
+        integrate(lambda t: 10**400)
 
 
 # Runs the slowly decaying integrals, after the early-truncating ones
@@ -317,3 +338,34 @@ def test_integrand_return_type_keeps_bits(family, form):
     r = integrate(RETURN_TYPES[family][form])
     got = (repr(r.value), r.terms_used, repr(r.last_term_magnitude))
     assert got == RETURN_TYPE_BITS[family]
+
+
+def _seeded_real_integrands(seed, n):
+    # c t^p e^(-b t) cos(d t + phase) with seeded c, p, b, d and phase: a
+    # singular or flat start, slow or fast decay, and sign changes
+    rng = random.Random(seed)
+    for _ in range(n):
+        c = rng.uniform(-3.0, 3.0)
+        p = rng.uniform(-0.4, 2.0)
+        b = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+        d = rng.uniform(0.0, 4.0)
+        phase = rng.uniform(0.0, math.pi)
+        yield lambda t: c * t**p * math.exp(-b * t) * math.cos(d * t + phase)
+
+
+def test_float_path_keeps_the_bits_of_complex_values():
+    # the scan sums a float value on a path with no imaginary part; a
+    # float, the same value as complex(x, 0.0), and a node-by-node mix of
+    # the two must give the same bits in every field of the result
+    for g in _seeded_real_integrands(27, 12):
+        forms = [
+            g,
+            lambda t: complex(g(t), 0.0),
+            lambda t: complex(g(t), 0.0) if int(t * 1e6) % 3 else g(t),
+        ]
+        results = [integrate(f) for f in forms]
+        fields = [
+            (repr(r.value), r.terms_used, repr(r.last_term_magnitude), repr(r.abs_sum))
+            for r in results
+        ]
+        assert fields[0] == fields[1] == fields[2], fields

@@ -46,20 +46,26 @@ GOLDEN = {
     "eval --sign plus --mu 0.25 --a 10 --method algebraic --format csv": (0, "1d700fea018ded1eb244aa3019dbe93561b75470811f5353b985026314bf060c"),
     # re-recorded, as the j-mu --tol 1e-10 and default --a 6 cases below,
     # when a quadrature side came to end at its first negligible node:
-    # notes 128 -> 117 integrand evaluations; the value kept its bits
-    "eval --mu 0.5 --a 3 --a-im 0.5 --method full --format json": (0, "6ffb4ae70623ca0ca38739ed6d063094649ccc8d136e496fcd9bccd1ac0c69ea"),
-    "eval --sign plus --mu 0.75 --lambda 0.5 --a 4 --method full": (0, "149f26c5533ec0d8cd6cee577acbe828ced0fb2656f901acda172926bc377da8"),
-    "eval --mu 0.5 --a 3 --method tail --format csv": (0, "6a69e3e1fae458e4933692be3581b9893515fceff09edf346ffd296567afd09c"),
-    "eval --sign plus --mu 0.5 --a 2 --method tail --format json": (0, "3307860361e5f9503525a4d7c0de855af56d68aa46bb8a6d71a670f69f6d694f"),
+    # notes 128 -> 117 integrand evaluations; the value kept its bits.
+    # The full, tail and lambda0 cases, and the default --a 6, were
+    # re-recorded when the Bessel sums came to stop on a bound of their
+    # next term: tail_terms_used alone moved (4 -> 3, 3 -> 2, 4 -> 3,
+    # 5 -> 4, 5 -> 4, 8 -> 7 and 3 -> 2 in the order of the cases), and
+    # every value, estimate and note kept its bits
+    "eval --mu 0.5 --a 3 --a-im 0.5 --method full --format json": (0, "fab7acdb324d871d526bd9d2a22b67e9aa1f34c62501cad14f82cbb91139aa3f"),
+    "eval --sign plus --mu 0.75 --lambda 0.5 --a 4 --method full": (0, "7cd491c835779a868244bfb5cf9564ee6299dad690c8642e27574d16c6c55a98"),
+    "eval --mu 0.5 --a 3 --method tail --format csv": (0, "8f6ea8c77f397a414e1b30c822e47de521108174023ef0a64cf428687f06bb0b"),
+    "eval --sign plus --mu 0.5 --a 2 --method tail --format json": (0, "33679e7df94ad3df81a53591dee1d2948cf1a794f6b9fe2b212d725e3c2fdcda"),
     # notes 107 -> 97 integrand evaluations; the value kept its bits
     "eval --mu 0.5 --a 3 --method j-mu --tol 1e-10": (0, "7f9a8bec0095980bd19029bf35025affdee2c8f62e249992f7c54126e1e7bf21"),
     "eval --sign plus --mu 0.5 --a 20 --method j-mu --K 3 --tol 1e-10 --format json": (0, "4bf2595b023ba590969c09098af6513108e506c89fdaea9740f1fa77e7e21397"),
     "eval --mu 2 --a 1.5 --method integer-mu": (0, "b0f82d480dd5892f7238937e9c07eb3c256d9cbef14dc1a3bf5ec2b804a3235a"),
     "eval --sign plus --mu 3 --lambda 0.5 --a 2 --method integer-mu --format csv": (0, "1f721b271ff870f2e855a2dfbab88f581ba7a84fd37da7ab339f2ec27d428b7f"),
-    "eval --mu 0.75 --lambda 0 --a 2 --method lambda0 --format json": (0, "400305359579447716ea67468c9ebd68d279a2eaf9fc38ed09bc37c86276b4bc"),
-    "eval --sign plus --mu 1.5 --lambda 0 --a 1 --a-im 0.5 --method lambda0": (0, "55785ba3f1508fcddbc6813b19ea2cd32a16b5885eff2a8b8114606710c5be49"),
-    # notes 125 -> 114 integrand evaluations; the value kept its bits
-    "eval --mu 0.5 --a 6": (0, "8482656577617eb5bad6a87b8172e434ee7f07256c730359c52507547bc9bef0"),
+    "eval --mu 0.75 --lambda 0 --a 2 --method lambda0 --format json": (0, "1937ad92a1c2062008a5f372ff7f65d57f61fd74c5093fc37af4822449ccddef"),
+    "eval --sign plus --mu 1.5 --lambda 0 --a 1 --a-im 0.5 --method lambda0": (0, "3c9884bef138a63d2517d3af87e4428fb467039925f8692f6b73b630317a215d"),
+    # notes 125 -> 114 integrand evaluations; the value kept its bits (and
+    # tail_terms_used 3 -> 2, see above)
+    "eval --mu 0.5 --a 6": (0, "12b9c1143ab0b3367aa9fbe0dc06072155a828657cb78eb6eade923678716253"),
 }
 
 
