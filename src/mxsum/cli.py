@@ -15,7 +15,9 @@ layer, only ``mxsum.errors`` and ``mxsum.output`` (through which every
 subcommand writes), and looks each name a subcommand runs up on the
 package, whose ``__getattr__`` imports the defining module on first
 use; so ``coeffs`` loads neither the evaluators nor the harness, and
-``eval`` loads no harness.
+``eval`` loads no harness. The parser registers every subcommand, so
+that usage and help name them all, but ``main`` fills in the arguments
+of the chosen one alone.
 
 Exit status:
 
@@ -95,7 +97,9 @@ methods and what they evaluate:
   j-mu        the Laplace integral J alone: quadrature by default
               (uses --tol), or its large-a expansion truncated at --K
 
-default method: full when mu < 1, oracle otherwise.
+default method: algebraic at mu = 0, where it is exact; lambda0 at
+--lambda 0 with --sign plus and mu < 1; full at any other mu < 1;
+oracle at mu >= 1.
 --K is accepted by algebraic and j-mu only (exit 2 elsewhere); the other
 routes size their own sums.
 --format csv prints header and one row:
@@ -103,7 +107,11 @@ routes size their own sums.
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The ``mxsum`` parser, every subcommand registered, so that usage
+    and help name them all; with ``subcommand`` given, only that one's
+    arguments are added (a command line parses into it alone)."""
+
     parser = argparse.ArgumentParser(
         prog="mxsum",
         description=(
@@ -121,27 +129,28 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
     )
-    ev.add_argument("--sign", choices=("minus", "plus"), default="minus",
-                    help="minus: alternating sum; plus: all terms positive")
-    ev.add_argument("--mu", type=float, required=True,
-                    help="exponent on n^2 + a^2 (>= 0)")
-    ev.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                    help="exponential decay rate (>= 0, default 1)")
-    ev.add_argument("--a", type=float, default=1.0,
-                    help="real part of a (> 0, default 1)")
-    ev.add_argument("--a-im", type=float, default=0.0,
-                    help="imaginary part of a (default 0)")
-    ev.add_argument("--method", choices=_METHODS, default=None,
-                    help="evaluation route (see below; default depends on mu)")
-    ev.add_argument("--K", type=int, default=None,
-                    help="truncation index of the asymptotic expansion "
-                         "(algebraic and j-mu only)")
-    ev.add_argument("--tol", type=float, default=1e-12,
-                    help="target tolerance for oracle and quadrature routes")
-    ev.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                    help="output format (default text)")
-    ev.add_argument("--output", default=None,
-                    help="destination path (default: standard output)")
+    if subcommand in (None, "eval"):
+        ev.add_argument("--sign", choices=("minus", "plus"), default="minus",
+                        help="minus: alternating sum; plus: all terms positive")
+        ev.add_argument("--mu", type=float, required=True,
+                        help="exponent on n^2 + a^2 (>= 0)")
+        ev.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                        help="exponential decay rate (>= 0, default 1)")
+        ev.add_argument("--a", type=float, default=1.0,
+                        help="real part of a (> 0, default 1)")
+        ev.add_argument("--a-im", type=float, default=0.0,
+                        help="imaginary part of a (default 0)")
+        ev.add_argument("--method", choices=_METHODS, default=None,
+                        help="evaluation route (see below, with the default)")
+        ev.add_argument("--K", type=int, default=None,
+                        help="truncation index of the asymptotic expansion "
+                             "(algebraic and j-mu only)")
+        ev.add_argument("--tol", type=float, default=1e-12,
+                        help="target tolerance for oracle and quadrature routes")
+        ev.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                        help="output format (default text)")
+        ev.add_argument("--output", default=None,
+                        help="destination path (default: standard output)")
 
     tb = sub.add_parser(
         "table",
@@ -157,14 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         allow_abbrev=False,
     )
-    tb.add_argument("table_id", type=int, choices=(1, 2, 3),
-                    help="which reference table to reproduce")
-    tb.add_argument("--convention", choices=("pi_phi", "phi"), default=None,
-                    help="angle convention for table 2 (default: run both)")
-    tb.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="report format (default csv)")
-    tb.add_argument("--output", default=None,
-                    help="destination path (default: standard output)")
+    if subcommand in (None, "table"):
+        tb.add_argument("table_id", type=int, choices=(1, 2, 3),
+                        help="which reference table to reproduce")
+        tb.add_argument("--convention", choices=("pi_phi", "phi"), default=None,
+                        help="angle convention for table 2 (default: run both)")
+        tb.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="report format (default csv)")
+        tb.add_argument("--output", default=None,
+                        help="destination path (default: standard output)")
 
     co = sub.add_parser(
         "coeffs",
@@ -177,14 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         allow_abbrev=False,
     )
-    co.add_argument("kind", choices=("A", "B", "Bhat"),
-                    help="coefficient family")
-    co.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                    help="decay rate the coefficients depend on (default 1)")
-    co.add_argument("--K", type=int, default=8,
-                    help="largest index to generate (default 8)")
-    co.add_argument("--output", default=None,
-                    help="destination path (default: standard output)")
+    if subcommand in (None, "coeffs"):
+        co.add_argument("kind", choices=("A", "B", "Bhat"),
+                        help="coefficient family")
+        co.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                        help="decay rate the coefficients depend on (default 1)")
+        co.add_argument("--K", type=int, default=8,
+                        help="largest index to generate (default 8)")
+        co.add_argument("--output", default=None,
+                        help="destination path (default: standard output)")
 
     ck = sub.add_parser(
         "check",
@@ -197,10 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         allow_abbrev=False,
     )
-    ck.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="report format (default csv)")
-    ck.add_argument("--output", default=None,
-                    help="destination path (default: standard output)")
+    if subcommand in (None, "check"):
+        ck.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="report format (default csv)")
+        ck.add_argument("--output", default=None,
+                        help="destination path (default: standard output)")
     return parser
 
 
@@ -252,12 +264,20 @@ def _print_evaluation(evaluation: Evaluation, fmt: str, handle) -> None:
     write_csv(handle, EVAL_CSV_HEADER, [record.values()])
 
 
+def _default_method(ns: argparse.Namespace) -> str:
+    """The method that serves the point when --method is not given: the
+    full routes need 0 < mu < 1, and full_plus lam > 0."""
+
+    if ns.mu == 0.0:
+        return "algebraic"
+    if ns.mu < 1.0:
+        return "lambda0" if ns.lam == 0.0 and ns.sign == "plus" else "full"
+    return "oracle"
+
+
 def cmd_eval(ns: argparse.Namespace) -> int:
     params = _pkg.SeriesParams(ns.mu, ns.lam, complex(ns.a, ns.a_im), ns.sign)
-    method = ns.method
-    if method is None:
-        method = "full" if ns.mu < 1.0 else "oracle"
-    evaluation = _run_method(method, params, ns)
+    evaluation = _run_method(ns.method or _default_method(ns), params, ns)
     with open_destination(ns.output) as handle:
         _print_evaluation(evaluation, ns.format, handle)
     return 0
@@ -317,7 +337,12 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level takes no option with a value, so its first token
+    # that is no option names the subcommand that parses the rest
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(chosen)
     ns = parser.parse_args(argv)
     if ns.subcommand == "eval" and ns.K is not None:
         if "K" not in _METHODS.get(ns.method, ()):

@@ -26,7 +26,8 @@ Numerical notes that shape the implementation:
   2k-th derivative of that series IS the difference, with no
   cancellation surviving the exact arithmetic. Each q_m is exact,
   from the integer tangent number T_m (see ``kernel.zeta``), and
-  computed once per process. For lam >= 4 the direct subtraction
+  computed once per process; the falling factorial (2m-1)!/(2m-1-2k)!
+  of each term is one ``math.perm``. For lam >= 4 the direct subtraction
   is exact as well: coth x and x are both dyadic, so both terms go over
   one common denominator, a power of two times xn^(2k+1) for x = xn/2^t,
   by the same shifts, and one correctly rounded division. But coth x is
@@ -36,17 +37,24 @@ Numerical notes that shape the implementation:
 * A_k comes from dividing the even power series of sin(lam x)/(lam x)
   by that of sinh(pi x)/(pi x). Each A_k is homogeneous of degree k in
   (lam^2, pi^2), so it is kept as one row, indexed by the power of
-  lam^2, of exact rationals each rounded to binary64 once.
+  lam^2, of exact rationals each rounded to binary64 once. The
+  coefficients e_n of the reciprocal series are in closed form, from
+  the Bernoulli expansion of y/sinh y and the cached tangent numbers,
+  and each entry of a row is one correctly rounded integer division.
+
+Only the coth series makes Fractions: ``fractions`` (which loads
+``decimal``) is imported inside ``_q`` and ``_bhat_series``, so a
+process that asks for A or B, or for Bhat at lam >= 4, loads neither.
 
 Every memo here (the p_m, the odd coefficients of p_2k, the q_m, the
 exact e_n behind the A rows, the rows, and the Bhat_k of the coth series
 per (lam, k)) is a ``functools`` cache of a pure function with an
 immutable result, so threads need no lock: two that miss at once compute
-the same value twice. p_m and e_n recurse on their predecessor, so a
+the same value twice. p_m and the rows recurse on their predecessor, so a
 cold call is as deep as its index; B and Bhat ask for p_0, p_2, p_4, ...
-(through the odd-coefficient memo) and the A rows for e_0, e_1, ... in
-ascending order, so each call finds its predecessor cached and recurses
-a few frames at most.
+(through the odd-coefficient memo) in ascending order, so each call
+finds its predecessor cached and recurses a few frames at most. The
+A rows recurse at most 60 frames, their index cap.
 """
 
 from __future__ import annotations
@@ -54,11 +62,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
 from .kernel.zeta import tangent_number
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CoefficientTable",
@@ -102,12 +112,22 @@ def _derivative_coeffs(m: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _e(n: int) -> Fraction:
-    """e_n of 1/D = sum e_n P^n y^n (see _a_rows), exactly."""
+def _e(n: int) -> tuple[int, int]:
+    """e_n of 1/D = sum e_n P^n y^n (see _a_rows), exactly, as an
+    integer numerator and denominator (not in lowest terms).
 
-    return Fraction(n == 0) - sum(
-        Fraction((-1) ** j, math.factorial(2 * j + 1)) * _e(n - j)
-        for j in range(1, n + 1)
+    At y = -x^2, 1/D is pi x/sinh(pi x), and z/sinh z = sum (2 - 4^n)
+    B_2n z^(2n)/(2n)!; with B_2n's tangent-number form (see
+    ``kernel.zeta``) that gives e_0 = 1 and, for n >= 1,
+    e_n = (4^n - 2) T_n / (4^n (4^n - 1) (2n-1)!).
+    """
+
+    if n == 0:
+        return 1, 1
+    four_n = 4**n
+    return (
+        (four_n - 2) * tangent_number(n),
+        four_n * (four_n - 1) * math.factorial(2 * n - 1),
     )
 
 
@@ -119,16 +139,18 @@ def _a_rows(k_max: int) -> tuple[tuple[float, ...], ...]:
     L = lam^2 and P = pi^2 (A_k is homogeneous of degree k in L and P).
     With y = -x^2, sum A_k y^k = N(y)/D(y) for N = sum L^k y^k/(2k+1)!
     (sin(lam x)/(lam x)) and D = sum (-P)^j y^j/(2j+1)! (sinh(pi x)/(pi x)).
-    D has constant term 1, so 1/D = sum e_n P^n y^n follows from the
-    triangular recurrence e_n = -sum_{j=1..n} (-1)^j e_(n-j)/(2j+1)!,
-    and A_k[i] = e_(k-i)/(2i+1)!. Each k_max shares the rows of k_max - 1.
+    1/D = sum e_n P^n y^n has the closed form of ``_e``, from the
+    cached tangent numbers, and A_k[i] = e_(k-i)/(2i+1)!: one integer
+    quotient, which Python's int division rounds correctly, so no
+    Fraction is made. Each k_max shares the rows of k_max - 1.
     """
 
     head = _a_rows(k_max - 1) if k_max else ()
-    k = k_max
-    return head + (
-        tuple(float(_e(k - i) / math.factorial(2 * i + 1)) for i in range(k + 1)),
-    )
+    row = []
+    for i in range(k_max + 1):
+        num, den = _e(k_max - i)
+        row.append(num / (den * math.factorial(2 * i + 1)))
+    return head + (tuple(row),)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +250,8 @@ def _q(m: int) -> Fraction:
     which B_2m's tangent-number form (see ``kernel.zeta``) makes
     (-1)^(m-1) T_m / ((4^m - 1) (2m-1)!)."""
 
+    from fractions import Fraction
+
     q = Fraction(tangent_number(m), (4**m - 1) * math.factorial(2 * m - 1))
     return q if m % 2 else -q
 
@@ -242,6 +266,8 @@ def _frac_log2(x: Fraction) -> int:
 def _bhat_series(lam: float, k: int) -> float:
     # Bhat_k = 2^(-2k-1) * d^(2k)/dx^(2k) [coth x - 1/x], x = lam/2
     #        = 2^(-2k-1) sum_{m>k} q_m (2m-1)!/(2m-1-2k)! x^(2m-1-2k)
+    from fractions import Fraction
+
     x = Fraction(lam) / 2
     x2 = x * x
     acc = Fraction(0)
@@ -249,10 +275,7 @@ def _bhat_series(lam: float, k: int) -> float:
     max_log = -(10**9)
     m = k + 1
     while True:
-        ff = 1
-        for i in range(2 * k):
-            ff *= 2 * m - 1 - i
-        term = _q(m) * ff * x_pow
+        term = _q(m) * math.perm(2 * m - 1, 2 * k) * x_pow
         acc += term
         tl = _frac_log2(term)
         max_log = max(max_log, tl)

@@ -1,15 +1,16 @@
 """Compensated summation and series-acceleration primitives.
 
-Everything downstream (hypergeometric series, the evaluation routines)
-funnels floating-point accumulation through the helpers here so that
-rounding behavior is uniform and testable. A finite list of terms is
-summed by ``csum``. The two hottest loops, the quadrature scan and
-``sum_terms``, keep a running sum s + c of each part inline, by
-Neumaier's step for a term x: t = s + x, then c += (s - t) + x if
-|s| >= |x| else (x - t) + s, then s = t. They take a float term as it
-is: its ``.real``, ``.imag`` and ``abs`` are those of its complex
-value, and the imaginary step is skipped when it would add +-0 to a
-finite total, which leaves the total and its carry as they are.
+A finite list of terms is summed by ``csum``, one ``math.fsum`` per
+part. ``sum_terms`` keeps a running sum s + c of each part inline, by
+TwoSum for a term x: t = s + x, b = t - s, then
+c += (s - (t - b)) + (x - b), then s = t, which carries the exact
+rounding error of each addition with no branch. The quadrature scan
+(``kernel.quadrature``) and the Bessel sums of the evaluators take the
+same step in their own loops; other sums call ``math.fsum`` or
+``csum``. ``sum_terms`` takes a float term as it is: its ``.real``,
+``.imag`` and ``abs`` are those of its complex value, and the imaginary
+step is skipped when it would add +-0 to a finite total, which leaves
+the total and its carry as they are.
 """
 
 from __future__ import annotations
@@ -77,20 +78,17 @@ def sum_terms(
     last_mag = math.inf
     for n in range(max_terms):
         t = term(n)
+        # TwoSum: the exact rounding error of each addition goes to the carry
         x = t.real
         total = re_total + x
-        if abs(re_total) >= abs(x):
-            re_carry += (re_total - total) + x
-        else:
-            re_carry += (x - total) + re_total
+        b = total - re_total
+        re_carry += (re_total - (total - b)) + (x - b)
         re_total = total
         x = t.imag
         if x or im_total - im_total:
             total = im_total + x
-            if abs(im_total) >= abs(x):
-                im_carry += (im_total - total) + x
-            else:
-                im_carry += (x - total) + im_total
+            b = total - im_total
+            im_carry += (im_total - (total - b)) + (x - b)
             im_total = total
         last_mag = abs(t)
         abs_sum += last_mag

@@ -16,17 +16,22 @@ computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286,
 algorithm TangentNumbers), where the Fraction recurrence for B_2m costs
 O(m^2) rational operations. The table is built in sizes that are powers
 of two, each by loops and once per process (a ``functools.cache`` with
-an immutable result, so threads need no lock).
+an immutable result, so threads need no lock). ``fractions`` is
+imported by ``bernoulli_even`` alone, the one function here that makes
+a Fraction, so a process that only needs T_m never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ..errors import PreconditionError
 from .summation import csum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["bernoulli_even", "hurwitz_zeta", "tangent_number"]
 
@@ -60,6 +65,8 @@ def bernoulli_even(m: int) -> Fraction:
 
     if m < 0:
         raise PreconditionError("bernoulli_even needs m >= 0")
+    from fractions import Fraction
+
     if m == 0:
         return Fraction(1)
     four_m = 4**m

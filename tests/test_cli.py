@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import mxsum
 import mxsum.cli
 import mxsum.kernel
 from mxsum.cli import main
-from mxsum.oracles import explicit_sum
+from mxsum.oracles import explicit_sum, lambda0_sum
 
 
 def _loaded(code: str, names) -> str:
@@ -68,6 +69,22 @@ def test_import_footprint():
         assert _loaded(run.format(argv), exact) == "[]", method
     csv = ["eval", "--mu", "0.5", "--a", "3", "--format", "csv", "--output", os.devnull]
     assert _loaded(run.format(csv), ("csv",)) == "['csv']"
+    # only the coth series of Bhat below lam = 4 makes Fractions: the A
+    # rows, B, Bhat at lam >= 4 and the routes built on them load neither
+    # fractions nor the decimal that it imports (table 1 has a failing
+    # row, so it exits 1)
+    rational = ("fractions", "decimal")
+    run = "import os, mxsum.cli\nassert mxsum.cli.main({!r}) in (0, 1)"
+    for argv in (
+        ["coeffs", "B", "--lambda", "1", "--K", "50"],
+        ["coeffs", "A", "--lambda", "1", "--K", "60"],
+        ["coeffs", "Bhat", "--lambda", "6", "--K", "30"],
+        ["table", "1"],
+        ["eval", "--method", "algebraic", "--sign", "minus", "--mu", "0.5", "--a", "8"],
+    ):
+        assert _loaded(run.format(argv + ["--output", os.devnull]), rational) == "[]", argv
+    bhat = ["coeffs", "Bhat", "--lambda", "1", "--output", os.devnull]
+    assert _loaded(run.format(bhat), rational) == str(list(rational))
 
 
 def test_lazy_exports():
@@ -102,6 +119,11 @@ def test_eval_oracle_text(capsys):
     assert "truncation_index = 28" in out
 
 
+def _eval_json(argv, capsys) -> dict:
+    assert main(argv + ["--format", "json"]) == 0, argv
+    return json.loads(capsys.readouterr().out)
+
+
 def test_eval_default_method_depends_on_mu(capsys):
     rc = main(["eval", "--mu", "0.5", "--a", "6"])
     assert rc == 0
@@ -109,6 +131,28 @@ def test_eval_default_method_depends_on_mu(capsys):
     rc = main(["eval", "--mu", "2", "--a", "6", "--sign", "plus"])
     assert rc == 0
     assert "method = direct-sum" in capsys.readouterr().out
+    # full_plus refuses lam = 0, so the default there is lambda0_plus;
+    # sign - at lam = 0 stays on full_minus, which serves it
+    point = ["eval", "--sign", "plus", "--lambda", "0", "--mu", "0.75", "--a", "2"]
+    got = _eval_json(point, capsys)
+    assert got == _eval_json(point + ["--method", "lambda0"], capsys)
+    assert got["method"] == "lambda0-plus"
+    with mpmath.workdps(30):
+        want = float(lambda0_sum(0.75, 2.0, "plus").value)
+    assert abs(got["value_re"] - want) <= 2.0 * got["error_estimate"]
+    minus = _eval_json(["eval", "--lambda", "0", "--mu", "0.75", "--a", "2"], capsys)
+    assert minus["method"] == "full-minus"
+    # the full routes refuse mu = 0, so the default there is the
+    # algebraic expansion, exact at mu = 0:
+    # sum (+-1)^n e^(-lam n) = 1/(1 -+ e^(-lam))
+    for sign, lam, want in (("minus", 1.0, 1.0 / (1.0 + math.exp(-1.0))),
+                            ("plus", 0.5, 1.0 / -math.expm1(-0.5))):
+        point = ["eval", "--sign", sign, "--lambda", repr(lam), "--mu", "0", "--a", "3"]
+        got = _eval_json(point, capsys)
+        assert got == _eval_json(point + ["--method", "algebraic"], capsys)
+        assert got["method"] == f"algebraic-{sign}"
+        assert got["error_estimate"] == 0.0
+        assert abs(got["value_re"] - want) <= 4e-16 * want, sign
 
 
 def test_eval_json_and_csv(capsys):

@@ -341,6 +341,20 @@ def test_a_values_and_identity():
         assert abs(got - (lam * lam + pi2) / 6.0) < 1e-14
 
 
+def test_e_closed_form_matches_the_recurrence():
+    # the e_n of 1/D behind the A rows, in closed form from the tangent
+    # numbers, equal the triangular recurrence of the power-series
+    # reciprocal, e_n = -sum_{j=1..n} (-1)^j e_(n-j)/(2j+1)!, exactly
+    e = [Fraction(1)]
+    for n in range(1, 101):
+        e.append(-sum(
+            Fraction((-1) ** j, math.factorial(2 * j + 1)) * e[n - j]
+            for j in range(1, n + 1)
+        ))
+    for n, want in enumerate(e):
+        assert Fraction(*coefficients._e(n)) == want, n
+
+
 def test_a_series_reconstruction():
     # sum (-1)^k A_k x^(2k) = (pi/lam) sin(lam x)/sinh(pi x) inside the
     # unit radius; x = 0.3 converges well before K = 20
@@ -447,10 +461,11 @@ def test_concurrent_cold_coefficients_give_the_same_bits():
 # The deepest cold fills, each in its own interpreter under a small
 # recursion limit: p_200, which B and Bhat (lam >= 4) reach at K = 100,
 # would need about 400 frames if asked for cold, so both must fill p_m
-# in ascending order; the A rows and e_n recurse within their index cap
-# of 60; and the Bernoulli numbers, which have none (the coth series of
-# Bhat below lam = 4 reaches m = k + 1500), come from a table of
-# tangent numbers built by loops, with no recursion at all. The memo of
+# in ascending order; the A rows recurse within their index cap of 60,
+# and their e_n are in closed form; and the Bernoulli numbers, which
+# have none (the coth series of Bhat below lam = 4 reaches
+# m = k + 1500), come from a table of tangent numbers built by loops,
+# with no recursion at all. The memo of
 # p_2k's odd coefficients, which B and Bhat read, asks for p_2k in the
 # same ascending order, on B's tanh and 1 - delta paths alike.
 # Prints the sha256 of the repr of the values named by argv[1].

@@ -7,6 +7,9 @@ format, ``--K`` and ``--tol`` where a method takes them), are the
 behaviour a refactor must keep byte for byte. Each command runs in
 process through ``cli.main``; a change that moves one of these hashes
 changes a reported digit and must say why in CHANGES.md.
+
+The usage, help and error texts of the command line are pinned the
+same way, stdout and stderr apart, at a fixed width of 80 columns.
 """
 
 import hashlib
@@ -74,3 +77,37 @@ def test_report_bytes(command, capsys):
     status = main(command.split())
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# argv -> (exit status, sha256 of stdout, sha256 of stderr)
+USAGE = {
+    "--help": (0, "72a9dc0fedbd00e229ed9001d8b3ff3c9d9564591ba2613c0958d7366908e66d", EMPTY),
+    # re-recorded when the default method came to serve mu = 0 and lam = 0
+    # with sign +: the lines of "default method: ..." and the help of
+    # --method moved, and nothing else
+    "eval --help": (0, "f4d647811a20128c3f6350b3f3f24f7d1520fc00c1822c5af2e6776840beb5d2", EMPTY),
+    "table --help": (0, "e716307695c4e5784d1767aa4c028df7e69dec1ab808434fe49b05f3531278c1", EMPTY),
+    "coeffs --help": (0, "73463233f4c797b0988dbdac7ae8f0af1dbab8f128c5582ae9e22d537bd45e50", EMPTY),
+    "check --help": (0, "e68a89d232f3794ff4ced8ab7b2551c07bdc58e50ee58fd2b078f3b6a589aa92", EMPTY),
+    # the top-level parser.error of --K outside the expansions
+    "eval --mu 0.5 --a 3 --K 5": (2, EMPTY, "d5b1bad77321c6577701c169c1aa5e563e1500f3432bba5a5e1fba97b12738cb"),
+    "eval --mu 0.5 --a 3 --K 5 --method full": (2, EMPTY, "d5b1bad77321c6577701c169c1aa5e563e1500f3432bba5a5e1fba97b12738cb"),
+    "frobnicate": (2, EMPTY, "e108e9f8ff6a36f54a8b6369f9bc8714a32bec4480e00cdab0689d2d36de7b98"),
+    "": (2, EMPTY, "e047c49a7daef0be171ff7591a42f2c94c7f28a80fda37db5a935d7e8eeb71cf"),
+    "eval --mu abc": (2, EMPTY, "6141d02ee420045d31884fe9983ec4358c51e80422911a784fc7e264395d2621"),
+    "coeffs B --lambda nan?": (2, EMPTY, "41b58d2db8daa1f61e84ce67a3314740bddcc9e21e8cdd69cdbe82b9d9a795b9"),
+    "table 9": (2, EMPTY, "5db213d1dbec7f0fe38776d78e7c96a66e80b4a6b4e6ad0674e4c393f452e60c"),
+    "eval --mu 0.5 --no-such-flag": (2, EMPTY, "e96a0a5ea3fe5dcf30cf44cc8384c3961629ea76a2746172ed477d56e03f2ef4"),
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_usage_bytes(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(command.split())
+    out, err = capsys.readouterr()
+    digest = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (exit_.value.code, *digest) == USAGE[command]
