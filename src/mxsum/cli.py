@@ -345,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(chosen)
     ns = parser.parse_args(argv)
     if ns.subcommand == "eval" and ns.K is not None:
-        if "K" not in _METHODS.get(ns.method, ()):
+        # against the method that will run, the default one included
+        if "K" not in _METHODS[ns.method or _default_method(ns)]:
             expansions = " and ".join(m for m, routes in _METHODS.items() if "K" in routes)
             parser.error(f"--K applies to --method {expansions} only")
     try:

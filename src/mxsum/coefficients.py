@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
@@ -91,7 +90,8 @@ _BHAT_SERIES_CACHE = 256
 def _derivative_coeffs(m: int) -> tuple[int, ...]:
     """Integer coefficients of p_m, lowest power first: the m-th
     derivative of tanh at u = tanh x, and equally that of coth at
-    u = coth x, both from p_{m+1}(u) = (1 - u^2) p_m'(u), p_0(u) = u."""
+    u = coth x, both from p_{m+1}(u) = (1 - u^2) p_m'(u), p_0(u) = u.
+    p_m has degree m + 1 and leading coefficient (-1)^m m!."""
 
     if m == 0:
         return (0, 1)  # p_0(u) = u
@@ -102,8 +102,6 @@ def _derivative_coeffs(m: int) -> tuple[int, ...]:
     for j, c in enumerate(q):
         nxt[j] += c
         nxt[j + 2] -= c
-    while len(nxt) > 1 and nxt[-1] == 0:
-        nxt.pop()
     return tuple(nxt)
 
 
@@ -233,8 +231,10 @@ def b_coefficients(lam: float, K: int) -> CoefficientTable:
     """
 
     lam = float(lam)
-    if not lam > 0.0:
-        raise PreconditionError("b_coefficients needs lam > 0")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise PreconditionError(
+            f"b_coefficients needs a finite lam > 0, got {lam}"
+        )
     _check_k(K, _MAX_DERIVATIVE_ORDER // 2)
     n, s = _tanh_half(lam)
     values = []
@@ -257,8 +257,6 @@ def _q(m: int) -> Fraction:
 
 
 def _frac_log2(x: Fraction) -> int:
-    if x == 0:
-        return -(10**9)
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
@@ -308,15 +306,11 @@ def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
     """
 
     lam = float(lam)
-    if not lam > 0.0:
-        raise PreconditionError("bhat_coefficients needs lam > 0")
-    _check_k(K, _MAX_DERIVATIVE_ORDER // 2)
-    if lam < 0.05:
-        warnings.warn(
-            "bhat_coefficients: both terms of the defining difference blow "
-            "up as lam -> 0; using the coth-series fallback",
-            stacklevel=2,
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise PreconditionError(
+            f"bhat_coefficients needs a finite lam > 0, got {lam}"
         )
+    _check_k(K, _MAX_DERIVATIVE_ORDER // 2)
     if lam < 4.0:
         values = [_bhat_series(lam, k) for k in range(K + 1)]
     else:
@@ -342,8 +336,10 @@ def a_coefficients(lam: float, K: int) -> CoefficientTable:
     """A_k with sin(lam x)/sinh(pi x) = (lam/pi) sum (-1)^k A_k x^(2k)."""
 
     lam = float(lam)
-    if not lam >= 0.0 or math.isnan(lam):
-        raise PreconditionError("a_coefficients needs lam >= 0")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise PreconditionError(
+            f"a_coefficients needs a finite lam >= 0, got {lam}"
+        )
     _check_k(K, _MAX_A_INDEX)
     lam_sq = lam * lam
     pi_sq = math.pi * math.pi

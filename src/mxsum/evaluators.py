@@ -18,7 +18,7 @@ Routes provided:
   inverse powers of a with exact rational coefficient generation;
 * ``bessel_tail_minus`` / ``bessel_tail_plus``: the exponentially small
   correction, a sum of modified Bessel functions K_nu of complex
-  argument, which refuses when its term budget runs out;
+  argument, which refuses past _TAIL_CAP terms;
 * ``full_minus`` / ``full_plus``: 1/(2a^(2mu)) + H (+ J) + tail, an
   exact representation that must close against ``direct_sum``. For
   |Im a| >= 1, and below it where the tail's first argument is steep,
@@ -47,7 +47,6 @@ from .errors import NonConvergenceError, PreconditionError
 from .kernel import (
     accelerated_alternating_complex,
     csum,
-    gamma_real,
     integrate,
     kv_complex,
     pfq_series,
@@ -86,6 +85,10 @@ _ROTATE_MIN_IM_A = 0.02
 # the relative slack of _kv_bound over its own rounding and that of
 # kv_complex (1.9e-15 at worst)
 _KV_BOUND_SLACK = 1.0 + 1e-13
+# terms a Bessel sum may take: its 1e-18 stop takes about
+# ln(1e18)/(2 pi Re a) of them, so Re a below about 6.6e-4 refuses
+# instead of running for seconds (half a second of K_nu calls at the cap)
+_TAIL_CAP = 10_030
 
 
 class _SeriesFields(NamedTuple):
@@ -204,6 +207,11 @@ def _need_sign(p: SeriesParams, sign: str, route: str) -> None:
         raise PreconditionError(
             f"{route} evaluates the {sign} sum; got sign = {p.sign!r}"
         )
+
+
+def _bessel_base(p: SeriesParams) -> float:
+    # the Bessel arguments run over (2k + base) pi a +- i lam a
+    return 2.0 if p.sign == "plus" else 1.0
 
 
 def _need_index(K, route: str) -> None:
@@ -338,9 +346,8 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
 # branch-cut contribution H
 
 
-def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
-    _need_sign(p, sign, f"h_{sign}_quadrature")
-    tag, with_exp = f"h-{sign}-quadrature", sign == "plus"
+def _h_quadrature(p: SeriesParams, tol: float) -> Evaluation:
+    tag, with_exp = f"h-{p.sign}-quadrature", p.sign == "plus"
     if not 0.0 <= p.mu < 1.0:
         raise PreconditionError(
             f"H integral needs 0 <= mu < 1 for integrability, got mu = {p.mu}"
@@ -436,7 +443,7 @@ def _h_quadrature(p: SeriesParams, tol: float, sign: str) -> Evaluation:
 def _half_beta(q: float) -> float:
     """int_0^1 (1 - t^2)^(q-1) dt = B(1/2, q)/2 for 0 < q < 1."""
 
-    return 0.5 * _SQRT_PI * gamma_real(q) / gamma_real(q + 0.5)
+    return 0.5 * _SQRT_PI * math.gamma(q) / math.gamma(q + 0.5)
 
 
 def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
@@ -456,7 +463,8 @@ def h_minus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     times the condition of g(1)). Requires 0 <= mu < 1.
     """
 
-    return _h_quadrature(p, tol, "minus")
+    _need_sign(p, "minus", "h_minus_quadrature")
+    return _h_quadrature(p, tol)
 
 
 def h_plus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
@@ -465,7 +473,8 @@ def h_plus_quadrature(p: SeriesParams, tol: float = 1e-13) -> Evaluation:
     Same integrand as the minus case times an extra exp(-pi a t) factor.
     """
 
-    return _h_quadrature(p, tol, "plus")
+    _need_sign(p, "plus", "h_plus_quadrature")
+    return _h_quadrature(p, tol)
 
 
 def small_a_minus(p: SeriesParams) -> Evaluation:
@@ -496,8 +505,8 @@ def small_a_minus(p: SeriesParams) -> Evaluation:
         )
 
     mu, lam = p.mu, p.lam
-    g = gamma_real(0.5) / gamma_real(1.5 - mu)  # Gamma(k+1/2)/Gamma(k+3/2-mu) at k=0
-    pref = (lam / (2.0 * _PI)) * gamma_real(1.0 - mu) * _apow(p.a, 1.0 - 2.0 * mu)
+    g = math.gamma(0.5) / math.gamma(1.5 - mu)  # Gamma(k+1/2)/Gamma(k+3/2-mu) at k=0
+    pref = (lam / (2.0 * _PI)) * math.gamma(1.0 - mu) * _apow(p.a, 1.0 - 2.0 * mu)
     a2 = _a2(p)
     # rounding floor per unit of sum |term|: a few roundings in the Gamma
     # ratios and products, and the rounding of log a, amplified by the
@@ -691,16 +700,16 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
 
 
 def _kv_sums(
-    p: SeriesParams, base: float, offsets: tuple[complex, ...], pairs: list | None = None
+    p: SeriesParams, offsets: tuple[complex, ...], pairs: list | None = None
 ) -> tuple[list[complex], int, float, float]:
     """sum_k (2/Z_k)^nu K_nu(Z_k), nu = 1/2 - mu, for each offset, over
-    Z_k = (2k + base) pi a + offset, all in one loop.
+    Z_k = (2k + base) pi a + offset (see _bessel_base), all in one loop.
 
     The loop stops at whichever comes first: a term of the first sum
     below 1e-18 of its plain running sum, or _kv_bound's bound on the
     first sum's next term below that level, which saves the K_nu call
     that would only confirm the stop. NonConvergenceError past
-    _tail_budget(p). Returns the sums, each compensated in its real and
+    _TAIL_CAP terms. Returns the sums, each compensated in its real and
     imaginary parts, the number of terms, a bound on the omitted terms
     of every sum together, and the mass sum |Z_k| |term| over every sum.
 
@@ -726,9 +735,9 @@ def _kv_sums(
     first = accs[0]
     mass = 0.0
     last_mag = 0.0
-    budget = _tail_budget(p)
+    base = _bessel_base(p)
     ma = base * _PI * a
-    for k in range(budget):
+    for k in range(_TAIL_CAP):
         for off, acc in zip(offsets, accs):
             Z = ma + off
             kv = kv_complex(nu, Z)
@@ -757,7 +766,7 @@ def _kv_sums(
             return sums, k + 1, omitted / -math.expm1(-2.0 * _PI * a.real), mass
     raise NonConvergenceError(
         f"Bessel sum did not reach its 1e-18 stop within its budget of "
-        f"{budget} terms (last term {last_mag:.3e} of sum "
+        f"{_TAIL_CAP} terms (last term {last_mag:.3e} of sum "
         f"{abs(complex(first[0], first[2])):.3e})"
     )
 
@@ -792,32 +801,8 @@ def _kv_bound(nu: float, Z: complex) -> float:
     )
 
 
-def _tail_budget(p: SeriesParams) -> int:
-    """Terms every Bessel sum is allowed.
-
-    A term is about |Z_k|^(mu-1) e^(-Re Z_k) once |Z_k| passes |nu|, and
-    Re Z_k grows by 2 pi Re a a term: the stop at 1e-18 of the sum (a
-    term, or the bound on the next, below it; see _kv_sums) takes about
-    ln(1e18)/(2 pi Re a) terms, 3 mu more in the exponent for the power
-    and the plateau before |nu|, and at steep a, where |Z_k| is |a|/Re a
-    times Re Z_k, twice (mu - 1) ln(|a|/Re a) more; 30 more terms cover
-    the slower start at small |Z_k|. In seeded probes of 1600 sums
-    (mu 0.05 to 10, Re a 1e-3 to 5, |Im a| up to 30, lam = 0 and lam > 0,
-    both bases) every sum below the cap stopped within 0.93 of this; the
-    stop on the bound of the next term saves at most one term of that.
-    Capped at 10^4 + 30 (half a second of K_nu calls), so Re a below
-    about 6.6e-4 refuses instead of running for seconds.
-    """
-
-    steep = 2.0 * (p.mu - 1.0) * math.log(abs(p.a) / p.a.real) if p.mu > 1.0 else 0.0
-    exponent = math.log(1e18) + 3.0 * p.mu + steep
-    return 30 + math.ceil(min(exponent / (2.0 * _PI * p.a.real), 1e4))
-
-
-def _bessel_tail(
-    p: SeriesParams, sign: str, pairs: list | None = None
-) -> Evaluation:
-    """The Bessel tail of the sum of ``sign``.
+def _bessel_tail(p: SeriesParams, pairs: list | None = None) -> Evaluation:
+    """The Bessel tail of the sum of sign p.sign.
 
     The arguments run over X_k = (2k+1) pi a + i lam a (minus case) or
     X_k = (2k+2) pi a + i lam a (plus case). The tail is
@@ -834,13 +819,12 @@ def _bessel_tail(
     ``pairs`` collects (X_k, K_nu(X_k)) as in _kv_sums.
     """
 
-    _need_sign(p, sign, f"bessel_tail_{sign}")
     mu, lam, a = p.mu, p.lam, p.a
     if not 0.0 < mu < 1.0:
         raise PreconditionError(
             f"Bessel tail is defined for 0 < mu < 1 only, got mu = {mu}"
         )
-    base = 2.0 if sign == "plus" else 1.0
+    base = _bessel_base(p)
     # every argument needs Re X_k > 0; k = 0 is the binding case
     if base * _PI * a.real - lam * abs(a.imag) <= 0.0:
         raise PreconditionError(
@@ -848,13 +832,13 @@ def _bessel_tail(
             f"{base:g}*pi*Re a > lam*|Im a| (a = {a}, lam = {lam})"
         )
 
-    gpref = gamma_real(1.0 - mu) / _SQRT_PI
+    gpref = math.gamma(1.0 - mu) / _SQRT_PI
     rot = 1j * cmath.exp(-1j * _PI * mu)
     apw = _apow(a, 1.0 - 2.0 * mu)
 
     ila = 1j * lam * a
     offsets = (ila,) if p.real_a else (ila, -ila)
-    sums, n, omitted, mass = _kv_sums(p, base, offsets, pairs)
+    sums, n, omitted, mass = _kv_sums(p, offsets, pairs)
 
     i2 = rot * apw * gpref * sums[0]
     if p.real_a:
@@ -867,12 +851,12 @@ def _bessel_tail(
         value = i2 + i3
     scale = abs(apw) * gpref
     err = scale * max(omitted, _EPS * mass)
-    return Evaluation(value, f"bessel-tail-{sign}", err, tail_terms_used=n)
+    return Evaluation(value, f"bessel-tail-{p.sign}", err, tail_terms_used=n)
 
 
-def _displayed_tail(p: SeriesParams, sign: str) -> tuple[Evaluation, list[TailTerm]]:
+def _displayed_tail(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
     pairs: list[tuple[complex, complex]] = []
-    tail = _bessel_tail(p, sign, pairs)
+    tail = _bessel_tail(p, pairs)
     terms = []
     for k, (X, kv) in enumerate(pairs):
         disp = kv * X ** (p.mu - 0.5)
@@ -886,12 +870,13 @@ def bessel_tail_minus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
     Arguments X_k = (2k+1) pi a + i lam a; leading magnitude
     O(a^(1-2mu) exp(-pi a)). Terms are added until one, or a proven
     bound on the next (DLMF 10.40.10-11), falls below 1e-18 of the sum,
-    within the budget of _tail_budget (NonConvergenceError past it, at
-    Re a below about 6.6e-4). Also returns the per-term display data
+    within _TAIL_CAP terms (NonConvergenceError past it, at Re a below
+    about 6.6e-4). Also returns the per-term display data
     (theta_k, magnitudes) of the terms summed.
     """
 
-    return _displayed_tail(p, "minus")
+    _need_sign(p, "minus", "bessel_tail_minus")
+    return _displayed_tail(p)
 
 
 def bessel_tail_plus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
@@ -902,7 +887,8 @@ def bessel_tail_plus(p: SeriesParams) -> tuple[Evaluation, list[TailTerm]]:
     and refuses as bessel_tail_minus.
     """
 
-    return _displayed_tail(p, "plus")
+    _need_sign(p, "plus", "bessel_tail_plus")
+    return _displayed_tail(p)
 
 
 def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
@@ -927,7 +913,7 @@ def tail_display_form(mu: float, a: float, terms: list[TailTerm]) -> float:
         2.0 ** (1.5 - mu)
         * _SQRT_PI
         * a ** (1.0 - 2.0 * mu)
-        / gamma_real(mu)
+        / math.gamma(mu)
         * s
         / math.sin(_PI * mu)
     )
@@ -1032,9 +1018,8 @@ def _subdominant_tail(p: SeriesParams) -> Evaluation:
     At lam = 0 it is the Bessel sum of the lam = 0 routes.
     """
 
-    base = 2.0 if p.sign == "plus" else 1.0
-    sums, n, omitted, mass = _kv_sums(p, base, (-1j * p.lam * p.a,))
-    pref = 2.0 * _SQRT_PI / gamma_real(p.mu) * _apow(p.a, 1.0 - 2.0 * p.mu)
+    sums, n, omitted, mass = _kv_sums(p, (-1j * p.lam * p.a,))
+    pref = 2.0 * _SQRT_PI / math.gamma(p.mu) * _apow(p.a, 1.0 - 2.0 * p.mu)
     return Evaluation(
         pref * sums[0],
         "subdominant-tail",
@@ -1091,8 +1076,7 @@ def _rotated_path(p: SeriesParams) -> bool:
         return True
     if im < _ROTATE_MIN_IM_A:
         return False
-    base = 2.0 if p.sign == "plus" else 1.0
-    re_x0 = base * _PI * p.a.real - p.lam * im
+    re_x0 = _bessel_base(p) * _PI * p.a.real - p.lam * im
     return re_x0 > 0.0 and p.lam * p.a.real > _ROTATE_STEEP * re_x0
 
 
@@ -1123,7 +1107,7 @@ def full_minus(p: SeriesParams) -> Evaluation:
     if _rotated_path(p):
         return _full_rotated(p)
     h = h_minus_quadrature(p, 1e-14)
-    tail = _bessel_tail(p, "minus")
+    tail = _bessel_tail(p)
     return _full(p, "full-minus", [h, tail], h.notes)
 
 
@@ -1212,7 +1196,7 @@ def full_plus(p: SeriesParams) -> Evaluation:
         return _full_rotated(p)
     j = j_mu_quadrature(p, 1e-14)
     h = h_plus_quadrature(p, 1e-14)
-    tail = _bessel_tail(p, "plus")
+    tail = _bessel_tail(p)
     return _full(p, "full-plus", [j, h, tail])
 
 
@@ -1233,7 +1217,8 @@ def olver_lambda0_minus(p: SeriesParams) -> Evaluation:
     of the parts and of the Bessel arguments.
     """
 
-    return _lambda0_bessel(p, "minus")
+    _need_sign(p, "minus", "olver_lambda0_minus")
+    return _lambda0_bessel(p)
 
 
 def lambda0_plus(p: SeriesParams) -> Evaluation:
@@ -1250,14 +1235,14 @@ def lambda0_plus(p: SeriesParams) -> Evaluation:
         raise PreconditionError(
             f"lam = 0 non-alternating sum diverges for mu <= 1/2, got {p.mu}"
         )
-    return _lambda0_bessel(p, "plus")
+    _need_sign(p, "plus", "lambda0_plus")
+    return _lambda0_bessel(p)
 
 
-def _lambda0_bessel(p: SeriesParams, sign: str) -> Evaluation:
+def _lambda0_bessel(p: SeriesParams) -> Evaluation:
     """The lam = 0 routes: the lead, for sign + the Gamma(mu - 1/2) term,
     and _subdominant_tail at lam = 0, assembled and floored by _full."""
 
-    _need_sign(p, sign, "olver_lambda0_minus" if sign == "minus" else "lambda0_plus")
     if p.lam != 0.0:
         raise PreconditionError(
             f"the lam = 0 routes evaluate the lam = 0 sum, got lam = {p.lam}"
@@ -1270,15 +1255,15 @@ def _lambda0_bessel(p: SeriesParams, sign: str) -> Evaluation:
         )
 
     parts = []
-    if sign == "plus":
+    if p.sign == "plus":
         # a few roundings in the Gamma ratio, and the rounding of log a,
         # amplified by the exponent, in the power
         e = 1.0 - 2.0 * mu
-        v = _SQRT_PI * gamma_real(mu - 0.5) / (2.0 * gamma_real(mu)) * _apow(a, e)
+        v = _SQRT_PI * math.gamma(mu - 0.5) / (2.0 * math.gamma(mu)) * _apow(a, e)
         err = (4.0 + abs(e * cmath.log(a))) * _EPS * abs(v)
         parts.append(Evaluation(complex(v), "lambda0-gamma-term", err))
     parts.append(_subdominant_tail(p))
-    e = _full(p, f"lambda0-{sign}", parts)
+    e = _full(p, f"lambda0-{p.sign}", parts)
     return e._replace(value=complex(e.value.real)) if p.real_a else e
 
 

@@ -15,7 +15,6 @@ _EXPORTS = {
     "accelerated_alternating_complex": "summation",
     "bernoulli_even": "zeta",
     "csum": "summation",
-    "gamma_real": "hyper",
     "hurwitz_zeta": "zeta",
     "integrate": "quadrature",
     "kv_complex": "bessel",

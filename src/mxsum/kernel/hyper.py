@@ -1,4 +1,4 @@
-"""Gamma-function helpers and the generalized hypergeometric series.
+"""The generalized hypergeometric series.
 
 ``pfq_series`` sums pFq(a_1..a_p; b_1..b_q; z) term by term with the
 ratio recurrence
@@ -15,26 +15,13 @@ at a nonpositive integer ends it, and it is refused up front.
 
 from __future__ import annotations
 
-import math
-
 from ..errors import NonConvergenceError, PreconditionError
 from .summation import SeriesSum, sum_terms
 
-__all__ = ["gamma_real", "pfq_series"]
+__all__ = ["pfq_series"]
 
 _TOL = 1e-15
 _MAX_TERMS = 200_000
-
-
-def gamma_real(x: float) -> float:
-    """Gamma(x) for real x, |x| <= 50, away from the poles."""
-
-    x = float(x)
-    if math.isnan(x) or abs(x) > 50.0:
-        raise PreconditionError("gamma_real domain is real |x| <= 50")
-    if x <= 0.0 and x == math.floor(x):
-        raise PreconditionError(f"gamma pole at nonpositive integer x = {x}")
-    return math.gamma(x)
 
 
 def _nonpositive_integer(c: complex) -> bool:

@@ -153,6 +153,12 @@ def test_eval_default_method_depends_on_mu(capsys):
         assert got["method"] == f"algebraic-{sign}"
         assert got["error_estimate"] == 0.0
         assert abs(got["value_re"] - want) <= 4e-16 * want, sign
+    # --K is checked against the method that runs: at mu = 0 the default
+    # algebraic takes it, as --method algebraic does
+    point = ["eval", "--mu", "0", "--a", "8", "--K", "3"]
+    got = _eval_json(point, capsys)
+    assert got == _eval_json(point + ["--method", "algebraic"], capsys)
+    assert got["truncation_index"] == 3
 
 
 def test_eval_json_and_csv(capsys):
@@ -426,8 +432,7 @@ def test_coeffs_output(capsys):
     assert lines[1] == "A,0,1.0,1.0"
     assert lines[2] == "A,1,1.0,1.811600733514893"
 
-    with pytest.warns(UserWarning):
-        rc = main(["coeffs", "Bhat", "--lambda", "0.001", "--K", "2"])
+    rc = main(["coeffs", "Bhat", "--lambda", "0.001", "--K", "2"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "Bhat,0,0.001,8.333333194444448e-05"
@@ -436,6 +441,13 @@ def test_coeffs_output(capsys):
 def test_coeffs_domain_exit(capsys):
     assert main(["coeffs", "B", "--lambda", "0", "--K", "2"]) == 3
     capsys.readouterr()
+    # a non-finite lam is refused as SeriesParams refuses it, with no
+    # traceback and no rows of inf
+    for kind in ("A", "B", "Bhat"):
+        assert main(["coeffs", kind, "--lambda", "inf", "--K", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs a finite lam" in captured.err, kind
     with pytest.raises(SystemExit):
         main(["coeffs", "C", "--K", "2"])
 

@@ -33,7 +33,7 @@ from mxsum.evaluators import (
     tail_display_form,
 )
 from mxsum import evaluators
-from mxsum.evaluators import _kv_bound, _tail_budget
+from mxsum.evaluators import _TAIL_CAP, _kv_bound
 from mxsum.oracles import branch_cut, explicit_sum, lambda0_sum, laplace
 
 
@@ -323,8 +323,8 @@ def test_bessel_tail_term_cap_refuses():
     # the 1e-18 stop takes 77 of them (78 before the bound on the next
     # term saved the one that confirmed the stop); a fixed 30 used to
     # refuse here.
-    # The budget now grows like 1/Re a up to 10^4 + 30 terms, which
-    # Re a = 5e-4 would need more than: there the sum refuses
+    # Every sum may take up to 10^4 + 30 terms, which Re a = 5e-4 would
+    # need more than: there the sum refuses
     tail, terms = bessel_tail_minus(SeriesParams(0.5, 1.0, 0.08))
     assert tail.tail_terms_used == len(terms) == 77
     with pytest.raises(NonConvergenceError, match="budget of 10030 terms"):
@@ -387,19 +387,16 @@ def _budget_grid():
 
 
 def test_tail_budget_covers_every_bessel_sum():
-    # each sum of _budget_grid stops inside its budget with room to
-    # spare, or refuses at the cap; the budget without its steep-a term
-    # ran out at (2.1, 0.0011 - 0.27i)
-    worst = 0.0
+    # each sum of _budget_grid either stops below the one cap of every
+    # Bessel sum or refuses at it
+    assert _TAIL_CAP == 10030
     for route, q in _budget_grid():
-        budget = _tail_budget(q)
         try:
             used = route(q).tail_terms_used
-        except NonConvergenceError:
-            assert budget == 10030, q
+        except NonConvergenceError as exc:
+            assert "budget of 10030 terms" in str(exc), q
             continue
-        worst = max(worst, used / budget)
-    assert worst <= 0.95, worst
+        assert used < _TAIL_CAP, q
 
 
 # the terms each sum of _budget_grid took when it stopped only on a term
@@ -981,6 +978,10 @@ def test_h_and_full_routes_near_mu_one():
                 ok, actual = _meets_estimate(got, branch_cut(mu, 1.0, a, sign))
                 assert ok, (q, a, sign, actual, got.error_estimate)
                 _check_full_route(mu, 1.0, a, sign)
+    # at mu = 1 itself (1 - t^2)^-mu is not integrable
+    for mu in (1.0, 1.5):
+        with pytest.raises(PreconditionError, match="H integral needs 0 <= mu < 1"):
+            h_minus_quadrature(SeriesParams(mu, 1.0, 3.0))
 
 
 def test_h_near_mu_one_refuses_past_sin_overflow():
@@ -1008,7 +1009,7 @@ def test_h_integrand_past_sin_overflow(monkeypatch):
 
         monkeypatch.setattr(evaluators, "integrate", capture)
         with pytest.raises(NonConvergenceError, match="captured"):
-            evaluators._h_quadrature(SeriesParams(mu, lam, a, sign), 1e-14, sign)
+            evaluators._h_quadrature(SeriesParams(mu, lam, a, sign), 1e-14)
         monkeypatch.undo()
         sigma = 4.0 / abs(a)
         with mpmath.workdps(40):
@@ -1036,7 +1037,7 @@ def test_h_integrand_past_sin_overflow(monkeypatch):
         [
             j_mu_quadrature(p, 1e-14),
             h_plus_quadrature(p, 1e-14),
-            evaluators._bessel_tail(p, "plus"),
+            evaluators._bessel_tail(p),
         ],
     )
     ok, actual = _meets_estimate(straight, explicit_sum(mu, lam, a, "plus").value)
@@ -1219,6 +1220,15 @@ def test_lambda0_against_summation_oracles():
     # and both against the direct route in-process
     dm = direct_sum(SeriesParams(0.75, 0.0, 5.0, "minus")).value.real
     assert abs(gm - dm) <= 1e-12
+    # on the rotated path at lam = 0 the ray integral is 0, and full_minus
+    # keeps the bits of the subdominant sum, as olver_lambda0_minus does
+    for mu in (0.3, 0.5, 0.9):
+        for a in (2 + 1.5j, 2 - 1.5j, 0.7 + 3j, 5 + 1j):
+            p = SeriesParams(mu, 0.0, a)
+            full, olver = full_minus(p), olver_lambda0_minus(p)
+            assert full.notes == "integrand vanishes when lam = 0"
+            assert repr(full[2:5]) == repr(olver[2:5]), (mu, a)
+            assert repr(full.value) == repr(olver.value), (mu, a)
 
 
 @pytest.mark.parametrize("mu, a", [(10.0, 0.02), (9.7, 0.03 + 0.01j)])
@@ -1226,7 +1236,7 @@ def test_lambda0_minus_large_mu_small_a(mu, a):
     # K_{9.5}(pi a) at |pi a| = 0.06 sent the quadrature of K_nu into
     # NonConvergenceError. The Bessel terms stay near their z -> 0 limit
     # until (2k+1) pi |a| ~ 10, so the sum needs a few hundred of them
-    # (459 and 309 here), inside its budget of 599 and 398.
+    # (459 and 309 here).
     got = olver_lambda0_minus(SeriesParams(mu, 0.0, a))
     # 20 digits serve a 1e-13 check (1.8 s here; 4.6 s at 40)
     ref = lambda0_sum(mu, a, "minus", dps=20).value
@@ -1253,8 +1263,8 @@ def test_lambda0_estimate_sweep():
 
 def test_lambda0_term_cap_refuses():
     # a sum cut short at a fixed 30 terms was 19% off at (10, 0.02),
-    # against an estimate of 0.7%; the budget grows with mu and 1/Re a,
-    # and only past its cap of 10^4 + 30 terms does the sum refuse
+    # against an estimate of 0.7%; only past 10^4 + 30 terms does the
+    # sum refuse
     for mu, sign in ((0.75, "minus"), (10.0, "minus"), (0.75, "plus")):
         with pytest.raises(NonConvergenceError, match="budget of"):
             _lambda0(SeriesParams(mu, 0.0, 6e-4 + 0.5j, sign))
@@ -1346,3 +1356,6 @@ def test_mu_step_recurrence():
         mu_step_check(SeriesParams(1.5, 1.0, 4.0))
     with pytest.raises(PreconditionError):
         mu_step_check(SeriesParams(0.5, 1.0, complex(4.0, 1.0)))
+    for h in (0.0, 4.0, 5.0):
+        with pytest.raises(PreconditionError, match="step h must satisfy 0 < h < a"):
+            mu_step_check(SeriesParams(0.5, 1.0, 4.0), h=h)

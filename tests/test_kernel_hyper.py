@@ -1,29 +1,11 @@
-"""Gamma function and generalized hypergeometric series."""
+"""Generalized hypergeometric series."""
 
 import math
 
 import pytest
 
 from mxsum.errors import NonConvergenceError, PreconditionError
-from mxsum.kernel import gamma_real, pfq_series
-
-
-def test_gamma_values():
-    assert gamma_real(1.0) == 1.0
-    assert abs(gamma_real(0.5) - math.sqrt(math.pi)) < 1e-15
-    assert abs(gamma_real(7.5) - 1871.2543057977884) < 1e-11
-    # reflection: Gamma(-1/2) = -2 sqrt(pi)
-    assert abs(gamma_real(-0.5) + 2.0 * math.sqrt(math.pi)) < 1e-14
-    for x in (0.25, 1.0, 3.7, 12.0, 49.5, -2.5):
-        assert gamma_real(x) == math.gamma(x)
-
-
-def test_gamma_domain():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(PreconditionError):
-            gamma_real(x)
-    with pytest.raises(PreconditionError):
-        gamma_real(51.0)
+from mxsum.kernel import pfq_series
 
 
 def test_pfq_closed_forms():
