@@ -6,6 +6,14 @@ B_k and Bhat_k. Each works at ``dps`` digits (40), plus guard digits where
 it sums or cancels; do arithmetic on the values inside ``mpmath.workdps``.
 Nothing here comes from mxsum but its errors, so no reference shares code
 with a route it checks; mxsum imports it lazily, only where a check runs.
+
+H comes from a tanh-sinh rule on [0, 1] written here (the scheme Bailey,
+Jeyabalan and Li compare, Exp. Math. 14, 2005), with mp.quad's nodes, step
+halving and stop, and mp.quad's 20 guard bits. A process builds each
+level's nodes once per precision, and their weights times (1 - t^2)^-mu
+once per (precision, mu), only to the deepest level reached. Where mp.quad
+runs out of levels it returns its last estimate; the rule refuses with
+NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -19,6 +27,12 @@ from .errors import NonConvergenceError, PreconditionError
 DPS = 40
 _GUARD = 10
 _MAX_TERMS = 500_000
+_QUAD_BITS = 20
+_LEVELS = 8
+# tanh-sinh nodes by precision, and weights by (precision, mu), a list of
+# levels each, to the deepest level reached
+_NODES: dict = {}
+_WEIGHTS: dict = {}
 
 # a reference value and a bound on the magnitude of what it omits
 Bounded = namedtuple("Bounded", "value bound")
@@ -95,26 +109,110 @@ def lambda0_sum(mu, a, sign, dps: int = DPS) -> Bounded:
     raise NonConvergenceError(f"Bessel sum did not converge at a = {a}")
 
 
+def _nodes(prec: int, level: int):
+    """The new nodes of tanh-sinh level 1, 2, ... on [0, 1], as (t, 1 - t,
+    weight) with t <= 1/2: t = q/(1 + q) and 1 - t = 1/(1 + q), q = e^(-pi
+    sinh x), so 1 - t keeps its digits near t = 1; the weight is pi cosh(x)
+    t (1 - t). Level 1 takes x = k/2, level l the odd multiples of 2^-l, and
+    each ends before t reaches 2^-(prec+11), as mp.quad's do. Built once a
+    process per prec, 20 bits past the working precision prec + 20.
+    """
+
+    levels = _NODES.setdefault(prec, [])
+    while len(levels) < level:
+        m = len(levels) + 1
+        with mp.workprec(prec + 2 * _QUAD_BITS):
+            h, end, half_pi = mp.ldexp(1, -m), mp.ldexp(1, -prec - 11), mp.pi / 2
+            nodes = [(mp.mpf(0.5), mp.mpf(0.5), half_pi / 2)] if m == 1 else []
+            e, grow = mp.exp(h), mp.exp(h if m == 1 else 2 * h)  # e = e^x
+            while True:
+                r = 1 / e
+                q = mp.exp(half_pi * (r - e))
+                u = 1 / (1 + q)
+                t = q * u
+                if t <= end:
+                    break
+                nodes.append((t, u, half_pi * (e + r) * t * u))
+                e *= grow
+        with mp.workprec(prec + _QUAD_BITS):
+            levels.append([(+t, +u, +w) for t, u, w in nodes])
+    return levels[level - 1]
+
+
+def _weights(prec: int, mu, level: int):
+    """Level ``level``'s nodes t and weights times (1 - t^2)^-mu, built once
+    a process per (prec, mu) at the working precision prec + 20.
+    """
+
+    levels = _WEIGHTS.setdefault((prec, mu), [])
+    while len(levels) < level:
+        pairs = []
+        for t, u, w in _nodes(prec, len(levels) + 1):
+            pairs.append((t, w * (u * (1 + t)) ** -mu))
+            if t != u:
+                pairs.append((u, w * (t * (1 + u)) ** -mu))
+        levels.append(pairs)
+    return levels[level - 1]
+
+
+def _tanh_sinh(f, mu, prec: int):
+    """int_0^1 f(t) (1 - t^2)^-mu dt by the tanh-sinh rule, at the working
+    precision prec + 20. Level l adds its new nodes to the sum at step
+    2^-l; the levels stop once mp.quad's estimate of the error is below its
+    goal eps/8 = 2^-(prec+2). NonConvergenceError after _LEVELS levels
+    (mp.quad's cap from 35 to 71 digits).
+    """
+
+    goal, total, results = mp.ldexp(1, -prec - 2), 0, []
+    for level in range(1, _LEVELS + 1):
+        total += mp.fdot((w, f(t)) for t, w in _weights(prec, mu, level))
+        results.append(total / 2**level)
+        if level > 1 and _estimate(results, prec) <= goal:
+            return results[-1]
+    raise NonConvergenceError(f"H's tanh-sinh rule did not converge in {_LEVELS} levels")
+
+
+def _estimate(results, prec: int):
+    # mp.quad's error estimate of results[-1]: with D1 and D2 the log10 of
+    # its distance from the last two results, 10^(D1^2/D2), as each level
+    # doubles the digits, but at least 10^(2 D1) and at most 1
+    if len(results) == 2:
+        return abs(results[1] - results[0])
+    if results[-1] == results[-2] == results[-3]:
+        return 0
+    d1, d2 = (mp.log(abs(results[-1] - r), 10) for r in (results[-2], results[-3]))
+    return mp.mpf(10) ** int(min(0, max(d1**2 / d2, 2 * d1, -prec)))
+
+
 def branch_cut(mu, lam, a, sign, dps: int = DPS):
     """H = a^(1-2mu) int_0^1 g(t) (1 - t^2)^-mu dt for 0 <= mu < 1, with
-    g(t) = sin(lam a t)/sinh(pi a t), times e^(-pi a t) for sign +: one
-    mp.quad of (g(t) - g(1)) (1 - t^2)^-mu, which vanishes at t = 1, plus
-    g(1) B(1/2, 1 - mu)/2.
+    g(t) = sin(lam a t)/sinh(pi a t), times e^(-pi a t) for sign +: the
+    tanh-sinh rule of (g(t) - g(1)) (1 - t^2)^-mu, which vanishes at t = 1,
+    plus g(1) B(1/2, 1 - mu)/2. Each node costs one sin and one sinh (sign
+    -), or one sin and one exp or coth (sign +), as the cached weights hold
+    (1 - t^2)^-mu. NonConvergenceError where the rule's levels run out.
     """
 
     minus = _minus(sign)
     if not 0 <= mu < 1:
         raise PreconditionError(f"H needs 0 <= mu < 1, got {mu}")
     with mp.workdps(dps):
-        mu, lam, a = mp.mpf(mu), mp.mpf(lam), mp.mpmathify(a)
+        prec, mu, lam, a = mp.prec, mp.mpf(mu), mp.mpf(lam), mp.mpmathify(a)
+        with mp.extraprec(_QUAD_BITS):
+            la, pa = lam * a, mp.pi * a * (1 if minus else 2)
 
-        def g(t):
-            value = mp.sin(lam * a * t) / mp.sinh(mp.pi * a * t)
-            return value if minus else value * mp.exp(-mp.pi * a * t)
+            def g(t):
+                if minus:
+                    return mp.sin(la * t) / mp.sinh(pa * t)
+                # e^(-y/2)/sinh(y/2) = 2/(e^y - 1) = coth(y/2) - 1, each
+                # taken where it does not cancel
+                y = pa * t
+                return mp.sin(la * t) * (2 / (mp.exp(y) - 1) if abs(y) > 1 else mp.coth(y / 2) - 1)
 
-        g1 = g(mp.mpf(1))
-        body = mp.quad(lambda t: (g(t) - g1) * (1 - t * t) ** -mu, [0, 1])
-        return a ** (1 - 2 * mu) * (body + g1 * mp.beta(0.5, 1 - mu) / 2)
+            g1 = g(1)
+            body = _tanh_sinh(lambda t: g(t) - g1, mu, prec)
+            value = a ** (1 - 2 * mu) * (body + g1 * mp.beta(0.5, 1 - mu) / 2)
+        return +value
 
 
 def laplace(mu, lam, a, dps: int = DPS):

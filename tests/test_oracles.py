@@ -1,7 +1,10 @@
 """The high-precision references of mxsum.oracles: bounds and isolation."""
 
 import ast
+import cmath
+import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -12,7 +15,7 @@ import mpmath
 import pytest
 
 import mxsum
-from mxsum import oracles
+from mxsum import harness, oracles
 from mxsum.errors import NonConvergenceError, PreconditionError
 
 
@@ -92,9 +95,110 @@ def test_oracle_domain(monkeypatch):
         with pytest.raises(PreconditionError):
             call()
     monkeypatch.setattr(oracles, "_MAX_TERMS", 50)
-    for call in (lambda: oracles.explicit_sum(0.5, 0.1, 2.0, "plus"), lambda: oracles.lambda0_sum(3.0, 0.01, "minus")):
+    monkeypatch.setattr(oracles, "_LEVELS", 2)
+    for call in (
+        lambda: oracles.explicit_sum(0.5, 0.1, 2.0, "plus"),
+        lambda: oracles.lambda0_sum(3.0, 0.01, "minus"),
+        lambda: oracles.branch_cut(0.5, 1.0, 3.0, "minus"),
+    ):
         with pytest.raises(NonConvergenceError):
             call()
+
+
+def _mp_quad_h(mu, lam, a, sign, dps):
+    """H by mp.quad of branch_cut's integrand, and whether mp.quad's own
+    error estimate met its goal."""
+
+    with mpmath.workdps(dps):
+        mu, lam, a = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpmathify(a)
+
+        def g(t):
+            value = mpmath.sin(lam * a * t) / mpmath.sinh(mpmath.pi * a * t)
+            return value if sign == "minus" else value * mpmath.exp(-mpmath.pi * a * t)
+
+        g1 = g(mpmath.mpf(1))
+        body, error = mpmath.quad(lambda t: (g(t) - g1) * (1 - t * t) ** -mu, [0, 1], error=True)
+        return a ** (1 - 2 * mu) * (body + g1 * mpmath.beta(0.5, 1 - mu) / 2), error <= mpmath.eps / 8
+
+
+@functools.cache
+def _check_suite_h_calls():
+    # (arguments, value, integrand evaluations) of every H in check_suite
+    calls, branch_cut, tanh_sinh = [], oracles.branch_cut, oracles._tanh_sinh
+
+    def counted(f, mu, prec):
+        def f_counted(t):
+            calls[-1][2] += 1
+            return f(t)
+
+        return tanh_sinh(f_counted, mu, prec)
+
+    def recorded(mu, lam, a, sign, dps=oracles.DPS):
+        args = (mu, lam, a, sign, dps)
+        calls.append([args, None, 0])
+        calls[-1][1] = branch_cut(*args)
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "branch_cut", recorded)
+        patch.setattr(oracles, "_tanh_sinh", counted)
+        harness.check_suite()
+    return [tuple(call) for call in calls]
+
+
+def test_branch_cut_against_mp_quad():
+    # the 14 H of check_suite at their 40 to 60 digits, and 8 points drawn
+    # (seed 30) from the H sweep's domain at 40 and 60 digits: agreement
+    # within 10^-(dps-3) where mp.quad meets its own goal, a refusal where
+    # it does not (mu near 1 at |a| = 263, 60 digits: mp.quad stops at an
+    # estimate of 1e-60 against its goal of 2e-62)
+    rng = random.Random(30)
+    cases = [(args, value) for args, value, _ in _check_suite_h_calls()]
+    for i in range(8):
+        mu = (rng.uniform(0.0, 0.05), rng.uniform(0.05, 0.95), 1.0 - 10.0 ** rng.uniform(-12.0, -1.0))[i % 3]
+        lam = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        mod = math.exp(rng.uniform(math.log(0.05), math.log(300.0)))
+        a = mod if i % 4 < 2 else cmath.rect(mod, rng.uniform(-1.4, 1.4))
+        cases.append(((mu, lam, a, ("minus", "plus")[i % 2], (40, 60)[i // 4]), None))
+    cases.append(((0.9999999997159084, 3.0926745051076656, 172.26903937126926 + 198.89828777744904j, "plus", 60), None))
+    assert {(args[3], args[4], isinstance(args[2], complex)) for args, _ in cases} >= set(
+        itertools.product(("minus", "plus"), (40, 60), (False, True))
+    )
+    for args, value in cases:
+        want, converged = _mp_quad_h(*args)
+        if not converged:
+            with pytest.raises(NonConvergenceError):
+                oracles.branch_cut(*args)
+            continue
+        got = oracles.branch_cut(*args) if value is None else value
+        with mpmath.workdps(args[4] + 10):
+            assert abs(got - want) <= mpmath.mpf(10) ** (3 - args[4]) * abs(want), args
+
+
+def test_check_suite_h_cost():
+    # check_suite's 14 H take 6,302 integrand evaluations, as many as
+    # mp.quad took: the same nodes and the same stop
+    calls = _check_suite_h_calls()
+    assert len(calls) == 14
+    assert sum(evaluations for _, _, evaluations in calls) == 6302
+
+
+def test_branch_cut_tables_are_built_once(monkeypatch):
+    # a second call at the same (dps, mu) reaching no deeper level builds no
+    # node or weight table; the tables hold the levels reached, no more
+    monkeypatch.setattr(oracles, "_NODES", {})
+    monkeypatch.setattr(oracles, "_WEIGHTS", {})
+
+    def tables():
+        caches = (oracles._NODES, oracles._WEIGHTS)
+        return {key: [id(level) for level in levels] for cache in caches for key, levels in cache.items()}
+
+    first = oracles.branch_cut(0.25, 1.0, 10.0, "plus", 60)
+    built = tables()
+    assert oracles.branch_cut(0.25, 1.0, 10.0, "plus", 60) == first
+    oracles.branch_cut(0.25, 0.5, 8.0, "plus", 60)
+    assert tables() == built
+    assert [len(levels) for levels in built.values()] == [6, 6]
 
 
 def test_oracles_stay_apart_from_the_routes():
