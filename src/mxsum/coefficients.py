@@ -27,10 +27,22 @@ Numerical notes that shape the implementation:
   cancellation surviving the exact arithmetic. Each q_m is exact,
   from the integer tangent number T_m (see ``kernel.zeta``), and
   computed once per process; the falling factorial (2m-1)!/(2m-1-2k)!
-  of each term is one ``math.perm``. For lam >= 4 the direct subtraction
-  is exact as well: coth x and x are both dyadic, so both terms go over
-  one common denominator, a power of two times xn^(2k+1) for x = xn/2^t,
-  by the same shifts, and one correctly rounded division. But coth x is
+  of each term is one ``math.perm``. The sum stops on a proven bound.
+  The partial fractions of coth (DLMF §4.36) give
+  q_m = (-1)^(m-1) 2 zeta(2m)/pi^(2m), and zeta(2m) falls with m, so
+  term m+1 is at most r_m = (x/pi)^2 (2m+1)(2m)/((2m+1-2k)(2m-2k))
+  times term m in modulus, and r_m falls with m. Once r_m < 1, the
+  terms after m sum to at most |term_m| r_m/(1 - r_m) in modulus. The
+  sum stops at the first such m where (acc - bound) 2^(-2k-1) and
+  (acc + bound) 2^(-2k-1) round to the same binary64; that float is the
+  correctly rounded value of the whole series at the float lam. r_m
+  uses the rational pi^2 > 9.8696 = 12337/1250, so the test is exact.
+  On a seeded grid a value takes about 20 terms; just below lam = 4,
+  where r_m tends to (2/pi)^2 = 0.405, a few hundred. For lam >= 4 the
+  direct subtraction is exact as well: coth x and x are both dyadic, so
+  both terms go over one common denominator, a power of two times
+  xn^(2k+1) for x = xn/2^t, by the same shifts, and one correctly
+  rounded division. But coth x is
   rounded to binary64 first, and that rounding is amplified: the
   relative error is about 6e-10 at lam = 4, k = 8 and 1e-3 at k = 20
   (ROADMAP item 2).
@@ -43,7 +55,7 @@ Numerical notes that shape the implementation:
   and each entry of a row is one correctly rounded integer division.
 
 Only the coth series makes Fractions: ``fractions`` (which loads
-``decimal``) is imported inside ``_q`` and ``_bhat_series``, so a
+``decimal``) is imported inside ``_q`` and ``_coth_series``, so a
 process that asks for A or B, or for Bhat at lam >= 4, loads neither.
 
 Every memo here (the p_m, the odd coefficients of p_2k, the q_m, the
@@ -80,6 +92,8 @@ _MAX_DERIVATIVE_ORDER = 200
 _MAX_A_INDEX = 60
 # Bhat_k values of the coth series kept, keyed on (lam, k)
 _BHAT_SERIES_CACHE = 256
+# terms of the coth series summed at most for one Bhat_k
+_BHAT_SERIES_TERMS = 1500
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +274,60 @@ def _frac_log2(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-@functools.lru_cache(maxsize=_BHAT_SERIES_CACHE)
-def _bhat_series(lam: float, k: int) -> float:
+def _coth_series(lam: float, k: int) -> tuple[float, int, Fraction]:
+    """Bhat_k from the coth series, with the index m of the last term
+    summed and the bound on the tail left out (see the module notes)."""
+
     # Bhat_k = 2^(-2k-1) * d^(2k)/dx^(2k) [coth x - 1/x], x = lam/2
     #        = 2^(-2k-1) sum_{m>k} q_m (2m-1)!/(2m-1-2k)! x^(2m-1-2k)
     from fractions import Fraction
 
     x = Fraction(lam) / 2
     x2 = x * x
+    # rho_n/rho_d >= (x/pi)^2, as pi^2 > 9.8696 = 12337/1250
+    rho_n, rho_d = 1250 * x2.numerator, 12337 * x2.denominator
+    e = 2 * k + 1
     acc = Fraction(0)
     x_pow = x  # x^(2m-1-2k) at m = k+1
-    max_log = -(10**9)
-    m = k + 1
-    while True:
+    for m in range(k + 1, k + 1 + _BHAT_SERIES_TERMS):
         term = _q(m) * math.perm(2 * m - 1, 2 * k) * x_pow
         acc += term
-        tl = _frac_log2(term)
-        max_log = max(max_log, tl)
-        if tl < max_log - 270:
-            break
+        # r = num/den bounds |term_(j+1)/term_j| for every j >= m
+        num = rho_n * (2 * m + 1) * 2 * m
+        den = rho_d * (2 * m + 1 - 2 * k) * (2 * m - 2 * k)
+        if num < den:
+            # the tail is at most bound = |term| r/(1 - r). The rounding
+            # test can pass only once 2 bound 2^-e is at most an ulp, so
+            # bound <= 2^-53 |acc| (or 2^(e-1075), subnormal); bit lengths
+            # give log2 of the bound within 2 and of acc within 1, so the
+            # test below skips no m that could stop the sum
+            log2_bound = _frac_log2(term) + num.bit_length() - (den - num).bit_length()
+            if log2_bound < max(_frac_log2(acc) - 49, e - 1073):
+                bound = abs(term) * Fraction(num, den - num)
+                lo, hi = acc - bound, acc + bound
+                f_lo = lo.numerator / (lo.denominator << e)
+                f_hi = hi.numerator / (hi.denominator << e)
+                if f_lo == f_hi and math.copysign(1, f_lo) == math.copysign(1, f_hi):
+                    return f_lo, m, bound
         x_pow *= x2
-        m += 1
-        if m > k + 1500:
-            raise NonConvergenceError(
-                "coth-series fallback did not converge (lam too close "
-                "to the series radius 2*pi)"
-            )
-    return float(acc * Fraction(1, 2 ** (2 * k + 1)))
+    raise NonConvergenceError(
+        f"coth series for Bhat_{k} at lam = {lam}: the rounding interval "
+        f"did not close within {_BHAT_SERIES_TERMS} terms"
+    )
+
+
+@functools.lru_cache(maxsize=_BHAT_SERIES_CACHE)
+def _bhat_series(lam: float, k: int) -> float:
+    return _coth_series(lam, k)[0]
 
 
 def bhat_coefficients(lam: float, K: int) -> CoefficientTable:
     """Bhat_k = 2^(-2k-1) [p_2k(coth x) - (2k)!/x^(2k+1)], x = lam/2.
 
-    lam < 4: the exact coth-series, one value per (lam, k). Bhat_k does
+    lam < 4: the exact coth series, one value per (lam, k), summed
+    until a proven bound on its tail leaves a single binary64 for
+    Bhat_k, which is then the correctly rounded value of the series at
+    the float lam (see the module notes for the proof). Bhat_k does
     not depend on K, so each is kept in a bounded LRU cache of
     ``_BHAT_SERIES_CACHE`` entries keyed on (float lam, k): a table at a
     lam already seen, at any K, reuses its values, and the bits are the

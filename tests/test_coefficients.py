@@ -4,6 +4,7 @@ the tanh derivative polynomials p_m."""
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -17,7 +18,7 @@ import pytest
 
 from mxsum import coefficients
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
-from mxsum.errors import PreconditionError
+from mxsum.errors import NonConvergenceError, PreconditionError
 from mxsum.kernel import bernoulli_even
 from mxsum.oracles import coefficient
 
@@ -215,7 +216,7 @@ def test_b_against_80_digits():
 
 def _bhat_values(lam):
     # below lam = 4 each Bhat_k is its own coth series, which the table
-    # would sum for every k <= 40 (15 s at lam = 3.99): take the grid's
+    # would sum for every k <= 40 (6.5 s at lam = 3.99): take the grid's
     # k alone, the values bhat_coefficients puts in its table
     if lam < 4.0:
         return {k: coefficients._bhat_series(lam, k) for k in _GRID_KS}
@@ -223,7 +224,9 @@ def _bhat_values(lam):
 
 
 def test_bhat_against_80_digits_below_4():
-    lams = [lam for lam in _GRID_LAMS if lam < 4.0]
+    # lam = 3.999 is the slowest corner of the coth series: its ratio
+    # bound r_m tends to (1.9995/pi)^2 = 0.405
+    lams = [lam for lam in _GRID_LAMS if lam < 4.0] + [3.999]
     assert _grid_misses("Bhat", _bhat_values, lams) == []
 
 
@@ -289,10 +292,62 @@ def test_bhat_route_consistency():
         assert abs(vals[1] - c1) < 1e-14, (lam, vals[1], c1)
 
 
+def _coth_series_270_bits(lam, k):
+    """The coth series as it was summed before its stop was proven: on
+    to the first term 270 bits below the largest. Returns Bhat_k and the
+    terms, from m = k + 1 on."""
+
+    x = Fraction(lam) / 2
+    x2, x_pow = x * x, x
+    acc, terms, max_log = Fraction(0), [], -(10**9)
+    for m in itertools.count(k + 1):
+        term = coefficients._q(m) * math.perm(2 * m - 1, 2 * k) * x_pow
+        acc += term
+        terms.append(term)
+        log2 = term.numerator.bit_length() - term.denominator.bit_length()
+        max_log = max(max_log, log2)
+        if log2 < max_log - 270:
+            return float(acc * Fraction(1, 2 ** (2 * k + 1))), terms
+        x_pow *= x2
+
+
+def test_bhat_series_stop_keeps_the_bits():
+    # the coth series stops once the bound on its omitted tail leaves one
+    # binary64 for Bhat_k: the old 270-bit stop must give the same repr,
+    # and its extra terms must sum, in modulus, to no more than that bound
+    rng = random.Random(31)
+    grid = [
+        (math.exp(rng.uniform(math.log(1e-3), math.log(4.0))), rng.randint(0, 40))
+        for _ in range(40)
+    ]
+    grid += [(lam, k) for lam in (3.999, 1e-300, 5e-324) for k in range(0, 41, 4)]
+    for lam, k in grid:
+        value, m, bound = coefficients._coth_series(lam, k)
+        want, terms = _coth_series_270_bits(lam, k)
+        assert repr(value) == repr(want), (lam, k)
+        assert sum(abs(t) for t in terms[m - k :]) <= bound, (lam, k)
+
+
+def test_bhat_series_at_high_k_below_4():
+    # at (3.99, 70) the largest term of the coth series is 233 bits
+    # above the sum, so a stop 270 bits below that term left 1.5e-12 of
+    # error; the proven stop sums on until the value is settled
+    value = coefficients._bhat_series(3.99, 70)
+    ref = coefficient("Bhat", 70, 3.99, dps=80)
+    assert abs((value - ref) / ref) <= _GRID_REL
+
+
+def test_bhat_series_refuses_past_its_term_cap(monkeypatch):
+    monkeypatch.setattr(coefficients, "_BHAT_SERIES_TERMS", 30)
+    with pytest.raises(NonConvergenceError, match="did not close within 30 terms"):
+        coefficients._coth_series(3.9, 20)
+
+
 def test_bhat_series_cache_keeps_the_bits():
     # each Bhat_k of the coth series is cached per (lam, k): a table comes
     # out repr-identical cold, after a larger K and after a smaller one
-    # (a value costs about 0.2 s at lam = 3.99, so K is small there)
+    # (a value costs 5 ms at lam = 3.99 for k <= 3, and grows with k to
+    # 0.5 s at k = 40, so K is small there)
     cache = coefficients._bhat_series
     for lam, K in ((0.2, 8), (1.0, 8), (3.99, 2)):
         cache.cache_clear()

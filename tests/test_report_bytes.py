@@ -39,6 +39,8 @@ GOLDEN = {
     "coeffs A --lambda 0 --K 60": (0, "36ee90b346e0c63d27e2093aa38f0f30d5c53706a3d0e477b4fde39785c1cee0"),
     "coeffs A --lambda 7.5 --K 60": (0, "8288ca28950ea35d0db579b7ad0c976031d7382d84172b2ba96ca123d940d385"),
     "coeffs Bhat --lambda 0.2 --K 20": (0, "c825392c5c24cf1ad3c0823ef2e76cc768ddb512de58d48a2c4ed4e1e16dd2d3"),
+    # just below Bhat's switch at lam = 4, where the coth series is slowest
+    "coeffs Bhat --lambda 3.9 --K 12": (0, "1543d3f4dd0bd2c1532dbd222aba75e9dc92d866e5e47ade092ac4aed407aa50"),
     "table 2 --format json": (0, "ca3dc8afe72844c5370d2ba1d93bb9693591b0396cc600309fd19dc48e0045f1"),
     "check --format json": (0, "bfa84223ecaa4743e2353d8007ff0c65c2ad418ee8500f883e4b0e3073706a1f"),
     # eval: every method; oracle at real a only, whose terms take float pow
