@@ -24,9 +24,9 @@ Numerical notes that shape the implementation:
   coth x - 1/x = sum q_m x^(2m-1), q_m = 4^m B_2m / (2m)!, summed in
   exact rational arithmetic (radius pi, so lam < 2 pi); the term-by-term
   2k-th derivative of that series IS the difference, with no
-  cancellation surviving the exact arithmetic. Each q_m is exact,
-  from the integer tangent number T_m (see ``kernel.zeta``), and
-  computed once per process; the falling factorial (2m-1)!/(2m-1-2k)!
+  cancellation surviving the exact arithmetic. Each q_m is exact, from
+  the integer tangent number T_m (see below), and computed once per
+  process; the falling factorial (2m-1)!/(2m-1-2k)!
   of each term is one ``math.perm``. The sum stops on a proven bound.
   The partial fractions of coth (DLMF §4.36) give
   q_m = (-1)^(m-1) 2 zeta(2m)/pi^(2m), and zeta(2m) falls with m, so
@@ -53,20 +53,31 @@ Numerical notes that shape the implementation:
   coefficients e_n of the reciprocal series are in closed form, from
   the Bernoulli expansion of y/sinh y and the cached tangent numbers,
   and each entry of a row is one correctly rounded integer division.
+* Both q_m and e_n rest on the Bernoulli numbers, taken from the
+  integer tangent numbers T_m, the Taylor coefficients of
+  tan x = sum T_m x^(2m-1)/(2m-1)!, as
+  B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)). T_1..T_n take O(n^2)
+  small multiples and sums of integers (R. P. Brent and D. Harvey,
+  "Fast computation of Bernoulli, Tangent and Secant numbers",
+  arXiv:1108.0286, algorithm TangentNumbers), where the Fraction
+  recurrence for B_2m costs O(m^2) rational operations. The table is
+  built in sizes that are powers of two, each by loops and once per
+  process.
 
 Only the coth series makes Fractions: ``fractions`` (which loads
 ``decimal``) is imported inside ``_q`` and ``_coth_series``, so a
 process that asks for A or B, or for Bhat at lam >= 4, loads neither.
 
-Every memo here (the p_m, the odd coefficients of p_2k, the q_m, the
-exact e_n behind the A rows, the rows, and the Bhat_k of the coth series
-per (lam, k)) is a ``functools`` cache of a pure function with an
-immutable result, so threads need no lock: two that miss at once compute
-the same value twice. p_m and the rows recurse on their predecessor, so a
-cold call is as deep as its index; B and Bhat ask for p_0, p_2, p_4, ...
-(through the odd-coefficient memo) in ascending order, so each call
-finds its predecessor cached and recurses a few frames at most. The
-A rows recurse at most 60 frames, their index cap.
+Every memo here (the tangent numbers, the p_m, the odd coefficients of
+p_2k, the q_m, the exact e_n behind the A rows, the rows, and the Bhat_k
+of the coth series per (lam, k)) is a ``functools`` cache of a pure
+function with an immutable result, so threads need no lock: two that
+miss at once compute the same value twice. p_m and the rows recurse on
+their predecessor, so a cold call is as deep as its index; B and Bhat
+ask for p_0, p_2, p_4, ... (through the odd-coefficient memo) in
+ascending order, so each call finds its predecessor cached and recurses
+a few frames at most. The A rows recurse at most 60 frames, their index
+cap, and the tangent numbers not at all.
 """
 
 from __future__ import annotations
@@ -76,7 +87,6 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonConvergenceError, PreconditionError
-from .kernel.zeta import tangent_number
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -94,6 +104,34 @@ _MAX_A_INDEX = 60
 _BHAT_SERIES_CACHE = 256
 # terms of the coth series summed at most for one Bhat_k
 _BHAT_SERIES_TERMS = 1500
+
+
+# ---------------------------------------------------------------------------
+# tangent numbers
+
+
+@functools.cache
+def _tangent_numbers(n: int) -> tuple[int, ...]:
+    """T_1..T_n: start from T_j = (j-1)!, then pass k = 2..n replaces
+    T_j by (j-k) T_(j-1) + (j-k+2) T_j for j = k..n, in ascending j."""
+
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, n + 1):
+        prev = t[k - 1]
+        for j in range(k, n + 1):
+            prev = t[j] = (j - k) * prev + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
+def _tangent_number(m: int) -> int:
+    """Tangent number T_m for m >= 1 (1, 2, 16, 272, 7936, ...), from the
+    cached table of the smallest power-of-two size that holds it."""
+
+    if m < 1:
+        raise PreconditionError("tangent number T_m needs m >= 1")
+    return _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +167,8 @@ def _e(n: int) -> tuple[int, int]:
     integer numerator and denominator (not in lowest terms).
 
     At y = -x^2, 1/D is pi x/sinh(pi x), and z/sinh z = sum (2 - 4^n)
-    B_2n z^(2n)/(2n)!; with B_2n's tangent-number form (see
-    ``kernel.zeta``) that gives e_0 = 1 and, for n >= 1,
+    B_2n z^(2n)/(2n)!; with B_2n's tangent-number form (see the module
+    notes) that gives e_0 = 1 and, for n >= 1,
     e_n = (4^n - 2) T_n / (4^n (4^n - 1) (2n-1)!).
     """
 
@@ -138,7 +176,7 @@ def _e(n: int) -> tuple[int, int]:
         return 1, 1
     four_n = 4**n
     return (
-        (four_n - 2) * tangent_number(n),
+        (four_n - 2) * _tangent_number(n),
         four_n * (four_n - 1) * math.factorial(2 * n - 1),
     )
 
@@ -261,12 +299,12 @@ def b_coefficients(lam: float, K: int) -> CoefficientTable:
 @functools.cache
 def _q(m: int) -> Fraction:
     """q_m = 4^m B_2m/(2m)! of coth x - 1/x = sum_{m>=1} q_m x^(2m-1),
-    which B_2m's tangent-number form (see ``kernel.zeta``) makes
+    which B_2m's tangent-number form (see the module notes) makes
     (-1)^(m-1) T_m / ((4^m - 1) (2m-1)!)."""
 
     from fractions import Fraction
 
-    q = Fraction(tangent_number(m), (4**m - 1) * math.factorial(2 * m - 1))
+    q = Fraction(_tangent_number(m), (4**m - 1) * math.factorial(2 * m - 1))
     return q if m % 2 else -q
 
 

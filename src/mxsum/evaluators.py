@@ -63,8 +63,12 @@ _pkg = sys.modules[__package__]
 _PI = math.pi
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = sys.float_info.epsilon
-# term budget of direct_sum at lam > 0
+# term budget of direct_sum: the terms summed at lam > 0, the head at
+# lam = 0 with sign +
 _MAX_TERMS = 5_000_000
+# truncation index cap of the algebraic routes: they read c_(K+1), and
+# B and Bhat stop at index 100
+_MAX_EXPANSION_K = 99
 # lam |a| above which J is integrated in t = u/lam (see j_mu_quadrature)
 _J_RESCALE = 860.0
 # the least rate lam s at which J's integrand decays in its variable u:
@@ -214,11 +218,13 @@ def _bessel_base(p: SeriesParams) -> float:
     return 2.0 if p.sign == "plus" else 1.0
 
 
-def _need_index(K, route: str) -> None:
-    # an expansion truncated at K sums k = 0 .. K
-    if not isinstance(K, int) or K < 0:
+def _need_index(K, route: str, cap: int | None = None) -> None:
+    # an expansion truncated at K sums k = 0 .. K; the algebraic routes
+    # also read c_(K+1), so their K stops one below the coefficient cap
+    if not isinstance(K, int) or K < 0 or (cap is not None and K > cap):
+        bound = "K >= 0" if cap is None else f"0 <= K <= {cap}"
         raise PreconditionError(
-            f"{route} needs an integer truncation index K >= 0, got K = {K!r}"
+            f"{route} needs an integer truncation index {bound}, got K = {K!r}"
         )
 
 
@@ -231,12 +237,26 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
 
     Needs mu > 1/2 for convergence. The tail integral
     int_N^inf (t^2+a^2)^(-mu) dt is expanded binomially in (a/t)^2,
-    valid because N is chosen > 3|a|.
+    valid because N is chosen > 3|a|; a head of more than _MAX_TERMS
+    terms is refused.
     """
 
     mu, a2, base = p.mu, _a2(p), _shifted_square(p)
     n_head = max(50, math.ceil(3.0 * abs(p.a)) + 50)
-    head_val = csum(base(n) ** (-mu) for n in range(n_head))
+    if n_head > _MAX_TERMS:
+        raise NonConvergenceError(
+            f"lambda0_plus: the head sum at |a| = {abs(p.a):.3g} needs "
+            f"{n_head} terms, over the budget of {_MAX_TERMS}"
+        )
+    # one fsum per part, as csum sums them, in the pass that also takes
+    # sum |term| for the estimate's floor, so the head is stored once
+    re, im, abs_sum = [], [], 0.0
+    for n in range(n_head):
+        t = complex(base(n) ** (-mu))
+        re.append(t.real)
+        im.append(t.imag)
+        abs_sum += abs(t)
+    head_val = complex(math.fsum(re), math.fsum(im))
 
     nf = float(n_head)
     # tail integral: sum_j (-1)^j (mu)_j/j! a^(2j) N^(1-2mu-2j)/(2mu+2j-1)
@@ -260,12 +280,13 @@ def _lambda0_plus_direct(p: SeriesParams) -> Evaluation:
         mu + 1.0
     ) * (mu + 2.0) * nf**3 * u ** (-mu - 3.0)
     value = head_val + integral + 0.5 * f_n - fp_n / 12.0 + fppp_n / 720.0
-    # next Euler-Maclaurin correction is ~ f^(5)(N)/30240
+    # next Euler-Maclaurin correction is ~ f^(5)(N)/30240; the terms and
+    # the integral carry the same (1 + mu) eps rounding as at lam > 0
     err = abs(mu**5) * nf ** (-2.0 * mu - 5.0) * 40.0
     return Evaluation(
         complex(value),
         "direct-sum",
-        err,
+        max(err, (1.0 + mu) * _EPS * (abs_sum + abs(integral))),
         truncation_index=n_head - 1,
         notes="lam = 0 head sum with Euler-Maclaurin tail",
     )
@@ -286,9 +307,13 @@ def direct_sum(p: SeriesParams, tol: float = 1e-15) -> Evaluation:
     lam = 0 the alternating case is accelerated (30-stage scheme; the
     estimate is its order-to-order delta, with the same floor) and
     the non-alternating case uses a head sum with an Euler-Maclaurin
-    tail (mu > 1/2 required; the series diverges for mu <= 1/2).
+    tail (mu > 1/2 required; the series diverges for mu <= 1/2; the
+    estimate is the next correction, with the same floor). tol must lie
+    in (0, 1).
     """
 
+    if not 0.0 < tol < 1.0:
+        raise PreconditionError("tol must lie in (0, 1)")
     mu, lam, base = p.mu, p.lam, _shifted_square(p)
     if lam > 0.0:
         s = p.sign_factor
@@ -614,7 +639,7 @@ def algebraic_minus(p: SeriesParams, K: int = 8) -> Evaluation:
     """
 
     _need_sign(p, "minus", "algebraic_minus")
-    _need_index(K, "algebraic_minus")
+    _need_index(K, "algebraic_minus", _MAX_EXPANSION_K)
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bvals = _pkg.b_coefficients(p.lam, K + 1).values
@@ -679,7 +704,7 @@ def algebraic_plus(p: SeriesParams, K: int = 5) -> Evaluation:
     """
 
     _need_sign(p, "plus", "algebraic_plus")
-    _need_index(K, "algebraic_plus")
+    _need_index(K, "algebraic_plus", _MAX_EXPANSION_K)
     if p.lam <= 0.0:
         raise PreconditionError("algebraic expansion needs lam > 0")
     bhat = _pkg.bhat_coefficients(p.lam, K + 1).values

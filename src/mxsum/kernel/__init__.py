@@ -1,39 +1,25 @@
-"""Numeric kernel: compensated summation, exp-exp quadrature on
-(0, inf) for exponentially decaying integrands, K-Bessel evaluation,
-hypergeometric series and Hurwitz zeta.
+"""Numeric kernel in binary64: compensated summation, exp-exp quadrature
+on (0, inf) for exponentially decaying integrands, K-Bessel evaluation
+and hypergeometric series.
 Everything above this layer builds on these primitives.
 
-The names below are re-exported lazily (PEP 562): each imports its
-submodule on first use, so code that needs one primitive loads only it.
+Every process that uses the kernel (the evaluation routes) needs all of
+its submodules, so they are imported here whole.
 """
 
 from __future__ import annotations
 
-# public name -> the submodule that defines it
-_EXPORTS = {
-    "SeriesSum": "summation",
-    "accelerated_alternating_complex": "summation",
-    "bernoulli_even": "zeta",
-    "csum": "summation",
-    "hurwitz_zeta": "zeta",
-    "integrate": "quadrature",
-    "kv_complex": "bessel",
-    "pfq_series": "hyper",
-    "sum_terms": "summation",
-}
+from .bessel import kv_complex
+from .hyper import pfq_series
+from .quadrature import integrate
+from .summation import SeriesSum, accelerated_alternating_complex, csum, sum_terms
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "SeriesSum",
+    "accelerated_alternating_complex",
+    "csum",
+    "integrate",
+    "kv_complex",
+    "pfq_series",
+    "sum_terms",
+]

@@ -47,18 +47,20 @@ def test_import_footprint():
     layers = ("mxsum.evaluators", "mxsum.harness", "mxsum.coefficients")
     assert _loaded("import mxsum", layers) == "[]"
     run = "import os, mxsum.cli\nassert mxsum.cli.main({!r}) == 0"
-    coeffs = ["coeffs", "A", "--K", "2", "--output", os.devnull]
-    assert _loaded(
-        run.format(coeffs),
-        ("mxsum.evaluators", "mxsum.harness", "mxsum.kernel.quadrature", "mxsum.kernel.bessel"),
-    ) == "[]"
+    # the coefficients are exact integer and rational arithmetic: coeffs
+    # loads no evaluation route and no binary64 kernel module
+    kernel = ("mxsum.kernel", "mxsum.kernel.summation", "mxsum.kernel.quadrature",
+              "mxsum.kernel.bessel", "mxsum.kernel.hyper")
+    for kind in ("A", "B", "Bhat"):
+        coeffs = ["coeffs", kind, "--K", "2", "--output", os.devnull]
+        assert _loaded(run.format(coeffs), ("mxsum.evaluators", "mxsum.harness", *kernel)) == "[]", kind
     evaluate = ["eval", "--mu", "0.5", "--a", "3", "--method", "full",
                 "--format", "json", "--output", os.devnull]
     assert _loaded(run.format(evaluate), ("mxsum.harness", "mxsum.oracles") + heavy) == "[]"
-    # the routes that need no expansion coefficients load neither the
-    # coefficients' exact arithmetic nor the zeta kernel, and only a
-    # process that writes CSV loads csv
-    exact = ("mxsum.coefficients", "fractions", "decimal", "mxsum.kernel.zeta", "csv")
+    # the routes that need no expansion coefficients do not load the
+    # coefficients' exact arithmetic, and only a process that writes CSV
+    # loads csv
+    exact = ("mxsum.coefficients", "fractions", "decimal", "csv")
     for method, point in (
         ("full", ["--mu", "0.5", "--a", "3", "--sign", "plus"]),
         ("oracle", ["--mu", "0.5", "--a", "3"]),
@@ -88,21 +90,23 @@ def test_import_footprint():
 
 
 def test_lazy_exports():
-    # mxsum and mxsum.kernel re-export through one name -> submodule map
-    # each (PEP 562): every exported name resolves to the object its
-    # submodule defines, dir() lists it and a star import binds it
+    # mxsum re-exports through one name -> submodule map (PEP 562): every
+    # exported name resolves to the object its submodule defines, dir()
+    # lists it and a star import binds it
+    assert set(mxsum.__all__) <= set(dir(mxsum))
+    for name in mxsum.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"mxsum.{mxsum._EXPORTS[name]}")
+        assert getattr(mxsum, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        getattr(mxsum, "no_such_name")
+    # mxsum.kernel imports its submodules whole
     for package in (mxsum, mxsum.kernel):
-        assert set(package.__all__) <= set(dir(package)), package
-        for name in package.__all__:
-            if name == "__version__":
-                continue
-            module = importlib.import_module(f"{package.__name__}.{package._EXPORTS[name]}")
-            assert getattr(package, name) is getattr(module, name), name
         bound = {}
         exec(f"from {package.__name__} import *", bound)
         assert set(package.__all__) <= set(bound), package
-        with pytest.raises(AttributeError):
-            getattr(package, "no_such_name")
+    assert all(hasattr(mxsum.kernel, name) for name in mxsum.kernel.__all__)
     with pytest.raises(AttributeError):
         getattr(mxsum.cli, "no_such_name")
 
@@ -284,6 +288,12 @@ def test_eval_precondition_exits_3(capsys):
             for K in ("-1", "-3"):
                 cases.append(["eval", "--sign", sign, "--mu", "0.5", "--a", "8",
                               "--method", method, "--K", K])
+    # a tol outside (0, 1): the oracle summed 5 million terms and exited 4
+    # (tol -1 or nan) or printed a value of 3 terms and exited 0 (inf)
+    for method in ("oracle", "j-mu"):
+        for tol in ("-1", "nan", "inf"):
+            cases.append(["eval", "--mu", "0.5", "--a", "3", "--method", method,
+                          "--tol", tol])
     for argv in cases:
         assert main(argv) == 3, argv
         err = capsys.readouterr().err

@@ -14,12 +14,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from mxsum import coefficients
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
 from mxsum.errors import NonConvergenceError, PreconditionError
-from mxsum.kernel import bernoulli_even
 from mxsum.oracles import coefficient
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -389,6 +389,20 @@ def test_a_values_and_identity():
         assert abs(got - (lam * lam + pi2) / 6.0) < 1e-14
 
 
+def test_tangent_numbers():
+    # T_m = tan^(2m-1)(0); (-1)^(m-1) 2m T_m = 4^m (4^m - 1) B_2m, across
+    # the table sizes 1, 2, 4, ..., 512
+    tangent_number = coefficients._tangent_number
+    assert [tangent_number(m) for m in range(1, 8)] == [
+        1, 2, 16, 272, 7936, 353792, 22368256,
+    ]
+    for m in (63, 64, 65, 300):
+        b = Fraction(*mpmath.bernfrac(2 * m))
+        assert (-1) ** (m - 1) * 2 * m * tangent_number(m) == 4**m * (4**m - 1) * b
+    with pytest.raises(PreconditionError):
+        tangent_number(0)
+
+
 def test_e_closed_form_matches_the_recurrence():
     # the e_n of 1/D behind the A rows, in closed form from the tangent
     # numbers, equal the triangular recurrence of the power-series
@@ -510,9 +524,9 @@ def test_concurrent_cold_coefficients_give_the_same_bits():
 # recursion limit: p_200, which B and Bhat (lam >= 4) reach at K = 100,
 # would need about 400 frames if asked for cold, so both must fill p_m
 # in ascending order; the A rows recurse within their index cap of 60,
-# and their e_n are in closed form; and the Bernoulli numbers, which
-# have none (the coth series of Bhat below lam = 4 reaches
-# m = k + 1500), come from a table of tangent numbers built by loops,
+# and their e_n are in closed form; and the tangent numbers behind the
+# Bernoulli numbers, which have no index cap (the coth series of Bhat
+# below lam = 4 reaches m = k + 1500), come from a table built by loops,
 # with no recursion at all. The memo of
 # p_2k's odd coefficients, which B and Bhat read, asks for p_2k in the
 # same ascending order, on B's tanh and 1 - delta paths alike.
@@ -522,7 +536,6 @@ import hashlib, sys
 sys.setrecursionlimit(250)
 from mxsum import coefficients
 from mxsum.coefficients import a_coefficients, b_coefficients, bhat_coefficients
-from mxsum.kernel import bernoulli_even
 
 CALLS = {
     "b": lambda: b_coefficients(1.0, 100).values,
@@ -531,7 +544,7 @@ CALLS = {
     "bhat-poly": lambda: bhat_coefficients(6.0, 100).values,
     "bhat-series": lambda: bhat_coefficients(1.0, 100).values,
     "a": lambda: a_coefficients(1.0, 60).values,
-    "bernoulli": lambda: bernoulli_even(400),
+    "tangent": lambda: coefficients._tangent_number(400),
 }
 print(hashlib.sha256(repr(CALLS[sys.argv[1]]()).encode()).hexdigest())
 """
@@ -545,7 +558,7 @@ def test_cold_memos_stay_shallow():
         "bhat-poly": bhat_coefficients(6.0, 100).values,
         "bhat-series": bhat_coefficients(1.0, 100).values,
         "a": a_coefficients(1.0, 60).values,
-        "bernoulli": bernoulli_even(400),
+        "tangent": coefficients._tangent_number(400),
     }
     for name, values in want.items():
         assert _run_script(_DEPTH_SCRIPT, name) == [

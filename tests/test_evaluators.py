@@ -138,6 +138,19 @@ def test_direct_sum_lam0():
         direct_sum(SeriesParams(0.5, 0.0, 5.0, "plus"))
     with pytest.raises(PreconditionError):
         direct_sum(SeriesParams(0.0, 0.0, 5.0, "minus"))
+    # the head of 3|a| + 50 terms, whose cost grows with |a| (1.5 s and
+    # 250 MB at a = 1e6), is refused past the 5 million term budget of
+    # lam > 0
+    with pytest.raises(NonConvergenceError, match="lambda0_plus"):
+        direct_sum(SeriesParams(0.75, 0.0, 2e6, "plus"))
+    # every branch refuses a tol outside (0, 1) before summing: at lam > 0
+    # a tol <= 0 or nan summed the 5 million terms of the budget and then
+    # refused, and tol >= 1 stopped after a few terms
+    for lam, sign in ((1.0, "minus"), (0.0, "minus"), (0.0, "plus")):
+        p = SeriesParams(0.75, lam, 3.0, sign)
+        for tol in (-1.0, 0.0, 1.0, math.inf, math.nan):
+            with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+                direct_sum(p, tol=tol)
 
 
 def test_h_quadrature_frozen():
@@ -290,13 +303,16 @@ def test_expansions_refuse_a_bad_truncation_index():
     # int raised TypeError or the coefficient generators' refusal
     minus = SeriesParams(0.5, 1.0, 8.0)
     plus = SeriesParams(0.5, 1.0, 8.0, "plus")
+    # the algebraic routes read c_(K+1), so K = 100 met the coefficient
+    # generators' refusal of an index bound in [0, 100]
     for route, p in (
         (algebraic_minus, minus),
         (algebraic_plus, plus),
         (j_mu_asymptotic, minus),
         (j_mu_asymptotic, plus),
     ):
-        for K in (-1, -3, 2.0, "2", None):
+        capped = (100,) if route is not j_mu_asymptotic else ()
+        for K in (-1, -3, 2.0, "2", None, *capped):
             with pytest.raises(PreconditionError, match="truncation index"):
                 route(p, K=K)
         # K = 0 is the lead term of each series
@@ -676,6 +692,19 @@ def test_direct_sum_lam0_minus_estimate_sweep():
         ok, actual = _meets_estimate(got, lambda0_sum(mu, a, "minus").value)
         assert ok, (mu, a, actual, got.error_estimate)
     assert returned == 135
+    # sign +, seeded: mu in (0.55, 4), |a| log-uniform on [0.5, 1e4], every
+    # other a rotated by up to 1.2 rad. The estimate used to be the next
+    # Euler-Maclaurin correction alone, with no rounding floor: 31 of these
+    # 80 values missed 2x of it, by up to 1.3e10x at |a| near 1e4
+    rng = random.Random(32)
+    for i in range(80):
+        mu = rng.uniform(0.55, 4.0)
+        a = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
+        if i % 2:
+            a *= cmath.exp(1j * rng.uniform(-1.2, 1.2))
+        got = direct_sum(SeriesParams(mu, 0.0, a, "plus"))
+        ok, actual = _meets_estimate(got, lambda0_sum(mu, a, "plus").value)
+        assert ok, (mu, a, actual, got.error_estimate)
 
 
 def test_full_routes_near_mu_one_meet_estimate():
